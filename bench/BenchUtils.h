@@ -18,7 +18,6 @@
 #include "baselines/TasoLike.h"
 #include "graph/GraphBuilder.h"
 #include "models/ModelZoo.h"
-#include "ops/KernelRegistry.h"
 #include "ops/OpSchema.h"
 #include "runtime/CacheSim.h"
 #include "runtime/DeviceModel.h"
@@ -31,7 +30,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <thread>
 
 namespace dnnfusion {
 namespace bench {
@@ -111,25 +109,17 @@ inline std::vector<Tensor> makeInputs(const CompiledModel &M, uint64_t Seed) {
   return Inputs;
 }
 
-/// Sequential-dispatch execution options: the paper's figures measure the
-/// per-kernel pipeline itself, so block-level overlap must stay out of
-/// their timings unless a bench opts in explicitly.
-inline ExecutionOptions sequentialExec() {
+/// Median wall time of 3 runs (after one warm-up) under strictly
+/// sequential block dispatch: the paper's figures measure the per-kernel
+/// pipeline itself, so block-level overlap must stay out of their timings.
+inline double medianLatencyMs(const CompiledModel &M) {
   ExecutionOptions Exec;
   Exec.Mode = ExecutionOptions::Schedule::Sequential;
-  return Exec;
-}
-
-/// Median wall time of \p Repeats runs (after one warm-up). Defaults to
-/// strictly sequential block dispatch (see sequentialExec).
-inline double medianLatencyMs(const CompiledModel &M, int Repeats = 3,
-                              ExecutionStats *Stats = nullptr,
-                              const ExecutionOptions &Exec = sequentialExec()) {
   ExecutionContext E(M, Exec);
   std::vector<Tensor> Inputs = makeInputs(M, 11);
-  E.run(Inputs, Stats); // Warm-up (also fills Stats counters).
+  E.run(Inputs); // Warm-up.
   std::vector<double> Times;
-  for (int I = 0; I < Repeats; ++I) {
+  for (int I = 0; I < 3; ++I) {
     WallTimer T;
     E.run(Inputs);
     Times.push_back(T.millis());
@@ -149,420 +139,6 @@ inline std::string fmtRatio(double V) { return formatString("%.2fx", V); }
 
 inline void printHeading(const char *Title, const char *Detail) {
   std::printf("\n==== %s ====\n%s\n\n", Title, Detail);
-}
-
-//===----------------------------------------------------------------------===//
-// BENCH_kernels.json: the execution-engine trajectory
-//===----------------------------------------------------------------------===//
-
-/// Emits the kernel-engine comparison tracked from PR 5 on: per GEMM/conv
-/// shape class naive-vs-packed, per DFT shape interpreted-vs-program, and
-/// per zoo model the four engine combinations. Every timed pair is first
-/// checked for element-identical outputs — a divergence exits non-zero, so
-/// CI fails on correctness regressions, never on timing. Shared by
-/// `bench_table6_latency --json` and `bench_micro_kernels --json`.
-inline int emitKernelsJson(const char *Path) {
-  FILE *Out = std::fopen(Path, "w");
-  if (!Out) {
-    std::fprintf(stderr, "cannot open %s\n", Path);
-    return 1;
-  }
-  int Guard = 0; // Set non-zero on any packed-vs-naive divergence.
-  auto Check = [&](const Tensor &A, const Tensor &B, const char *What) {
-    for (int64_t I = 0; I < A.numElements(); ++I)
-      if (A.at(I) != B.at(I)) {
-        std::fprintf(stderr, "CORRECTNESS GUARD: %s diverges at %lld\n",
-                     What, static_cast<long long>(I));
-        Guard = 1;
-        return;
-      }
-  };
-  // Tolerance-based guard for the fused-attention comparison: the online
-  // softmax is a documented bit-identity relaxation (see
-  // docs/ARCHITECTURE.md), so fused-vs-unfused pairs are held to the same
-  // 2e-3 bound the differential test matrix enforces, not exactness.
-  auto CheckClose = [&](const Tensor &A, const Tensor &B, const char *What) {
-    for (int64_t I = 0; I < A.numElements(); ++I) {
-      float Diff = std::fabs(A.at(I) - B.at(I));
-      if (Diff > 2e-3f && Diff > 2e-3f * std::fabs(A.at(I))) {
-        std::fprintf(stderr,
-                     "CORRECTNESS GUARD: %s diverges at %lld beyond "
-                     "tolerance (%g vs %g)\n",
-                     What, static_cast<long long>(I),
-                     static_cast<double>(A.at(I)),
-                     static_cast<double>(B.at(I)));
-        Guard = 1;
-        return;
-      }
-    }
-  };
-  auto Median = [](std::vector<double> T) {
-    std::sort(T.begin(), T.end());
-    return T[T.size() / 2];
-  };
-  constexpr int Reps = 5;
-
-  // host_cpus + threads make the committed numbers' machine context
-  // machine-readable (kernel timings here are strictly single-threaded;
-  // a 1-CPU host caveats any concurrency-derived row).
-  std::fprintf(Out,
-               "{\n  \"bench\": \"kernels\",\n  \"host_cpus\": %u,\n"
-               "  \"threads\": 1,\n",
-               std::thread::hardware_concurrency());
-
-  // --- GEMM shape classes: naive row-walk vs packed register-blocked ---
-  printHeading("Kernel engines: naive vs packed, interpreted vs program",
-               "Every pair is checked element-identical before timing "
-               "(the CI perf-smoke correctness guard).");
-  TablePrinter TG({"GEMM shape", "Naive ms", "Packed ms", "Speedup"});
-  std::fprintf(Out, "  \"gemm_shapes\": [\n");
-  const struct {
-    const char *Label;
-    int64_t M, N, K;
-  } GemmShapes[] = {
-      {"attention 48x96x96", 48, 96, 96},
-      {"projection 64x256x256", 64, 256, 256},
-      {"ffn 64x3072x768", 64, 3072, 768},
-  };
-  Rng R(11);
-  for (size_t S = 0; S < sizeof(GemmShapes) / sizeof(GemmShapes[0]); ++S) {
-    const auto &Sh = GemmShapes[S];
-    Tensor A(Shape({Sh.M, Sh.K})), B(Shape({Sh.K, Sh.N}));
-    Tensor CN(Shape({Sh.M, Sh.N})), CP(Shape({Sh.M, Sh.N}));
-    fillRandom(A, R);
-    fillRandom(B, R);
-    std::vector<const Tensor *> In{&A, &B};
-    KernelConfig Naive;
-    Naive.UsePackedGemm = false;
-    KernelConfig Packed;
-    auto Time = [&](Tensor &C, const KernelConfig &Cfg) {
-      std::vector<double> T;
-      detail::runMatMulKernel(OpKind::MatMul, AttrMap(), In, C, Cfg);
-      for (int I = 0; I < Reps; ++I) {
-        WallTimer W;
-        detail::runMatMulKernel(OpKind::MatMul, AttrMap(), In, C, Cfg);
-        T.push_back(W.millis());
-      }
-      return Median(T);
-    };
-    double NaiveMs = Time(CN, Naive), PackedMs = Time(CP, Packed);
-    Check(CN, CP, Sh.Label);
-    std::fprintf(Out,
-                 "    {\"shape\": \"%s\", \"naive_ms\": %.4f, "
-                 "\"packed_ms\": %.4f, \"speedup\": %.3f}%s\n",
-                 Sh.Label, NaiveMs, PackedMs,
-                 PackedMs > 0 ? NaiveMs / PackedMs : 0.0,
-                 S + 1 < sizeof(GemmShapes) / sizeof(GemmShapes[0]) ? ","
-                                                                    : "");
-    TG.addRow({Sh.Label, fmtMs(NaiveMs), fmtMs(PackedMs),
-               fmtRatio(NaiveMs / PackedMs)});
-  }
-  std::fprintf(Out, "  ],\n");
-  TG.print();
-
-  // --- Conv shape classes: direct vs im2col + packed ---
-  TablePrinter TC({"Conv shape", "Direct ms", "Packed ms", "Speedup"});
-  std::fprintf(Out, "  \"conv_shapes\": [\n");
-  const struct {
-    const char *Label;
-    Shape X, W;
-    std::vector<int64_t> Strides, Pads;
-  } ConvShapes[] = {
-      {"3x3 64ch 56sq", Shape({1, 64, 56, 56}), Shape({64, 64, 3, 3}),
-       {1, 1}, {1, 1}},
-      {"1x1 128->256 28sq", Shape({1, 128, 28, 28}), Shape({256, 128, 1, 1}),
-       {1, 1}, {0, 0}},
-      {"3d 3x3x3 16ch", Shape({1, 16, 8, 24, 24}), Shape({32, 16, 3, 3, 3}),
-       {1, 1, 1}, {1, 1, 1}},
-  };
-  for (size_t S = 0; S < sizeof(ConvShapes) / sizeof(ConvShapes[0]); ++S) {
-    const auto &Sh = ConvShapes[S];
-    Tensor X(Sh.X), W(Sh.W);
-    fillRandom(X, R);
-    fillRandom(W, R);
-    AttrMap Attrs;
-    Attrs.set("strides", Sh.Strides);
-    Attrs.set("pads", Sh.Pads);
-    Shape OutShape = inferShape(OpKind::Conv, Attrs, {Sh.X, Sh.W});
-    Tensor CN(OutShape), CP(OutShape);
-    std::vector<const Tensor *> In{&X, &W};
-    KernelConfig Naive;
-    Naive.UsePackedGemm = false;
-    auto Time = [&](Tensor &C, const KernelConfig &Cfg) {
-      std::vector<double> T;
-      detail::runConvKernel(OpKind::Conv, Attrs, In, C, Cfg);
-      for (int I = 0; I < Reps; ++I) {
-        WallTimer Wt;
-        detail::runConvKernel(OpKind::Conv, Attrs, In, C, Cfg);
-        T.push_back(Wt.millis());
-      }
-      return Median(T);
-    };
-    double DirectMs = Time(CN, Naive), PackedMs = Time(CP, KernelConfig());
-    Check(CN, CP, Sh.Label);
-    std::fprintf(Out,
-                 "    {\"shape\": \"%s\", \"direct_ms\": %.4f, "
-                 "\"packed_ms\": %.4f, \"speedup\": %.3f}%s\n",
-                 Sh.Label, DirectMs, PackedMs,
-                 PackedMs > 0 ? DirectMs / PackedMs : 0.0,
-                 S + 1 < sizeof(ConvShapes) / sizeof(ConvShapes[0]) ? ","
-                                                                    : "");
-    TC.addRow({Sh.Label, fmtMs(DirectMs), fmtMs(PackedMs),
-               fmtRatio(DirectMs / PackedMs)});
-  }
-  std::fprintf(Out, "  ],\n");
-  TC.print();
-
-  // --- Kernel registry: per-tier timings on the same shape classes ---
-  // The registry's dispatch dimension: each GEMM/conv shape class timed at
-  // every forced tier (a tier the host cannot execute clamps down, and the
-  // row records the level that actually resolved). Guards: scalar-vs-avx2
-  // must be element-identical (the bit-exact tier contract); avx2fma is
-  // held to the documented FMA tolerance.
-  {
-    KernelConfig AutoCfg;
-    std::fprintf(Out,
-                 "  \"kernel_dispatch\": {\n"
-                 "    \"compiled_simd\": %s,\n"
-                 "    \"host_avx2\": %s,\n"
-                 "    \"host_fma\": %s,\n"
-                 "    \"auto_level\": \"%s\",\n",
-                 simdKernelsCompiledIn() ? "true" : "false",
-                 (dispatchFeatureMask() & CpuFeatureAvx2) ? "true" : "false",
-                 (dispatchFeatureMask() & CpuFeatureFma) ? "true" : "false",
-                 kernelLevelName(effectiveKernelLevel(AutoCfg)));
-    auto ResolvedName = [](int Force) {
-      return kernelLevelName(resolveKernelLevel(Force, dispatchFeatureMask()));
-    };
-    TablePrinter TR({"Dispatch shape", "Scalar ms", "Avx2 ms", "Avx2fma ms",
-                     "Avx2 speedup"});
-    auto TierRow = [&](const char *Kind, const char *Label, OpKind Op,
-                       const AttrMap &Attrs,
-                       const std::vector<const Tensor *> &In,
-                       const Shape &OutShape, bool Last) {
-      auto TimeAt = [&](int Force, Tensor &C) {
-        KernelConfig Cfg;
-        Cfg.ForceKernelLevel = Force;
-        std::vector<double> T;
-        auto Run = [&]() {
-          if (Op == OpKind::Conv)
-            detail::runConvKernel(Op, Attrs, In, C, Cfg);
-          else
-            detail::runMatMulKernel(Op, Attrs, In, C, Cfg);
-        };
-        Run();
-        for (int I = 0; I < Reps; ++I) {
-          WallTimer W;
-          Run();
-          T.push_back(W.millis());
-        }
-        return Median(T);
-      };
-      Tensor CS(OutShape), CV(OutShape), CF(OutShape);
-      double ScalarMs = TimeAt(0, CS);
-      double Avx2Ms = TimeAt(1, CV);
-      double FmaMs = TimeAt(2, CF);
-      Check(CS, CV, Label);      // Bit-exact tier contract.
-      CheckClose(CS, CF, Label); // FMA rounding stays within tolerance.
-      std::fprintf(Out,
-                   "      {\"kind\": \"%s\", \"shape\": \"%s\", "
-                   "\"scalar_ms\": %.4f, \"avx2_ms\": %.4f, "
-                   "\"avx2fma_ms\": %.4f, \"avx2_speedup\": %.3f, "
-                   "\"avx2_resolved\": \"%s\", \"avx2fma_resolved\": "
-                   "\"%s\"}%s\n",
-                   Kind, Label, ScalarMs, Avx2Ms, FmaMs,
-                   Avx2Ms > 0 ? ScalarMs / Avx2Ms : 0.0, ResolvedName(1),
-                   ResolvedName(2), Last ? "" : ",");
-      TR.addRow({Label, fmtMs(ScalarMs), fmtMs(Avx2Ms), fmtMs(FmaMs),
-                 fmtRatio(ScalarMs / Avx2Ms)});
-    };
-    std::fprintf(Out, "    \"shapes\": [\n");
-    for (size_t S = 0; S < sizeof(GemmShapes) / sizeof(GemmShapes[0]); ++S) {
-      const auto &Sh = GemmShapes[S];
-      Tensor A(Shape({Sh.M, Sh.K})), B(Shape({Sh.K, Sh.N}));
-      fillRandom(A, R);
-      fillRandom(B, R);
-      TierRow("gemm", Sh.Label, OpKind::MatMul, AttrMap(), {&A, &B},
-              Shape({Sh.M, Sh.N}), false);
-    }
-    for (size_t S = 0; S < sizeof(ConvShapes) / sizeof(ConvShapes[0]); ++S) {
-      const auto &Sh = ConvShapes[S];
-      Tensor X(Sh.X), W(Sh.W);
-      fillRandom(X, R);
-      fillRandom(W, R);
-      AttrMap Attrs;
-      Attrs.set("strides", Sh.Strides);
-      Attrs.set("pads", Sh.Pads);
-      Shape OutShape = inferShape(OpKind::Conv, Attrs, {Sh.X, Sh.W});
-      TierRow("conv", Sh.Label, OpKind::Conv, Attrs, {&X, &W}, OutShape,
-              S + 1 == sizeof(ConvShapes) / sizeof(ConvShapes[0]));
-    }
-    std::fprintf(Out, "    ]\n  },\n");
-    TR.print();
-  }
-
-  // --- Fused expressions: tree-walk interpreter vs compiled program ---
-  TablePrinter TD({"DFT shape", "Treewalk ms", "Program ms", "Speedup"});
-  std::fprintf(Out, "  \"dft\": [\n");
-  {
-    auto BuildChain = [](uint64_t Seed, bool WithTranspose) {
-      GraphBuilder B(Seed);
-      NodeId H = B.input(Shape({64, 32, 32}));
-      if (WithTranspose)
-        H = B.reshape(B.transpose(H, {1, 0, 2}), {32 * 64, 32});
-      for (int I = 0; I < 8; ++I)
-        H = B.unary(I % 3 == 0   ? OpKind::Relu
-                    : I % 3 == 1 ? OpKind::LeakyRelu
-                                 : OpKind::Square,
-                    H);
-      B.markOutput(H);
-      return B.take();
-    };
-    const struct {
-      const char *Label;
-      bool Transpose;
-    } DftShapes[] = {
-        {"eltwise-8 64k", false},
-        {"transpose+eltwise-8 64k", true},
-    };
-    for (size_t S = 0; S < sizeof(DftShapes) / sizeof(DftShapes[0]); ++S) {
-      CompileOptions Opt;
-      Opt.EnableGraphRewriting = false; // Keep the whole chain literal.
-      CompiledModel M = cantFail(
-          compileModel(BuildChain(3 + S, DftShapes[S].Transpose), Opt));
-      std::vector<Tensor> Inputs = makeInputs(M, 7);
-      auto Time = [&](bool Programs, std::vector<Tensor> &OutTensors) {
-        CompiledModel MV = M;
-        MV.Codegen.UseCompiledPrograms = Programs;
-        ExecutionContext E(MV, sequentialExec());
-        OutTensors = E.run(Inputs);
-        std::vector<double> T;
-        for (int I = 0; I < Reps; ++I) {
-          WallTimer Wt;
-          E.run(Inputs);
-          T.push_back(Wt.millis());
-        }
-        return Median(T);
-      };
-      std::vector<Tensor> OutTree, OutProg;
-      double TreeMs = Time(false, OutTree);
-      double ProgMs = Time(true, OutProg);
-      Check(OutTree[0], OutProg[0], DftShapes[S].Label);
-      std::fprintf(Out,
-                   "    {\"shape\": \"%s\", \"treewalk_ms\": %.4f, "
-                   "\"program_ms\": %.4f, \"speedup\": %.3f}%s\n",
-                   DftShapes[S].Label, TreeMs, ProgMs,
-                   ProgMs > 0 ? TreeMs / ProgMs : 0.0,
-                   S + 1 < sizeof(DftShapes) / sizeof(DftShapes[0]) ? ","
-                                                                    : "");
-      TD.addRow({DftShapes[S].Label, fmtMs(TreeMs), fmtMs(ProgMs),
-                 fmtRatio(TreeMs / ProgMs)});
-    }
-  }
-  std::fprintf(Out, "  ],\n");
-  TD.print();
-
-  // --- Transformer fusion: blocked attention/layernorm + GEMM epilogues ---
-  // Two toggles, two guarantees: FuseAttention/FuseNorm trade bit-identity
-  // for a single softmax pass (tolerance guard), FuseGemmEpilogue folds
-  // eltwise tails into the GEMM loop with no numeric change (exact guard).
-  TablePrinter TF({"Model", "Unfused ms", "Fused ms", "Speedup",
-                   "Epilogue-off ms"});
-  std::fprintf(Out, "  \"transformer_fusion\": [\n");
-  const char *TfModels[] = {"TinyBERT", "BERT-base", "GPT-2"};
-  for (size_t S = 0; S < sizeof(TfModels) / sizeof(TfModels[0]); ++S) {
-    auto WithToggles = [&](bool Attention, bool Epilogue) {
-      CompileOptions Opt;
-      Opt.Codegen.FuseAttention = Attention;
-      Opt.Codegen.FuseNorm = Attention;
-      Opt.Codegen.FuseGemmEpilogue = Epilogue;
-      return cantFail(compileModel(buildModel(TfModels[S]), Opt));
-    };
-    CompiledModel Fused = WithToggles(true, true);
-    CompiledModel Unfused = WithToggles(false, true);
-    CompiledModel NoEpilogue = WithToggles(true, false);
-    std::vector<Tensor> Inputs = makeInputs(Fused, 11);
-    {
-      ExecutionContext EF(Fused, sequentialExec());
-      ExecutionContext EU(Unfused, sequentialExec());
-      ExecutionContext EN(NoEpilogue, sequentialExec());
-      std::vector<Tensor> GotF = EF.run(Inputs);
-      std::vector<Tensor> GotU = EU.run(Inputs);
-      std::vector<Tensor> GotN = EN.run(Inputs);
-      for (size_t O = 0; O < GotF.size(); ++O) {
-        CheckClose(GotU[O], GotF[O], TfModels[S]);
-        Check(GotF[O], GotN[O], TfModels[S]); // Epilogue fold is exact.
-      }
-    }
-    double FusedMs = medianLatencyMs(Fused);
-    double UnfusedMs = medianLatencyMs(Unfused);
-    double NoEpilogueMs = medianLatencyMs(NoEpilogue);
-    std::fprintf(Out,
-                 "    {\"name\": \"%s\", \"unfused_ms\": %.4f, "
-                 "\"fused_ms\": %.4f, \"speedup\": %.3f, "
-                 "\"epilogue_off_ms\": %.4f}%s\n",
-                 TfModels[S], UnfusedMs, FusedMs,
-                 FusedMs > 0 ? UnfusedMs / FusedMs : 0.0, NoEpilogueMs,
-                 S + 1 < sizeof(TfModels) / sizeof(TfModels[0]) ? "," : "");
-    std::fflush(Out);
-    TF.addRow({TfModels[S], fmtMs(UnfusedMs), fmtMs(FusedMs),
-               fmtRatio(UnfusedMs / FusedMs), fmtMs(NoEpilogueMs)});
-  }
-  std::fprintf(Out, "  ],\n");
-  TF.print();
-
-  // --- Zoo models: the four engine combinations ---
-  TablePrinter TM({"Model", "Interp+Naive", "Program", "Packed",
-                   "Program+Packed", "Speedup"});
-  std::fprintf(Out, "  \"models\": [\n");
-  const char *Models[] = {"EfficientNet-B0", "YOLO-V4",      "S3D",
-                          "U-Net",           "Faster R-CNN", "Mask R-CNN",
-                          "GPT-2"};
-  for (size_t S = 0; S < sizeof(Models) / sizeof(Models[0]); ++S) {
-    auto Variant = [&](bool Programs, bool Packed) {
-      CompileOptions Opt;
-      Opt.Codegen.UseCompiledPrograms = Programs;
-      Opt.Codegen.Kernels.UsePackedGemm = Packed;
-      return cantFail(compileModel(buildModel(Models[S]), Opt));
-    };
-    CompiledModel Legacy = Variant(false, false);
-    CompiledModel ProgOnly = Variant(true, false);
-    CompiledModel PackOnly = Variant(false, true);
-    CompiledModel Full = Variant(true, true);
-    // Correctness guard: all four engines must agree bit-for-bit.
-    std::vector<Tensor> Inputs = makeInputs(Legacy, 11);
-    {
-      ExecutionContext E0(Legacy, sequentialExec());
-      std::vector<Tensor> Want = E0.run(Inputs);
-      for (CompiledModel *MV : {&ProgOnly, &PackOnly, &Full}) {
-        ExecutionContext EV(*MV, sequentialExec());
-        std::vector<Tensor> Got = EV.run(Inputs);
-        for (size_t O = 0; O < Want.size(); ++O)
-          Check(Want[O], Got[O], Models[S]);
-      }
-    }
-    double LegacyMs = medianLatencyMs(Legacy);
-    double ProgMs = medianLatencyMs(ProgOnly);
-    double PackMs = medianLatencyMs(PackOnly);
-    double FullMs = medianLatencyMs(Full);
-    std::fprintf(Out,
-                 "    {\"name\": \"%s\", \"interpreted_naive_ms\": %.4f, "
-                 "\"program_ms\": %.4f, \"packed_ms\": %.4f, "
-                 "\"program_packed_ms\": %.4f, \"speedup\": %.3f}%s\n",
-                 Models[S], LegacyMs, ProgMs, PackMs, FullMs,
-                 FullMs > 0 ? LegacyMs / FullMs : 0.0,
-                 S + 1 < sizeof(Models) / sizeof(Models[0]) ? "," : "");
-    std::fflush(Out);
-    TM.addRow({Models[S], fmtMs(LegacyMs), fmtMs(ProgMs), fmtMs(PackMs),
-               fmtMs(FullMs), fmtRatio(LegacyMs / FullMs)});
-  }
-  std::fprintf(Out, "  ],\n  \"correctness_guard\": \"%s\"\n}\n",
-               Guard == 0 ? "pass" : "FAIL");
-  std::fclose(Out);
-  TM.print();
-  std::printf("\nJSON written to %s%s\n", Path,
-              Guard ? " (CORRECTNESS GUARD FAILED)" : "");
-  return Guard;
 }
 
 } // namespace bench

@@ -11,27 +11,12 @@
 // (Fusion invisible, Profiling collapses with the database, Tuning
 // dominates), which survives scaling.
 //
-// `--json <path>` switches to the persistence-era reading of the same
-// figure: the up-front planning cost should be paid once, not per process
-// start. For every zoo model it measures a cold compile (cache miss: full
-// pipeline + artifact store) against a warm compile (cache hit: artifact
-// load, no planning) through the on-disk compilation cache, and emits the
-// cold/warm times as machine-readable JSON (BENCH_fig9b.json in CI,
-// uploaded as an artifact). Exits non-zero if any warm compile misses the
-// cache.
-//
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtils.h"
 
 #include "profiler/ProfilingOracle.h"
-#include "serialize/CompilationCache.h"
-#include "serialize/ModelSerializer.h"
-#include "support/FileIO.h"
 #include "tuning/AutoTuner.h"
-
-#include <cstring>
-#include <unistd.h>
 
 using namespace dnnfusion;
 using namespace dnnfusion::bench;
@@ -53,98 +38,9 @@ double runTuning(int Generations) {
   return TotalMs;
 }
 
-/// Cold-vs-warm compile across the model zoo through the compilation
-/// cache, emitted as JSON. Returns a process exit code.
-int emitColdWarmJson(const char *Path) {
-  std::string CacheDir =
-      "/tmp/dnnf_fig9b_cache_" + std::to_string(getpid());
-  FILE *Out = std::fopen(Path, "w");
-  if (!Out) {
-    std::fprintf(stderr, "cannot open %s\n", Path);
-    return 1;
-  }
-  // Compilation is single-threaded; host_cpus records the machine the
-  // committed trajectory numbers came from (the 1-CPU-host caveat).
-  std::fprintf(Out,
-               "{\n  \"bench\": \"fig9b_cold_warm_compile\",\n"
-               "  \"format_version\": %u,\n  \"host_cpus\": %u,\n"
-               "  \"threads\": 1,\n  \"models\": [\n",
-               SerializedFormatVersion, std::thread::hardware_concurrency());
-  TablePrinter T({"Model", "Cold ms", "Warm ms", "Speedup", "Artifact MB"});
-  const std::vector<ModelZooEntry> &Zoo = modelZoo();
-  bool AllHit = true;
-  double TotalCold = 0.0, TotalWarm = 0.0;
-  for (size_t I = 0; I < Zoo.size(); ++I) {
-    const std::string &Name = Zoo[I].Info.Name;
-    CompileOptions Opt;
-    Opt.CacheDir = CacheDir;
-    // Key computed once, outside the timed sections (the timed compiles
-    // fingerprint internally anyway; this copy is only for pathForKey).
-    Graph G = Zoo[I].Build();
-    uint64_t Key = CompilationCache::fingerprint(G, Opt);
-
-    WallTimer ColdTimer;
-    CompiledModel Cold = cantFail(compileModel(std::move(G), Opt));
-    double ColdMs = ColdTimer.millis();
-
-    WallTimer WarmTimer;
-    CompiledModel Warm = cantFail(compileModel(Zoo[I].Build(), Opt));
-    double WarmMs = WarmTimer.millis();
-
-    if (Cold.CacheHit || !Warm.CacheHit) {
-      std::fprintf(stderr, "%s: cache behaved unexpectedly (cold hit=%d, "
-                           "warm hit=%d)\n",
-                   Name.c_str(), static_cast<int>(Cold.CacheHit),
-                   static_cast<int>(Warm.CacheHit));
-      AllHit = false;
-    }
-    std::string ArtifactPath = CompilationCache(CacheDir).pathForKey(Key);
-    Expected<std::string> Artifact = readFileBytes(ArtifactPath);
-    int64_t ArtifactBytes =
-        Artifact.ok() ? static_cast<int64_t>(Artifact->size()) : 0;
-    removeFileIfExists(ArtifactPath);
-
-    TotalCold += ColdMs;
-    TotalWarm += WarmMs;
-    std::fprintf(Out,
-                 "    {\"name\": \"%s\", \"cold_compile_ms\": %.4f, "
-                 "\"warm_compile_ms\": %.4f, \"speedup\": %.3f, "
-                 "\"artifact_bytes\": %lld, \"cache_hit\": %s}%s\n",
-                 Name.c_str(), ColdMs, WarmMs,
-                 WarmMs > 0.0 ? ColdMs / WarmMs : 0.0,
-                 static_cast<long long>(ArtifactBytes),
-                 Warm.CacheHit ? "true" : "false",
-                 I + 1 < Zoo.size() ? "," : "");
-    std::fflush(Out);
-    T.addRow({Name, fmtMs(ColdMs), fmtMs(WarmMs),
-              fmtRatio(WarmMs > 0.0 ? ColdMs / WarmMs : 0.0),
-              fmtMb(ArtifactBytes)});
-  }
-  std::fprintf(Out,
-               "  ],\n  \"total_cold_ms\": %.4f,\n"
-               "  \"total_warm_ms\": %.4f\n}\n",
-               TotalCold, TotalWarm);
-  std::fclose(Out);
-  rmdir(CacheDir.c_str());
-
-  printHeading("Figure 9b (persistence): cold vs warm compile via the "
-               "on-disk compilation cache",
-               "Cold = full planning pipeline + artifact store; warm = "
-               "artifact load, no planning. Zoo-wide.");
-  T.print();
-  std::printf("\ntotal: cold %.1f ms, warm %.1f ms (%.2fx)\nJSON written "
-              "to %s\n",
-              TotalCold, TotalWarm,
-              TotalWarm > 0.0 ? TotalCold / TotalWarm : 0.0, Path);
-  return AllHit ? 0 : 1;
-}
-
 } // namespace
 
-int main(int argc, char **argv) {
-  for (int I = 1; I < argc; ++I)
-    if (std::strcmp(argv[I], "--json") == 0 && I + 1 < argc)
-      return emitColdWarmJson(argv[I + 1]);
+int main() {
   printHeading("Figure 9b: compilation time split (YOLO-V4)",
                "Milliseconds per phase; budgets scaled down uniformly from "
                "the paper's hours.");

@@ -2,17 +2,12 @@
 //
 // Micro-benchmarks (google-benchmark) isolating the mechanisms behind the
 // end-to-end results: fused vs unfused elementwise chains, data-movement
-// folding vs materialization, DFT chunk-size sensitivity, interpreted vs
-// compiled-program evaluation, and the GEMM kernels (naive, tiled,
-// packed) the auto-tuner searches.
-//
-// `--json <path>` bypasses google-benchmark and emits the execution-engine
-// comparison (BENCH_kernels.json) via the shared hand-timed harness in
-// BenchUtils.h — the same output `bench_table6_latency --json` produces.
+// folding vs materialization, DFT chunk-size sensitivity, compiled-program
+// evaluation, and the GEMM kernels (naive, tiled, packed) the auto-tuner
+// searches.
 //
 //===----------------------------------------------------------------------===//
 
-#include "BenchUtils.h"
 #include "graph/GraphBuilder.h"
 #include "ops/Kernels.h"
 #include "ops/KernelRegistry.h"
@@ -24,7 +19,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
-#include <cstring>
 
 using namespace dnnfusion;
 
@@ -112,18 +106,7 @@ void BM_ChunkSize(benchmark::State &State) {
 }
 BENCHMARK(BM_ChunkSize)->Arg(16)->Arg(64)->Arg(256)->Arg(512);
 
-// Engine dimension: the same fused chain interpreted per chunk by the
-// tree-walk vs executed as a compiled instruction tape.
-void BM_ChainTreewalk(benchmark::State &State) {
-  CompileOptions Opt;
-  Opt.EnableGraphRewriting = false;
-  Opt.Codegen.UseCompiledPrograms = false;
-  CompiledModel M =
-      cantFail(compileModel(elementwiseChain(State.range(0), 8), Opt));
-  runModel(State, M);
-}
-BENCHMARK(BM_ChainTreewalk)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
-
+// The fused chain executed as a compiled instruction tape.
 void BM_ChainProgram(benchmark::State &State) {
   CompileOptions Opt;
   Opt.EnableGraphRewriting = false;
@@ -159,10 +142,10 @@ BENCHMARK(BM_GemmPacked)
     ->Args({4, 32})
     ->Args({8, 32});
 
-// The same packed micro kernel per kernel-registry tier (0 = scalar,
-// 1 = avx2, 2 = avx2fma). A tier the host cannot execute clamps down
-// through resolveKernelLevel — the bench label records the requested
-// tier, SetLabel the one that actually ran.
+// The same packed micro kernel per kernel tier (0 = scalar, 1 = avx2). A
+// tier the host cannot execute clamps down through resolveKernelLevel —
+// the bench label records the requested tier, SetLabel the one that
+// actually ran.
 void BM_GemmPackedTier(benchmark::State &State) {
   int64_t N = 256;
   Rng R(5);
@@ -183,12 +166,12 @@ void BM_GemmPackedTier(benchmark::State &State) {
   }
   State.SetItemsProcessed(State.iterations() * 2 * N * N * N);
 }
-BENCHMARK(BM_GemmPackedTier)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_GemmPackedTier)->Arg(0)->Arg(1);
 
-// Fused-attention inner loop per registry tier. Every tier is
+// Fused-attention inner loop per kernel tier. Both tiers are
 // bit-identical here (the AVX2 rows vectorize the score/accumulate loops
-// without touching the online-softmax order), so the tiers differ in
-// speed only.
+// without touching the online-softmax order), so they differ in speed
+// only.
 void BM_FusedAttentionTier(benchmark::State &State) {
   int64_t Batches = 4, S = 128, Dh = 64;
   Rng R(7);
@@ -209,7 +192,7 @@ void BM_FusedAttentionTier(benchmark::State &State) {
   }
   State.SetItemsProcessed(State.iterations() * Batches * S * S * Dh * 2);
 }
-BENCHMARK(BM_FusedAttentionTier)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_FusedAttentionTier)->Arg(0)->Arg(1);
 
 void BM_MatmulTiled(benchmark::State &State) {
   int64_t N = 256;
@@ -236,9 +219,6 @@ BENCHMARK(BM_MatmulTiled)
 } // namespace
 
 int main(int argc, char **argv) {
-  for (int I = 1; I < argc; ++I)
-    if (std::strcmp(argv[I], "--json") == 0 && I + 1 < argc)
-      return dnnfusion::bench::emitKernelsJson(argv[I + 1]);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv))
     return 1;

@@ -5,25 +5,14 @@
 // CPU latency is measured on the host; GPU latency comes from the
 // calibrated Adreno-650 roofline device model (DESIGN.md §2).
 //
-// `--json <path>` switches to the execution-engine tracker instead:
-// naive-vs-packed GEMM/conv per shape class, interpreted-vs-program DFT
-// evaluation, and the four engine combinations per zoo model, emitted as
-// machine-readable JSON (BENCH_kernels.json in CI). Exits non-zero if any
-// engine pair diverges — the perf-smoke correctness guard.
-//
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtils.h"
 
-#include <cstring>
-
 using namespace dnnfusion;
 using namespace dnnfusion::bench;
 
-int main(int argc, char **argv) {
-  for (int I = 1; I < argc; ++I)
-    if (std::strcmp(argv[I], "--json") == 0 && I + 1 < argc)
-      return emitKernelsJson(argv[I + 1]);
+int main() {
   printHeading(
       "Table 6: inference latency (ms)",
       "CPU columns: measured medians on this host. GPU columns: modeled on "

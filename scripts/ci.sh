@@ -8,20 +8,20 @@
 #                              # (guards the wavefront/serving concurrency)
 #   ./scripts/ci.sh cache      # compilation-cache smoke: the roundtrip
 #                              # example twice against one CacheDir (the
-#                              # second process must hit), then the fig9b
-#                              # cold/warm sweep into BENCH_fig9b.json
-#   ./scripts/ci.sh perf       # perf smoke: kernel + e2e benches in
-#                              # Release; fails on crashes or on the
-#                              # engine correctness guards (packed vs
-#                              # naive, program vs treewalk divergence),
-#                              # never on timing
+#                              # second process must hit), then dnnf-cache
+#                              # list/verify over the populated dir
+#   ./scripts/ci.sh bench      # benchmark smoke: builds perfbench from the
+#                              # tree and runs its seed self-test, which
+#                              # runs every workload's correctness gate
+#                              # (perfbench/test_seed.py); never gates on
+#                              # timing
 #   ./scripts/ci.sh serving    # serving smoke: the closed-loop load
 #                              # generator briefly (--quick) into
 #                              # BENCH_serving.json; fails on crashes or
 #                              # the batched-vs-solo bit-identity /
 #                              # request-accounting guards, never timing
 #   ./scripts/ci.sh forced     # forced-dispatch smoke: the smoke suite
-#                              # once per bit-exact kernel-registry tier
+#                              # once per kernel tier
 #                              # via the DNNFUSION_FORCE_KERNEL_LEVEL env
 #                              # hook (scalar, then avx2) — unsupported
 #                              # tiers clamp down, so this runs anywhere
@@ -57,21 +57,13 @@ for CONFIG in "${CONFIGS[@]}"; do
     ctest --test-dir "$BUILD_DIR" -L smoke --output-on-failure -j "$JOBS"
     continue
   fi
-  if [ "$CONFIG" = "perf" ]; then
-    BUILD_DIR="build-ci-perf"
-    echo "=== [perf] configure ==="
-    cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
-          -DDNNFUSION_BUILD_TESTS=OFF -DDNNFUSION_BUILD_BENCH=ON \
-          -DDNNFUSION_BUILD_EXAMPLES=OFF
-    echo "=== [perf] build ==="
-    cmake --build "$BUILD_DIR" -j "$JOBS" \
-          --target bench_table6_latency bench_fig7_breakdown
-    echo "=== [perf] kernel engines (BENCH_kernels.json) ==="
-    # Exits non-zero when any engine pair (packed vs naive, program vs
-    # treewalk) produces different bytes — the correctness guard.
-    "$BUILD_DIR/bench_table6_latency" --json BENCH_kernels.json
-    echo "=== [perf] end-to-end latency (BENCH_e2e.json) ==="
-    "$BUILD_DIR/bench_fig7_breakdown" --json BENCH_e2e.json
+  if [ "$CONFIG" = "bench" ]; then
+    echo "=== [bench] perfbench build + seed self-test ==="
+    # Builds perfbench/ in .bench_build/ (as perfbench/run.py does), then
+    # checks seed determinism and runs every workload's correctness gate
+    # briefly, traced and untraced. The exit code carries correctness only
+    # — no timing is asserted.
+    python3 perfbench/test_seed.py
     continue
   fi
   if [ "$CONFIG" = "serving" ]; then
@@ -95,14 +87,9 @@ for CONFIG in "${CONFIGS[@]}"; do
     cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
     echo "=== [forced] build ==="
     cmake --build "$BUILD_DIR" -j "$JOBS"
-    # One smoke pass per *bit-exact* registry tier. The env hook forces
-    # dispatch for every default-config compile/execute in the suite; a
-    # level the host cannot run clamps down to the best supported tier
-    # (never up), so both passes run on any machine. avx2fma is excluded
-    # on purpose: globally forcing the FMA tier would (correctly) break
-    # the suite's cross-engine bit-identity assertions — that tier is
-    # exercised at its documented tolerance by the forced-fma config of
-    # the differential matrix instead.
+    # One smoke pass per kernel tier. The env hook forces dispatch for
+    # every default-config compile/execute in the suite; avx2 on a host
+    # without it runs scalar, so both passes run on any machine.
     for LEVEL in scalar avx2; do
       echo "=== [forced] smoke tests at forced kernel level: $LEVEL ==="
       DNNFUSION_FORCE_KERNEL_LEVEL="$LEVEL" \
@@ -149,12 +136,11 @@ for CONFIG in "${CONFIGS[@]}"; do
     BUILD_DIR="build-ci-cache"
     echo "=== [cache] configure ==="
     cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
-          -DDNNFUSION_BUILD_TESTS=OFF -DDNNFUSION_BUILD_BENCH=ON \
+          -DDNNFUSION_BUILD_TESTS=OFF -DDNNFUSION_BUILD_BENCH=OFF \
           -DDNNFUSION_BUILD_EXAMPLES=ON
     echo "=== [cache] build ==="
     cmake --build "$BUILD_DIR" -j "$JOBS" \
-          --target example_save_load_roundtrip bench_fig9b_compilation_time \
-          dnnf-cache
+          --target example_save_load_roundtrip dnnf-cache
     CACHE_DIR="$(mktemp -d)"
     echo "=== [cache] cold process (populates $CACHE_DIR) ==="
     "$BUILD_DIR/example_save_load_roundtrip" --cache-dir "$CACHE_DIR"
@@ -166,8 +152,6 @@ for CONFIG in "${CONFIGS[@]}"; do
     # Every entry the two processes left behind must verify clean.
     "$BUILD_DIR/dnnf-cache" verify "$CACHE_DIR"
     rm -rf "$CACHE_DIR"
-    echo "=== [cache] fig9b cold/warm sweep ==="
-    "$BUILD_DIR/bench_fig9b_compilation_time" --json BENCH_fig9b.json
     continue
   fi
   BUILD_DIR="build-ci-${CONFIG,,}"

@@ -334,7 +334,7 @@ struct Builder {
       for (size_t J = I + 1; J < Out.Steps.size(); ++J) {
         const CompiledStep &E = Out.Steps[J];
         if (E.K != CompiledStep::Kind::Expression ||
-            !(E.OutShape == K.OutShape) || E.Program.empty() ||
+            !(E.OutShape == K.OutShape) ||
             !chainLeavesIdentity(E.Tree, ChainSlot))
           break;
         ChainSlot[static_cast<size_t>(E.OutputSlot)] = 1;
@@ -459,7 +459,7 @@ void dnnfusion::executeBlock(const CompiledBlock &Block, const BlockIo &Io,
     Slots[Io.Externals.size() + I] = Io.LocalPtrs[I];
 
   // One dispatch resolution per block execution, from the *live* options
-  // — the registry tier behaves like every other engine knob (flippable
+  // — the kernel tier behaves like every other engine knob (flippable
   // without recompiling; the compile-time DispatchLevel stamp is audit).
   KernelLevel Level = effectiveKernelLevel(Options.Kernels);
 
@@ -468,15 +468,9 @@ void dnnfusion::executeBlock(const CompiledBlock &Block, const BlockIo &Io,
     float *OutPtr = Io.LocalPtrs[static_cast<size_t>(Step.OutputSlot) -
                                  Io.Externals.size()];
     if (Step.K == CompiledStep::Kind::Expression) {
-      if (Options.UseCompiledPrograms && !Step.Program.empty()) {
-        if (Rt.Counters)
-          ++Rt.Counters->ProgramSteps;
-        Step.Program.execute(Slots, OutPtr, Options.ChunkSize, Level);
-      } else {
-        if (Rt.Counters)
-          ++Rt.Counters->TreeWalkSteps;
-        Step.Tree.evaluate(Slots, OutPtr, Options.ChunkSize);
-      }
+      if (Rt.Counters)
+        ++Rt.Counters->ProgramSteps;
+      Step.Program.execute(Slots, OutPtr, Options.ChunkSize, Level);
       continue;
     }
     if (Step.K == CompiledStep::Kind::FusedAttention) {

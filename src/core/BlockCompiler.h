@@ -9,10 +9,10 @@
 /// executable CompiledBlock. A block becomes a short sequence of steps
 /// executed as one kernel launch:
 ///
-///  - Expression steps evaluate a data-flow tree (elementwise chains with
-///    all data-movement operators folded into index arithmetic) chunk-wise
-///    into an output or scratch buffer — true loop fusion, no intermediate
-///    materialization.
+///  - Expression steps run a data-flow tree (elementwise chains with all
+///    data-movement operators folded into index arithmetic), lowered to a
+///    DftProgram tape, chunk-wise into an output or scratch buffer — true
+///    loop fusion, no intermediate materialization.
 ///  - RefKernel steps run one Many-to-Many operator (Conv/GEMM/Reduce/...)
 ///    with its optimized kernel. Producers fused into the block are staged
 ///    into block-local scratch first (the paper's IR_removable = false
@@ -47,20 +47,12 @@ struct CodegenOptions {
   bool MaterializeShared = true;
   /// Elements per evaluation chunk (<= DftMaxChunk).
   int ChunkSize = 256;
-  /// Execute expression steps through the compiled instruction tape
-  /// (DftProgram); false = the legacy recursive tree-walk reference path.
-  /// Bit-identical either way — a perf/debugging toggle, not a semantic
-  /// one. Tapes are always lowered at compileBlock time so the toggle can
-  /// flip per execution without recompiling.
-  bool UseCompiledPrograms = true;
   /// Run elementwise expression steps that follow a MatMul/Gemm step and
   /// read it row-contiguously as epilogues inside the GEMM's parallel row
   /// loop (no extra memory pass over the intermediate). Bit-identical to
   /// the unfused step sequence — chunk partitioning never changes values —
-  /// so like UseCompiledPrograms this is an engine knob, flippable per
-  /// execution without recompiling (compileBlock always annotates the
-  /// foldable runs). Epilogues always execute through the compiled tape,
-  /// even under UseCompiledPrograms = false.
+  /// so this is an engine knob, flippable per execution without
+  /// recompiling (compileBlock always annotates the foldable runs).
   bool FuseGemmEpilogue = true;
   /// Compile fusion blocks that exactly cover a matched attention
   /// subgraph (QK^T -> scale -> mask -> Softmax -> V) into one
@@ -114,9 +106,9 @@ struct CompiledStep {
   int EpilogueSteps = 0;
 
   // Expression.
+  /// The expression tree (epilogue annotation, CodeEmitter source).
   DftTree Tree;
-  /// The tree lowered to a flat instruction tape (the default execution
-  /// engine; the tree stays as the reference interpreter).
+  /// The tree lowered to a flat instruction tape — what executeBlock runs.
   DftProgram Program;
 
   /// Index into CompiledModel::Prepack when this RefKernel step's packed
@@ -124,7 +116,7 @@ struct CompiledStep {
   /// otherwise. Assigned by the model compiler, rebuilt on loadModel.
   int PrepackIndex = -1;
 
-  /// Kernel-registry tier resolved for this step at compileBlock time
+  /// Kernel tier resolved for this step at compileBlock time
   /// (KernelLevel as int8_t) — the audit stamp CodeEmitter prints and the
   /// cache-redispatch tests inspect. Informational: executeBlock
   /// re-resolves from the live CodegenOptions so the knob stays flippable
@@ -188,9 +180,9 @@ struct BlockRuntime {
 };
 
 /// Executes \p Block with \p Io. Runs steps sequentially; each step is
-/// internally parallel. Expression steps run the compiled program or the
-/// legacy tree-walk per Options.UseCompiledPrograms; RefKernel steps
-/// receive Options.Kernels plus the per-call resources from \p Rt.
+/// internally parallel. Expression steps run their compiled program;
+/// RefKernel steps receive Options.Kernels plus the per-call resources
+/// from \p Rt.
 void executeBlock(const CompiledBlock &Block, const BlockIo &Io,
                   const CodegenOptions &Options = {},
                   const BlockRuntime &Rt = {});

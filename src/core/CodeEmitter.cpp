@@ -98,7 +98,7 @@ std::string dnnfusion::emitBlockSource(const Graph &G,
       Src += formatString("  %s_kernel(%s, buf%d);\n",
                           scalarFnName(Step.Op).c_str(),
                           joinStrings(Args, ", ").c_str(), Step.OutputSlot);
-      // Registry audit for the Many-to-Many kernels: the tier compileBlock
+      // Dispatch audit for the Many-to-Many kernels: the tier compileBlock
       // resolved on this host (executeBlock re-resolves from live options).
       if (Step.Op == OpKind::MatMul || Step.Op == OpKind::Gemm ||
           Step.Op == OpKind::Conv)
@@ -140,17 +140,13 @@ std::string dnnfusion::emitBlockSource(const Graph &G,
     Src += formatString("    buf%d[i] = %s;\n", Step.OutputSlot, Expr.c_str());
     // The instruction tape this step actually executes (the loop above is
     // the mathematical form; the tape is the engine's schedule).
-    if (!Step.Program.empty()) {
-      Src += formatString(
-          "  // program tape: %zu instr(s), %d chunk reg(s), %d index "
-          "set(s)\n",
-          Step.Program.Instrs.size(), Step.Program.NumValueRegs,
-          Step.Program.NumIndexSets);
-      for (const std::string &Line :
-           splitString(Step.Program.describe(), '\n'))
-        if (!Line.empty())
-          Src += "  //   " + Line + "\n";
-    }
+    Src += formatString(
+        "  // program tape: %zu instr(s), %d chunk reg(s), %d index set(s)\n",
+        Step.Program.Instrs.size(), Step.Program.NumValueRegs,
+        Step.Program.NumIndexSets);
+    for (const std::string &Line : splitString(Step.Program.describe(), '\n'))
+      if (!Line.empty())
+        Src += "  //   " + Line + "\n";
   }
   Src += "}\n";
   return Src;

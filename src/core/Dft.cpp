@@ -1,27 +1,8 @@
-//===- core/Dft.cpp - Data-flow tree evaluation ---------------------------------===//
+//===- core/Dft.cpp - Data-flow trees -------------------------------------===//
 
 #include "core/Dft.h"
 
-#include "support/Error.h"
-#include "support/ThreadPool.h"
-
 using namespace dnnfusion;
-
-namespace {
-
-/// The set of output-space indices a node must produce values for. The
-/// contiguous representation ([Base, Base+Count)) is the hot path: it
-/// keeps leaf reads pointer-walkable (vectorizable) instead of gathered.
-struct IdxSet {
-  int64_t Base = 0;
-  const int64_t *Idx = nullptr; ///< Null = contiguous from Base.
-  int Count = 0;
-
-  bool contiguous() const { return Idx == nullptr; }
-  int64_t at(int I) const { return Idx ? Idx[I] : Base + I; }
-};
-
-} // namespace
 
 int DftTree::interiorNodeCount() const {
   int Count = 0;
@@ -29,154 +10,4 @@ int DftTree::interiorNodeCount() const {
     if (N.K != DftNode::Kind::Leaf)
       ++Count;
   return Count;
-}
-
-namespace {
-
-void evalNodeImpl(const DftTree &T, int NodeIdx, const IdxSet &Set, float *Out,
-                  const std::vector<const float *> &Slots);
-
-/// Evaluates a child edge, returning either a direct pointer into a leaf
-/// buffer (zero-copy, contiguous case) or \p Tmp filled with values.
-const float *evalChild(const DftTree &T, const DftEdge &E, const IdxSet &Set,
-                       float *Tmp, const std::vector<const float *> &Slots) {
-  const DftNode &Child = T.Nodes[static_cast<size_t>(E.Child)];
-  bool IdentityChain = chainIsIdentity(E.Maps);
-  if (IdentityChain) {
-    if (Child.K == DftNode::Kind::Leaf && Set.contiguous())
-      return Slots[static_cast<size_t>(Child.BufferSlot)] + Set.Base;
-    evalNodeImpl(T, E.Child, Set, Tmp, Slots);
-    return Tmp;
-  }
-  // Map the indices, then evaluate the child on the gathered set. A
-  // contiguous parent range uses the incremental (division-free) walk for
-  // the first map of the chain.
-  int64_t Mapped[DftMaxChunk];
-  size_t FirstMap = 0;
-  if (Set.contiguous()) {
-    E.Maps[0].mapContiguous(Set.Base, Mapped, Set.Count);
-    FirstMap = 1;
-  } else {
-    for (int I = 0; I < Set.Count; ++I)
-      Mapped[I] = Set.Idx[I];
-  }
-  for (size_t M = FirstMap; M < E.Maps.size(); ++M)
-    E.Maps[M].mapIndices(Mapped, Mapped, Set.Count);
-  IdxSet ChildSet;
-  ChildSet.Idx = Mapped;
-  ChildSet.Count = Set.Count;
-  evalNodeImpl(T, E.Child, ChildSet, Tmp, Slots);
-  return Tmp;
-}
-
-void evalNodeImpl(const DftTree &T, int NodeIdx, const IdxSet &Set, float *Out,
-                  const std::vector<const float *> &Slots) {
-  const DftNode &N = T.Nodes[static_cast<size_t>(NodeIdx)];
-  int Count = Set.Count;
-  switch (N.K) {
-  case DftNode::Kind::Leaf: {
-    const float *Buf = Slots[static_cast<size_t>(N.BufferSlot)];
-    if (Set.contiguous()) {
-      const float *Src = Buf + Set.Base;
-      for (int I = 0; I < Count; ++I)
-        Out[I] = Src[I];
-    } else {
-      for (int I = 0; I < Count; ++I)
-        Out[I] = Buf[Set.Idx[I]];
-    }
-    return;
-  }
-
-  case DftNode::Kind::Eltwise: {
-    DNNF_CHECK(N.Children.size() <= 5, "elementwise arity exceeds 5");
-    float Tmp[5][DftMaxChunk];
-    const float *Args[5];
-    for (size_t C = 0; C < N.Children.size(); ++C)
-      Args[C] = evalChild(T, N.Children[C], Set, Tmp[C], Slots);
-    evalElementwiseChunk(N.Op, N.Params, Args,
-                         static_cast<int>(N.Children.size()), Out, Count);
-    return;
-  }
-
-  case DftNode::Kind::Router: {
-    // Decode the concat axis coordinate per element, then evaluate each
-    // branch once over its sub-set of indices.
-    int Rank = N.Domain.rank();
-    int64_t AxisInner = 1;
-    for (int D = N.RouterAxis + 1; D < Rank; ++D)
-      AxisInner *= N.Domain.dim(D);
-    int64_t AxisExtent = N.Domain.dim(N.RouterAxis);
-
-    int Branch[DftMaxChunk];
-    int64_t Local[DftMaxChunk];
-    for (int I = 0; I < Count; ++I) {
-      int64_t Flat = Set.at(I);
-      int64_t AxisCoord = (Flat / AxisInner) % AxisExtent;
-      int B = 0;
-      while (B + 1 < static_cast<int>(N.BranchStarts.size()) &&
-             N.BranchStarts[static_cast<size_t>(B + 1)] <= AxisCoord)
-        ++B;
-      Branch[I] = B;
-      int64_t BranchLen =
-          (B + 1 < static_cast<int>(N.BranchStarts.size())
-               ? N.BranchStarts[static_cast<size_t>(B + 1)]
-               : AxisExtent) -
-          N.BranchStarts[static_cast<size_t>(B)];
-      int64_t Outer = Flat / (AxisInner * AxisExtent);
-      int64_t Inner = Flat % AxisInner;
-      int64_t LocalAxis = AxisCoord - N.BranchStarts[static_cast<size_t>(B)];
-      Local[I] = (Outer * BranchLen + LocalAxis) * AxisInner + Inner;
-    }
-    int64_t SubIdx[DftMaxChunk];
-    float SubOut[DftMaxChunk];
-    int Pos[DftMaxChunk];
-    for (size_t B = 0; B < N.Children.size(); ++B) {
-      int SubCount = 0;
-      for (int I = 0; I < Count; ++I)
-        if (Branch[I] == static_cast<int>(B)) {
-          Pos[SubCount] = I;
-          SubIdx[SubCount] = Local[I];
-          ++SubCount;
-        }
-      if (SubCount == 0)
-        continue;
-      const DftEdge &E = N.Children[B];
-      if (!chainIsIdentity(E.Maps))
-        applyIndexChain(E.Maps, SubIdx, SubCount);
-      IdxSet SubSet;
-      SubSet.Idx = SubIdx;
-      SubSet.Count = SubCount;
-      evalNodeImpl(T, E.Child, SubSet, SubOut, Slots);
-      for (int I = 0; I < SubCount; ++I)
-        Out[Pos[I]] = SubOut[I];
-    }
-    return;
-  }
-  }
-}
-
-} // namespace
-
-void DftTree::evalNode(int NodeIdx, const int64_t *Idx, int Count, float *Out,
-                       const std::vector<const float *> &Slots) const {
-  IdxSet Set;
-  Set.Idx = Idx;
-  Set.Count = Count;
-  evalNodeImpl(*this, NodeIdx, Set, Out, Slots);
-}
-
-void DftTree::evaluate(const std::vector<const float *> &Slots, float *Out,
-                       int ChunkSize) const {
-  DNNF_CHECK(ChunkSize > 0 && ChunkSize <= DftMaxChunk,
-             "chunk size %d out of range", ChunkSize);
-  parallelFor(OutElems, [&](int64_t Begin, int64_t End) {
-    for (int64_t Base = Begin; Base < End; Base += ChunkSize) {
-      int Count = static_cast<int>(
-          Base + ChunkSize <= End ? ChunkSize : End - Base);
-      IdxSet Set;
-      Set.Base = Base;
-      Set.Count = Count;
-      evalNodeImpl(*this, Root, Set, Out + Base, Slots);
-    }
-  });
 }

@@ -161,8 +161,7 @@ struct Lowering {
       for (size_t B = 0; B < N.Children.size(); ++B) {
         const DftEdge &E = N.Children[B];
         if (!chainIsIdentity(E.Maps)) {
-          // In-place on the compacted branch set, positions preserved —
-          // exactly the tree-walk's applyIndexChain step.
+          // In-place on the compacted branch set, positions preserved.
           DftInstr M;
           M.K = DftInstr::Kind::MapIndices;
           M.Origin = N.Origin;
@@ -204,7 +203,7 @@ DftProgram DftProgram::compile(const DftTree &T) {
   ValueRef Root = L.lower(T.Root, /*Set=*/0, /*Contig=*/true);
   if (Root.IsSlot) {
     // Bare contiguous leaf (or identity passthrough of one): the program
-    // is a single chunk copy, matching the tree-walk's leaf evaluation.
+    // is a single chunk copy.
     DftInstr I;
     I.K = DftInstr::Kind::Eltwise;
     I.Origin = T.Nodes[static_cast<size_t>(T.Root)].Origin;
@@ -326,7 +325,7 @@ void runChunk(const DftProgram &P, const std::vector<const float *> &Slots,
                       ? Slots[static_cast<size_t>(I.Args[A].Index)] + Base
                       : S.reg(I.Args[A].Index);
       float *Dst = I.Dst == DftProgram::OutputReg ? Out : S.reg(I.Dst);
-      // Registry SIMD tier first; false = op not covered, scalar reference.
+      // SIMD tier first; false = op not covered, scalar reference.
       if (!Simd || !Simd(I.EOp, I.Params, Args, I.NumArgs, Dst, Cnt))
         evalElementwiseChunk(I.EOp, I.Params, Args, I.NumArgs, Dst, Cnt);
       break;

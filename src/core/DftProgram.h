@@ -5,12 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The compiled form of a DftTree: a flat, topologically ordered
-/// instruction tape with pre-assigned chunk registers and
-/// compile-time-resolved instruction variants. Where the legacy evaluator
-/// re-walks the tree for every 256-element chunk — recursing, re-checking
-/// chainIsIdentity, and re-deriving index sets — the program executes each
-/// chunk as one branch-light linear loop over fixed-size buffers:
+/// The compiled form of a DftTree — the fused kernel every expression step
+/// executes: a flat, topologically ordered instruction tape with
+/// pre-assigned chunk registers and compile-time-resolved instruction
+/// variants. Nothing is re-derived per chunk (no recursion, no
+/// chainIsIdentity checks, no index-set construction); each chunk runs as
+/// one branch-light linear loop over fixed-size buffers:
 ///
 ///  - a *value register* is a float[DftMaxChunk] lane holding one tree
 ///    value for the current chunk; registers are allocated post-order with
@@ -24,10 +24,11 @@
 /// becomes a zero-copy slot argument of its consumer, an Identity node
 /// becomes a register alias (no instruction), a mapped leaf becomes a
 /// LoadGather, Concat lowers to RouterSplit / RouterMerge around its
-/// branch subtrees. Evaluation order, index arithmetic, and elementwise
-/// semantics (evalElementwiseChunk) are exactly the tree-walk's, so the
-/// program's outputs are bit-identical to the interpreter's — asserted
-/// zoo-wide and across the GraphFuzz matrix.
+/// branch subtrees. Index arithmetic and elementwise semantics
+/// (evalElementwiseChunk) are exactly those of the unfused per-operator
+/// kernels, so a fused block's outputs are bit-identical to running its
+/// operators one by one — asserted per lowering form against a per-op
+/// walker (tests/test_dft_program.cpp) and across the GraphFuzz matrix.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,7 +42,7 @@
 
 namespace dnnfusion {
 
-/// Maximum elementwise arity (mirrors the tree evaluator's bound).
+/// Maximum elementwise arity of a DftNode::Kind::Eltwise node.
 inline constexpr int DftEltwiseMaxArity = 5;
 
 /// One tape instruction. Operand roles depend on K; unused fields keep
@@ -128,22 +129,18 @@ public:
   int NumIndexSets = 1; ///< Set 0 is the implicit contiguous chunk.
   int64_t OutElems = 0;
 
-  bool empty() const { return Instrs.empty(); }
-
   /// Lowers \p T into a tape. Always succeeds (every tree form has a
-  /// lowering).
+  /// lowering) and never returns an empty tape.
   static DftProgram compile(const DftTree &T);
 
   /// Evaluates the program over output flat indices [0, OutElems) into
   /// \p Out, ChunkSize elements at a time, parallelized over chunks with
-  /// the same deterministic slicing as DftTree::evaluate.
+  /// deterministic slicing (parallelFor).
   ///
-  /// \p Level picks the kernel-registry tier for the Eltwise instructions
+  /// \p Level picks the kernel tier for the Eltwise instructions
   /// (resolved once per call, not per chunk). The SIMD tier covers a
   /// subset of ops and is bit-identical where it applies; uncovered ops
-  /// fall through to the scalar evalElementwiseChunk per instruction. The
-  /// legacy tree-walk evaluator (DftTree::evaluate) takes no level — it is
-  /// the scalar reference engine by definition.
+  /// fall through to the scalar evalElementwiseChunk per instruction.
   void execute(const std::vector<const float *> &Slots, float *Out,
                int ChunkSize, KernelLevel Level = KernelLevel::Scalar) const;
 

@@ -85,9 +85,6 @@ private:
 /// A chain of maps applied in order (consumer side first).
 using IndexChain = std::vector<IndexMap>;
 
-/// Applies every map of \p Chain in order to \p Indices in place.
-void applyIndexChain(const IndexChain &Chain, int64_t *Indices, int64_t Count);
-
 /// True when the whole chain is a no-op.
 bool chainIsIdentity(const IndexChain &Chain);
 

@@ -7,8 +7,6 @@
 #include "ops/KernelRegistry.h"
 
 #include "ops/Kernels.h"
-#include "ops/KernelsAttention.h"
-#include "ops/KernelsGemmPacked.h"
 
 #include "support/FaultInjection.h"
 
@@ -56,52 +54,22 @@ uint32_t dispatchFeatureMask() {
   return Cached;
 }
 
-uint32_t kernelLevelFeatures(KernelLevel L) {
-  switch (L) {
-  case KernelLevel::Scalar:
-    return 0;
-  case KernelLevel::Avx2:
-    return CpuFeatureAvx2;
-  case KernelLevel::Avx2Fma:
-    return CpuFeatureAvx2 | CpuFeatureFma;
-  }
-  return 0;
-}
-
 //===----------------------------------------------------------------------===//
 // Level resolution (pure — mocked-mask tests exercise this directly)
 //===----------------------------------------------------------------------===//
 
 KernelLevel resolveKernelLevel(int ForceLevel, uint32_t Features) {
-  // Auto never selects Avx2Fma: FMA breaks bit-identity with the scalar
-  // reference, and that guarantee is load-bearing for the differential
-  // matrix, the bench exact-compare guards, and cached-artifact
-  // re-execution. The FMA tier is a deliberate, forced-only opt-in.
-  KernelLevel Want = KernelLevel::Avx2;
-  if (ForceLevel >= 0) {
-    int Clamped = ForceLevel;
-    if (Clamped > static_cast<int>(KernelLevel::Avx2Fma))
-      Clamped = static_cast<int>(KernelLevel::Avx2Fma);
-    Want = static_cast<KernelLevel>(Clamped);
-  }
-  // Clamp down (never up) to the best tier the features can execute, so a
-  // forced SIMD level on a scalar-only host degrades instead of faulting.
-  while (Want > KernelLevel::Scalar &&
-         (kernelLevelFeatures(Want) & ~Features) != 0)
-    Want = static_cast<KernelLevel>(static_cast<int>(Want) - 1);
-  return Want;
+  // Forced scalar is always honored; auto and forced avx2 (any positive
+  // level clamps to the top tier) run avx2 only where the features allow,
+  // so a forced SIMD level on a scalar-only host degrades instead of
+  // faulting.
+  if (ForceLevel == static_cast<int>(KernelLevel::Scalar))
+    return KernelLevel::Scalar;
+  return (Features & CpuFeatureAvx2) ? KernelLevel::Avx2 : KernelLevel::Scalar;
 }
 
 const char *kernelLevelName(KernelLevel L) {
-  switch (L) {
-  case KernelLevel::Scalar:
-    return "scalar";
-  case KernelLevel::Avx2:
-    return "avx2";
-  case KernelLevel::Avx2Fma:
-    return "avx2fma";
-  }
-  return "scalar";
+  return L == KernelLevel::Avx2 ? "avx2" : "scalar";
 }
 
 int parseKernelLevel(const char *Name) {
@@ -111,8 +79,6 @@ int parseKernelLevel(const char *Name) {
     return static_cast<int>(KernelLevel::Scalar);
   if (std::strcmp(Name, "avx2") == 0)
     return static_cast<int>(KernelLevel::Avx2);
-  if (std::strcmp(Name, "avx2fma") == 0)
-    return static_cast<int>(KernelLevel::Avx2Fma);
   return ForceKernelAuto; // "auto" and anything unrecognized
 }
 
@@ -147,14 +113,6 @@ std::mutex DegradeReasonMutex;
 std::string &degradeReasonStorage() {
   static std::string Reason;
   return Reason;
-}
-
-/// Called at every typed-resolver dispatch: injects the kernel.dispatch
-/// fault (tripping the latch), then reports whether dispatch is clamped.
-bool dispatchDegraded() {
-  if (faultShouldFail(faultpoints::KernelDispatch))
-    latchKernelDegradeToScalar("injected fault kernel.dispatch");
-  return DegradeLatch.load(std::memory_order_relaxed);
 }
 
 } // namespace
@@ -193,161 +151,47 @@ KernelLevel effectiveKernelLevel(const KernelConfig &Config) {
 void countKernelDispatch(EngineCounters *Counters, KernelLevel L) {
   if (!Counters)
     return;
-  switch (L) {
-  case KernelLevel::Scalar:
-    ++Counters->KernelScalarCalls;
-    break;
-  case KernelLevel::Avx2:
+  if (L == KernelLevel::Avx2)
     ++Counters->KernelAvx2Calls;
-    break;
-  case KernelLevel::Avx2Fma:
-    ++Counters->KernelAvx2FmaCalls;
-    break;
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Registry
-//===----------------------------------------------------------------------===//
-
-const KernelEntry *KernelRegistry::resolve(KernelKind Kind,
-                                           const KernelProblem &P,
-                                           KernelLevel MaxLevel,
-                                           uint32_t Features) const {
-  const KernelEntry *Best = nullptr;
-  for (const KernelEntry &E : Entries) {
-    if (E.Kind != Kind || E.Level > MaxLevel || !E.Fn)
-      continue;
-    if ((E.RequiredFeatures & ~Features) != 0)
-      continue;
-    if (E.Supports && !E.Supports(P))
-      continue;
-    if (!Best || E.Priority > Best->Priority)
-      Best = &E;
-  }
-  return Best;
-}
-
-std::vector<KernelEntry> KernelRegistry::entries(KernelKind Kind) const {
-  std::vector<KernelEntry> Out;
-  for (const KernelEntry &E : Entries)
-    if (E.Kind == Kind)
-      Out.push_back(E);
-  return Out;
-}
-
-namespace {
-
-bool eltwiseChunkScalarEntry(OpKind Kind, const ScalarParams &P,
-                             const float *const *Args, int NumArgs, float *Out,
-                             int64_t Count) {
-  evalElementwiseChunk(Kind, P, Args, NumArgs, Out, Count);
-  return true;
-}
-
-// The AVX2 GEMM tile consumes whole 8-float lanes of a panel row; NR=4
-// panels (narrow-N problems) stay on the scalar micro tile.
-bool gemmPanelIsVectorWide(const KernelProblem &P) {
-  return P.Ty == KernelDType::F32 && P.NR >= 8;
-}
-
-bool isF32(const KernelProblem &P) { return P.Ty == KernelDType::F32; }
-
-} // namespace
-
-const KernelRegistry &KernelRegistry::builtins() {
-  // Built on first use (no static-init-order registration: the scalar
-  // kernels and the AVX2 getters live in this same static library, and a
-  // self-registering global in an .a member is exactly the object the
-  // linker is allowed to drop). Immutable afterwards — lock-free reads.
-  static const KernelRegistry Builtins = [] {
-    KernelRegistry R;
-    auto Reg = [&R](KernelKind Kind, KernelLevel Level, const char *Name,
-                    void *Fn, bool (*Supports)(const KernelProblem &)) {
-      if (!Fn)
-        return;
-      KernelEntry E;
-      E.Kind = Kind;
-      E.Level = Level;
-      E.RequiredFeatures = kernelLevelFeatures(Level);
-      E.Priority = 10 * static_cast<int>(Level);
-      E.Name = Name;
-      E.Fn = Fn;
-      E.Supports = Supports;
-      R.add(E);
-    };
-
-    Reg(KernelKind::GemmPackedRows, KernelLevel::Scalar, "gemm-packed-scalar",
-        reinterpret_cast<void *>(&gemmPackedRowsScalar), isF32);
-    Reg(KernelKind::GemmPackedRows, KernelLevel::Avx2, "gemm-packed-avx2",
-        reinterpret_cast<void *>(simd::gemmPackedRowsAvx2()),
-        gemmPanelIsVectorWide);
-    Reg(KernelKind::GemmPackedRows, KernelLevel::Avx2Fma,
-        "gemm-packed-avx2fma",
-        reinterpret_cast<void *>(simd::gemmPackedRowsAvx2Fma()),
-        gemmPanelIsVectorWide);
-
-    Reg(KernelKind::FusedAttentionRows, KernelLevel::Scalar,
-        "fused-attention-scalar",
-        reinterpret_cast<void *>(&fusedAttentionRowsScalar), isF32);
-    Reg(KernelKind::FusedAttentionRows, KernelLevel::Avx2,
-        "fused-attention-avx2",
-        reinterpret_cast<void *>(simd::fusedAttentionRowsAvx2()), isF32);
-
-    Reg(KernelKind::EltwiseChunk, KernelLevel::Scalar, "eltwise-scalar",
-        reinterpret_cast<void *>(&eltwiseChunkScalarEntry), isF32);
-    Reg(KernelKind::EltwiseChunk, KernelLevel::Avx2, "eltwise-avx2",
-        reinterpret_cast<void *>(simd::eltwiseChunkAvx2()), isF32);
-    return R;
-  }();
-  return Builtins;
+  else
+    ++Counters->KernelScalarCalls;
 }
 
 //===----------------------------------------------------------------------===//
 // Typed resolvers (the kernels' dispatch points)
 //===----------------------------------------------------------------------===//
 
-GemmPackedRowsFn resolveGemmPackedRows(KernelLevel L, int64_t N, int64_t K,
-                                       int NR) {
+namespace {
+
+/// The checks every typed resolver shares. A scalar level resolves nothing
+/// without touching the fault point; any other level first injects the
+/// kernel.dispatch fault (tripping the latch), then needs an open latch
+/// and AVX2 in the dispatch mask.
+bool simdDispatchable(KernelLevel L) {
   if (L == KernelLevel::Scalar)
-    return nullptr; // callers keep their inlined scalar path
-  if (dispatchDegraded())
+    return false;
+  if (faultShouldFail(faultpoints::KernelDispatch))
+    latchKernelDegradeToScalar("injected fault kernel.dispatch");
+  return !kernelDegradedToScalar() &&
+         (dispatchFeatureMask() & CpuFeatureAvx2) != 0;
+}
+
+} // namespace
+
+GemmPackedRowsFn resolveGemmPackedRows(KernelLevel L, int NR) {
+  // The AVX2 tile consumes whole 8-float lanes of a panel row; NR=4
+  // panels (narrow-N problems) stay on the scalar micro tile.
+  if (!simdDispatchable(L) || NR < 8)
     return nullptr;
-  KernelProblem P;
-  P.N = N;
-  P.K = K;
-  P.NR = NR;
-  const KernelEntry *E = KernelRegistry::builtins().resolve(
-      KernelKind::GemmPackedRows, P, L, dispatchFeatureMask());
-  if (!E || E->Level == KernelLevel::Scalar)
-    return nullptr;
-  return reinterpret_cast<GemmPackedRowsFn>(E->Fn);
+  return simd::gemmPackedRowsAvx2();
 }
 
 FusedAttentionRowsFn resolveFusedAttentionRows(KernelLevel L) {
-  if (L == KernelLevel::Scalar)
-    return nullptr;
-  if (dispatchDegraded())
-    return nullptr;
-  KernelProblem P;
-  const KernelEntry *E = KernelRegistry::builtins().resolve(
-      KernelKind::FusedAttentionRows, P, L, dispatchFeatureMask());
-  if (!E || E->Level == KernelLevel::Scalar)
-    return nullptr;
-  return reinterpret_cast<FusedAttentionRowsFn>(E->Fn);
+  return simdDispatchable(L) ? simd::fusedAttentionRowsAvx2() : nullptr;
 }
 
 EltwiseChunkFn resolveEltwiseChunk(KernelLevel L) {
-  if (L == KernelLevel::Scalar)
-    return nullptr;
-  if (dispatchDegraded())
-    return nullptr;
-  KernelProblem P;
-  const KernelEntry *E = KernelRegistry::builtins().resolve(
-      KernelKind::EltwiseChunk, P, L, dispatchFeatureMask());
-  if (!E || E->Level == KernelLevel::Scalar)
-    return nullptr;
-  return reinterpret_cast<EltwiseChunkFn>(E->Fn);
+  return simdDispatchable(L) ? simd::eltwiseChunkAvx2() : nullptr;
 }
 
 } // namespace dnnfusion

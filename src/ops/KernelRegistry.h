@@ -5,41 +5,33 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The CPU-feature-dispatched kernel registry: a table mapping (kernel
-/// kind, problem geometry, dtype) to the best implementation the executing
-/// host can run, the way MIOpen's solver registry picks per-problem
-/// solvers. Three tiers exist today:
+/// CPU-feature kernel dispatch. Three kernel families have a SIMD
+/// implementation next to their portable one — the packed-GEMM micro tile,
+/// the fused-attention row worker, and the eltwise tape instruction — and
+/// two tiers exist:
 ///
-///  - `scalar` — the portable C++ kernels, always registered, the fallback
-///    every other tier must agree with.
-///  - `avx2` — explicit 8-wide AVX2 intrinsic kernels for the packed-GEMM
-///    micro tile, the fused-attention inner loops, and the eltwise tape
-///    ops. These multiply and add in *separate* rounding steps in the same
-///    per-element k-order as the scalar kernels (the AVX2 translation
-///    units are built with -ffp-contract=off), so the tier is bit-identical
-///    to scalar. This is the default on AVX2 hosts.
-///  - `avx2fma` — the packed-GEMM micro tile with fused multiply-add.
-///    FMA keeps the infinite-precision product through the add, so results
-///    differ from scalar in the last bits (~1e-7 relative per step,
-///    enforced under the 2e-3 differential tolerance). Deliberately *not*
-///    auto-selected: the repo's cross-engine bit-identity guarantees are a
-///    core asset, so trading them for the extra FMA throughput is opt-in
-///    via ForceKernelLevel / the env hook.
+///  - `scalar` — the portable C++ kernels, the bit-exact reference every
+///    other tier must agree with.
+///  - `avx2` — explicit 8-wide AVX2 intrinsic kernels. They multiply and
+///    add in *separate* rounding steps in the same per-element k-order as
+///    the scalar kernels (the AVX2 translation units are built with
+///    -mavx2 -ffp-contract=off and no FMA), so the tier is bit-identical to
+///    scalar. This is the default on AVX2 hosts.
 ///
-/// Dispatch is resolved once per CompiledStep at compileBlock time (the
-/// audit stamp CodeEmitter prints) and re-resolved from the live
-/// KernelConfig on every executeBlock, so like every other engine knob the
-/// level can flip per execution without recompiling. The resolution order:
+/// Each family has exactly one SIMD implementation, so dispatch is direct:
+/// a typed resolver returns the AVX2 function or null (= run the scalar
+/// path). The level is resolved once per CompiledStep at compileBlock time
+/// (the audit stamp CodeEmitter prints) and re-resolved from the live
+/// KernelConfig on every executeBlock, so like every other engine knob it
+/// can flip per execution without recompiling. The resolution order:
 ///
 ///   1. KernelConfig::ForceKernelLevel when >= 0;
 ///   2. else the DNNFUSION_FORCE_KERNEL_LEVEL env hook
-///      (scalar | avx2 | avx2fma | auto);
-///   3. else auto: the highest *bit-exact* tier the host supports.
+///      (scalar | avx2 | auto; anything else means auto);
+///   3. else auto: avx2 when the host supports it.
 ///
-/// A forced level the host cannot execute clamps down to the best
-/// supported tier at or below it (never up), so forcing `avx2` on a
-/// pre-AVX2 machine runs scalar instead of faulting — any host can run
-/// the whole test matrix.
+/// A forced avx2 the host cannot execute runs scalar instead of faulting,
+/// so any host can run the whole test matrix.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,60 +41,32 @@
 #include "ops/Scalars.h"
 
 #include <cstdint>
-#include <vector>
 
 namespace dnnfusion {
 
 struct KernelConfig;
 struct EngineCounters;
 
-/// Dispatch tiers, ordered: a resolved level never exceeds the requested
-/// one, and every tier above Scalar has Scalar as its ultimate fallback.
+/// Dispatch tiers. Both are bit-identical; Scalar is the reference.
 enum class KernelLevel : int8_t {
   Scalar = 0,
   Avx2 = 1,
-  Avx2Fma = 2,
 };
 
 /// KernelConfig::ForceKernelLevel value meaning "resolve automatically".
 inline constexpr int ForceKernelAuto = -1;
 
-/// CPU feature bits (cpuid-derived on x86-64; empty elsewhere).
+/// CPU feature bits (cpuid-derived on x86-64; empty elsewhere). Dispatch
+/// checks only CpuFeatureAvx2; the FMA bit is probed for reporting.
 enum : uint32_t {
   CpuFeatureAvx2 = 1u << 0,
   CpuFeatureFma = 1u << 1,
 };
 
-/// What the registry dispatches on. F32 is the only dtype today; the field
-/// keeps the planned int8/f16 path honest about where it plugs in.
-enum class KernelDType : uint8_t { F32 };
-
-/// Problem geometry handed to entry Supports predicates (unused dims 0).
-struct KernelProblem {
-  int64_t M = 0;
-  int64_t N = 0;
-  int64_t K = 0;
-  /// Packed-GEMM panel width (already clamped to 4/8/16/32).
-  int NR = 0;
-  KernelDType Ty = KernelDType::F32;
-};
-
-/// Kernel families the registry dispatches.
-enum class KernelKind : uint8_t {
-  /// The packed-GEMM micro tile (gemmPackedRows signature). MatMul, Gemm
-  /// and the conv im2col path all funnel through this one kernel.
-  GemmPackedRows,
-  /// The fused-attention per-row worker (online softmax over key tiles).
-  FusedAttentionRows,
-  /// The eltwise instruction of the DFT tape (evalElementwiseChunk
-  /// signature, partial coverage: false = caller falls back to scalar).
-  EltwiseChunk,
-};
-
-/// Signature of a GemmPackedRows implementation — identical to
-/// gemmPackedRows minus the dispatch level. MR/NR are the scalar tier's
-/// blocking knobs; SIMD tiers may re-block internally (results are
-/// per-element k-order invariant under output-tile shape).
+/// Signature of a packed-GEMM row kernel — identical to gemmPackedRows
+/// minus the dispatch level. MR/NR are the scalar tile's blocking knobs;
+/// the AVX2 tile re-blocks internally (results are per-element k-order
+/// invariant under output-tile shape).
 using GemmPackedRowsFn = void (*)(const float *A, int64_t ARowStride,
                                   int64_t AColStride, const float *Packed,
                                   float *C, int64_t CRowStride,
@@ -135,66 +99,20 @@ using EltwiseChunkFn = bool (*)(OpKind Kind, const ScalarParams &P,
                                 const float *const *Args, int NumArgs,
                                 float *Out, int64_t Count);
 
-/// One registered implementation.
-struct KernelEntry {
-  KernelKind Kind = KernelKind::GemmPackedRows;
-  KernelLevel Level = KernelLevel::Scalar;
-  /// CPU features the host must expose to execute Fn.
-  uint32_t RequiredFeatures = 0;
-  /// Among satisfiable candidates the highest priority wins (builtins use
-  /// 10 * level, so better tiers win exactly when the host allows them).
-  int Priority = 0;
-  const char *Name = "";
-  /// Kind-specific function pointer (GemmPackedRowsFn / ...).
-  void *Fn = nullptr;
-  /// Geometry/dtype gate; null accepts every problem.
-  bool (*Supports)(const KernelProblem &P) = nullptr;
-};
-
-/// The registry: a plain entry table with feature/level/geometry-aware
-/// resolution. Instantiable so tests can resolve against mock tables; the
-/// process-wide builtin table is built once and never mutated afterwards
-/// (lock-free reads).
-class KernelRegistry {
-public:
-  KernelRegistry() = default;
-
-  /// The process-wide table with every built-in implementation the build
-  /// compiled in (scalar always; AVX2 tiers on x86-64 toolchains).
-  static const KernelRegistry &builtins();
-
-  void add(const KernelEntry &E) { Entries.push_back(E); }
-
-  /// Best entry of \p Kind executable under \p Features with Level <=
-  /// \p MaxLevel that accepts \p P; null when none (callers fall back to
-  /// their scalar path). Ties break on Priority, then registration order.
-  const KernelEntry *resolve(KernelKind Kind, const KernelProblem &P,
-                             KernelLevel MaxLevel, uint32_t Features) const;
-
-  /// All entries of \p Kind, registration order (introspection/tests).
-  std::vector<KernelEntry> entries(KernelKind Kind) const;
-
-private:
-  std::vector<KernelEntry> Entries;
-};
-
 /// Raw host CPU features (cached cpuid / __builtin_cpu_supports probe).
 uint32_t detectCpuFeatures();
 
 /// True when this build contains the AVX2 translation units (x86-64
-/// toolchain with -mavx2 support); false means only scalar entries exist.
+/// toolchain with -mavx2 support); false means only scalar kernels exist.
 bool simdKernelsCompiledIn();
 
 /// detectCpuFeatures() masked by what this build can actually execute —
 /// the mask every dispatch resolution uses.
 uint32_t dispatchFeatureMask();
 
-/// CPU features a tier needs: Scalar none, Avx2 AVX2, Avx2Fma AVX2+FMA.
-uint32_t kernelLevelFeatures(KernelLevel L);
-
 /// Resolves a forced level (ForceKernelAuto = auto) against a feature
-/// mask: auto picks the highest bit-exact tier (never Avx2Fma); a forced
-/// level clamps down to the best supported tier at or below it.
+/// mask: 0 is scalar; auto and any positive level are avx2 when \p Features
+/// has AVX2, else scalar.
 KernelLevel resolveKernelLevel(int ForceLevel, uint32_t Features);
 
 /// The level \p Config dispatches at on this host: explicit
@@ -202,7 +120,7 @@ KernelLevel resolveKernelLevel(int ForceLevel, uint32_t Features);
 /// then auto — resolved against dispatchFeatureMask().
 KernelLevel effectiveKernelLevel(const KernelConfig &Config);
 
-/// Lower-case tier name ("scalar", "avx2", "avx2fma").
+/// Lower-case tier name ("scalar", "avx2").
 const char *kernelLevelName(KernelLevel L);
 
 /// Parses a tier name (or "auto"); ForceKernelAuto for auto/unknown/empty.
@@ -229,23 +147,25 @@ const char *kernelDegradeReason();
 /// Clears the latch — tests only; production never un-degrades.
 void resetKernelDegradeLatchForTests();
 
-/// Bumps the per-tier dispatch counter for one registry-dispatched kernel
+/// Bumps the per-tier dispatch counter for one dispatched kernel
 /// invocation (null-safe).
 void countKernelDispatch(EngineCounters *Counters, KernelLevel L);
 
-/// Typed builtin resolvers the kernels call (null = use the scalar path).
-GemmPackedRowsFn resolveGemmPackedRows(KernelLevel L, int64_t N, int64_t K,
-                                       int NR);
+/// Typed resolvers the kernels call: the AVX2 implementation when \p L is
+/// Avx2, the dispatch mask has AVX2 and the degrade latch is open (and,
+/// for GEMM, the panel is at least 8 wide); null otherwise, meaning "run
+/// the scalar path". Each non-scalar call first evaluates the
+/// kernel.dispatch fault point.
+GemmPackedRowsFn resolveGemmPackedRows(KernelLevel L, int NR);
 FusedAttentionRowsFn resolveFusedAttentionRows(KernelLevel L);
 EltwiseChunkFn resolveEltwiseChunk(KernelLevel L);
 
 namespace simd {
 /// Defined in the AVX2 translation units (built with
-/// -mavx2 -mfma -ffp-contract=off on x86-64). Each getter returns null
-/// when the build lacks AVX2 codegen, so registration degrades to
-/// scalar-only without preprocessor conditionals at the call sites.
+/// -mavx2 -ffp-contract=off on x86-64). Each getter returns null when the
+/// build lacks AVX2 codegen, so dispatch degrades to scalar-only without
+/// preprocessor conditionals at the call sites.
 GemmPackedRowsFn gemmPackedRowsAvx2();
-GemmPackedRowsFn gemmPackedRowsAvx2Fma();
 FusedAttentionRowsFn fusedAttentionRowsAvx2();
 EltwiseChunkFn eltwiseChunkAvx2();
 } // namespace simd

@@ -57,12 +57,12 @@ struct KernelConfig {
   /// multiplied per tile, bounding the packing scratch.
   int PackColTile = 1024;
 
-  /// Forced kernel-registry dispatch tier: -1 (ForceKernelAuto) resolves
-  /// automatically (env hook, then the highest bit-exact tier the host
-  /// supports); 0 = scalar, 1 = avx2, 2 = avx2fma (see KernelRegistry.h).
-  /// A forced tier the host cannot execute clamps down, never up. Like
-  /// every engine knob this is excluded from the CompilationCache key and
-  /// never serialized — cached artifacts re-resolve on the loading host.
+  /// Forced kernel dispatch tier: -1 (ForceKernelAuto) resolves
+  /// automatically (env hook, then avx2 where the host supports it);
+  /// 0 = scalar, 1 = avx2 (see KernelRegistry.h). A forced avx2 the host
+  /// cannot execute runs scalar. Like every engine knob this is excluded
+  /// from the CompilationCache key and never serialized — cached artifacts
+  /// re-resolve on the loading host.
   int ForceKernelLevel = -1;
 };
 
@@ -72,9 +72,10 @@ struct KernelConfig {
 /// deterministically into ExecutionStats, surfaced per request through
 /// SessionMetrics.
 struct EngineCounters {
-  /// Expression steps evaluated by the compiled DFT program / the legacy
-  /// tree-walk interpreter.
+  /// Expression steps evaluated by the compiled DFT program.
   int64_t ProgramSteps = 0;
+  /// Always 0: the tree-walk interpreter it counted is gone. Kept so
+  /// perfbench's ops.treewalk_steps metric, which reads it, still builds.
   int64_t TreeWalkSteps = 0;
   /// MatMul/Gemm/Conv calls taking the packed / the naive kernel.
   int64_t PackedKernelCalls = 0;
@@ -90,13 +91,12 @@ struct EngineCounters {
   /// attention or layernorm subgraph per inference).
   int64_t FusedAttentionSteps = 0;
   int64_t FusedLayerNormSteps = 0;
-  /// Registry-dispatched kernel invocations by resolved tier (packed
-  /// GEMM/conv calls and fused-attention steps, counted at the level the
-  /// registry actually selected after host-feature clamping) — the audit
-  /// trail proving which tier a run executed.
+  /// Dispatched kernel invocations by resolved tier (packed GEMM/conv
+  /// calls and fused-attention steps, counted at the level actually
+  /// selected after host-feature clamping) — the audit trail proving which
+  /// tier a run executed.
   int64_t KernelScalarCalls = 0;
   int64_t KernelAvx2Calls = 0;
-  int64_t KernelAvx2FmaCalls = 0;
 
   void add(const EngineCounters &O) {
     ProgramSteps += O.ProgramSteps;
@@ -110,7 +110,6 @@ struct EngineCounters {
     FusedLayerNormSteps += O.FusedLayerNormSteps;
     KernelScalarCalls += O.KernelScalarCalls;
     KernelAvx2Calls += O.KernelAvx2Calls;
-    KernelAvx2FmaCalls += O.KernelAvx2FmaCalls;
   }
 };
 

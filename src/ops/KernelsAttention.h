@@ -52,8 +52,9 @@ inline constexpr int64_t FusedAttentionMaxHeadDim = 256;
 /// scalar-vs-SIMD bit-identity contract.
 inline constexpr int64_t FusedAttentionKeyTile = 64;
 
-/// The scalar per-row worker behind runFusedAttention — the registry's
-/// fallback entry and the reference the AVX2 tier is differenced against.
+/// The scalar per-row worker behind runFusedAttention — the fallback of
+/// resolveFusedAttentionRows and the reference the AVX2 tier is
+/// differenced against.
 /// Rows index flat over Batches * S query rows.
 void fusedAttentionRowsScalar(const AttentionRowArgs &Args, int64_t RowBegin,
                               int64_t RowEnd);
@@ -67,10 +68,9 @@ void fusedAttentionRowsScalar(const AttentionRowArgs &Args, int64_t RowBegin,
 /// dimension (MaskBatchStride = 0) or per-batch (stride in elements).
 /// Causal = true ignores Mask and restricts each query row i to keys
 /// j <= i. Parallelizes over query rows; requires Dh <=
-/// FusedAttentionMaxHeadDim. \p Level picks the dispatch tier through the
-/// kernel registry (the AVX2 tier vectorizes the score and accumulate
-/// inner loops without touching the online-softmax order, so every tier
-/// is bit-identical to the scalar rows).
+/// FusedAttentionMaxHeadDim. \p Level picks the dispatch tier (the AVX2
+/// tier vectorizes the score and accumulate inner loops without touching
+/// the online-softmax order, so it is bit-identical to the scalar rows).
 void runFusedAttention(const float *Q, const float *Kt, const float *V,
                        const float *Mask, int64_t MaskBatchStride,
                        float Scale, bool Causal, float *Out, int64_t Batches,

@@ -131,7 +131,7 @@ void dnnfusion::gemmPackedRows(const float *A, int64_t ARowStride,
                                int NR, const float *RowBias,
                                KernelLevel Level) {
   NR = clampPackNR(NR);
-  if (GemmPackedRowsFn Fn = resolveGemmPackedRows(Level, N, K, NR))
+  if (GemmPackedRowsFn Fn = resolveGemmPackedRows(Level, NR))
     return Fn(A, ARowStride, AColStride, Packed, C, CRowStride, RowBegin,
               RowEnd, N, K, clampPackMR(MR), NR, RowBias);
   gemmPackedRowsScalar(A, ARowStride, AColStride, Packed, C, CRowStride,

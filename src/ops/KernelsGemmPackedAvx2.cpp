@@ -4,23 +4,18 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The AVX2 tiers of the packed-GEMM micro kernel. This translation unit is
-// compiled with -mavx2 -mfma -ffp-contract=off on x86-64 toolchains and
-// with no extra flags elsewhere; the getters at the bottom return null
-// when __AVX2__ is absent so the registry degrades to scalar without any
-// preprocessor use at the registration site. Nothing in this file runs
-// before dispatch resolution proves the host supports the instructions.
+// The AVX2 tier of the packed-GEMM micro kernel. This translation unit is
+// compiled with -mavx2 -ffp-contract=off on x86-64 toolchains and with no
+// extra flags elsewhere; the getter at the bottom returns null when
+// __AVX2__ is absent so dispatch degrades to scalar without any
+// preprocessor use at the call site. Nothing in this file runs before
+// dispatch resolution proves the host supports the instructions.
 //
-// Two tiers share one template:
-//
-//  - avx2 (UseFma = false): _mm256_mul_ps then _mm256_add_ps — two
-//    rounding steps per product, exactly like the scalar micro tile, and
-//    in the same ascending-k order per output element. -ffp-contract=off
-//    forbids the compiler from re-fusing the pair, so this tier is
-//    bit-identical to gemmPackedRowsScalar.
-//  - avx2fma (UseFma = true): _mm256_fmadd_ps — the product reaches the
-//    add at infinite precision, so results differ from scalar in the last
-//    bits. Forced-only; enforced under the 2e-3 differential tolerance.
+// Each product is _mm256_mul_ps then _mm256_add_ps — two rounding steps,
+// exactly like the scalar micro tile, and in the same ascending-k order
+// per output element. Without -mfma and with -ffp-contract=off the
+// compiler cannot fuse the pair, so the tile is bit-identical to
+// gemmPackedRowsScalar.
 //
 // The tile is re-blocked at 4 rows x 16 columns (8 accumulator ymm + 2
 // panel loads + 1 broadcast stays comfortably inside the 16 ymm registers)
@@ -44,7 +39,7 @@ namespace {
 /// [JOff, JOff + VECS * 8) of one packed panel. \p Cols is the number of
 /// useful output columns in the group (stores clamp to it; computation
 /// always covers the full zero-padded lanes, like the scalar tile).
-template <int ROWS, int VECS, bool UseFma>
+template <int ROWS, int VECS>
 inline void microTile(const float *A, int64_t ARowStride, int64_t AColStride,
                       const float *__restrict Bp, int NR, float *C,
                       int64_t CRowStride, int64_t I, int64_t ColBase, int JOff,
@@ -64,12 +59,8 @@ inline void microTile(const float *A, int64_t ARowStride, int64_t AColStride,
     const float *Acol = ABase + Kk * AColStride;
     for (int R = 0; R < ROWS; ++R) {
       __m256 Av = _mm256_set1_ps(Acol[R * ARowStride]);
-      for (int V = 0; V < VECS; ++V) {
-        if (UseFma)
-          Acc[R][V] = _mm256_fmadd_ps(Av, Bv[V], Acc[R][V]);
-        else
-          Acc[R][V] = _mm256_add_ps(Acc[R][V], _mm256_mul_ps(Av, Bv[V]));
-      }
+      for (int V = 0; V < VECS; ++V)
+        Acc[R][V] = _mm256_add_ps(Acc[R][V], _mm256_mul_ps(Av, Bv[V]));
     }
   }
   for (int R = 0; R < ROWS; ++R) {
@@ -92,7 +83,7 @@ inline void microTile(const float *A, int64_t ARowStride, int64_t AColStride,
 }
 
 /// All panels for one block of ROWS output rows starting at row I.
-template <int ROWS, bool UseFma>
+template <int ROWS>
 void rowBlockPanels(const float *A, int64_t ARowStride, int64_t AColStride,
                     const float *Packed, float *C, int64_t CRowStride,
                     int64_t I, int64_t N, int64_t K, int NR,
@@ -110,42 +101,12 @@ void rowBlockPanels(const float *A, int64_t ARowStride, int64_t AColStride,
       if (Cols > GroupWidth)
         Cols = GroupWidth;
       if (GroupWidth == 16)
-        microTile<ROWS, 2, UseFma>(A, ARowStride, AColStride, Bp, NR, C,
-                                   CRowStride, I, ColBase, JOff, K, Cols,
-                                   RowBias);
+        microTile<ROWS, 2>(A, ARowStride, AColStride, Bp, NR, C, CRowStride,
+                           I, ColBase, JOff, K, Cols, RowBias);
       else
-        microTile<ROWS, 1, UseFma>(A, ARowStride, AColStride, Bp, NR, C,
-                                   CRowStride, I, ColBase, JOff, K, Cols,
-                                   RowBias);
+        microTile<ROWS, 1>(A, ARowStride, AColStride, Bp, NR, C, CRowStride,
+                           I, ColBase, JOff, K, Cols, RowBias);
     }
-  }
-}
-
-template <bool UseFma>
-void gemmPackedRowsSimd(const float *A, int64_t ARowStride, int64_t AColStride,
-                        const float *Packed, float *C, int64_t CRowStride,
-                        int64_t RowBegin, int64_t RowEnd, int64_t N, int64_t K,
-                        int MR, int NR, const float *RowBias) {
-  (void)MR; // SIMD tiers re-block at 4 x 16 (see file header).
-  int64_t I = RowBegin;
-  for (; I + 4 <= RowEnd; I += 4)
-    rowBlockPanels<4, UseFma>(A, ARowStride, AColStride, Packed, C, CRowStride,
-                              I, N, K, NR, RowBias);
-  switch (RowEnd - I) {
-  case 3:
-    rowBlockPanels<3, UseFma>(A, ARowStride, AColStride, Packed, C, CRowStride,
-                              I, N, K, NR, RowBias);
-    break;
-  case 2:
-    rowBlockPanels<2, UseFma>(A, ARowStride, AColStride, Packed, C, CRowStride,
-                              I, N, K, NR, RowBias);
-    break;
-  case 1:
-    rowBlockPanels<1, UseFma>(A, ARowStride, AColStride, Packed, C, CRowStride,
-                              I, N, K, NR, RowBias);
-    break;
-  default:
-    break;
   }
 }
 
@@ -154,30 +115,32 @@ void gemmPackedRowsAvx2Impl(const float *A, int64_t ARowStride,
                             int64_t CRowStride, int64_t RowBegin,
                             int64_t RowEnd, int64_t N, int64_t K, int MR,
                             int NR, const float *RowBias) {
-  gemmPackedRowsSimd<false>(A, ARowStride, AColStride, Packed, C, CRowStride,
-                            RowBegin, RowEnd, N, K, MR, NR, RowBias);
-}
-
-void gemmPackedRowsAvx2FmaImpl(const float *A, int64_t ARowStride,
-                               int64_t AColStride, const float *Packed,
-                               float *C, int64_t CRowStride, int64_t RowBegin,
-                               int64_t RowEnd, int64_t N, int64_t K, int MR,
-                               int NR, const float *RowBias) {
-  gemmPackedRowsSimd<true>(A, ARowStride, AColStride, Packed, C, CRowStride,
-                           RowBegin, RowEnd, N, K, MR, NR, RowBias);
+  (void)MR; // Re-blocked at 4 x 16 (see file header).
+  int64_t I = RowBegin;
+  for (; I + 4 <= RowEnd; I += 4)
+    rowBlockPanels<4>(A, ARowStride, AColStride, Packed, C, CRowStride, I, N,
+                      K, NR, RowBias);
+  switch (RowEnd - I) {
+  case 3:
+    rowBlockPanels<3>(A, ARowStride, AColStride, Packed, C, CRowStride, I, N,
+                      K, NR, RowBias);
+    break;
+  case 2:
+    rowBlockPanels<2>(A, ARowStride, AColStride, Packed, C, CRowStride, I, N,
+                      K, NR, RowBias);
+    break;
+  case 1:
+    rowBlockPanels<1>(A, ARowStride, AColStride, Packed, C, CRowStride, I, N,
+                      K, NR, RowBias);
+    break;
+  default:
+    break;
+  }
 }
 
 } // namespace
 
 GemmPackedRowsFn simd::gemmPackedRowsAvx2() { return &gemmPackedRowsAvx2Impl; }
-
-GemmPackedRowsFn simd::gemmPackedRowsAvx2Fma() {
-#if defined(__FMA__)
-  return &gemmPackedRowsAvx2FmaImpl;
-#else
-  return nullptr;
-#endif
-}
 
 } // namespace dnnfusion
 
@@ -186,7 +149,6 @@ GemmPackedRowsFn simd::gemmPackedRowsAvx2Fma() {
 namespace dnnfusion {
 
 GemmPackedRowsFn simd::gemmPackedRowsAvx2() { return nullptr; }
-GemmPackedRowsFn simd::gemmPackedRowsAvx2Fma() { return nullptr; }
 
 } // namespace dnnfusion
 

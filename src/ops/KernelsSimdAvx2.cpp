@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 //
 // The AVX2 tier of the fused-attention inner loops and the eltwise tape
-// ops. Compiled with -mavx2 -mfma -ffp-contract=off on x86-64 (see
+// ops. Compiled with -mavx2 -ffp-contract=off on x86-64 (see
 // KernelsGemmPackedAvx2.cpp for the TU conventions); getters return null
 // without __AVX2__.
 //

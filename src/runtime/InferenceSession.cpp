@@ -118,7 +118,7 @@ InferenceSession::runValidated(const std::vector<Tensor> &Inputs,
     // time spent blocked waiting for a context under a MaxContexts cap.
     WallTimer Timer;
     // Stats are always collected so the session can record which engine
-    // paths (program vs tree-walk, packed vs naive, prepack hit/miss) the
+    // paths (packed vs naive, prepack hit/miss, kernel tier) the
     // request's execution actually took.
     Outputs = Lease->tryRun(Inputs, &Local, false, Control);
     WallMs = Timer.millis();

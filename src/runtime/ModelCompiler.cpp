@@ -281,8 +281,6 @@ Expected<CompiledModel> dnnfusion::compileModel(Graph G,
       // adopt the caller's, and rebuild the derived prepack/scratch state
       // only when they differ from the knobs the loader already built
       // under (the defaults — engine knobs are not in the OPTS section).
-      Cached->Codegen.UseCompiledPrograms =
-          Options.Codegen.UseCompiledPrograms;
       Cached->Codegen.FuseGemmEpilogue = Options.Codegen.FuseGemmEpilogue;
       const KernelConfig &Want = Options.Codegen.Kernels;
       const KernelConfig Loaded = Cached->Codegen.Kernels;

@@ -973,18 +973,6 @@ const std::vector<DiffConfig> &defaultConfigMatrix() {
       M.push_back(C);
     }
     {
-      // Engine dimension, program-vs-treewalk: same full pipeline with
-      // expression steps interpreted by the legacy tree-walk instead of
-      // the compiled DFT program. Must be bit-identical to "full".
-      DiffConfig C;
-      C.Name = "treewalk";
-      C.Options.Codegen.UseCompiledPrograms = false;
-      C.RelTol = 2e-3f;
-      C.AbsTol = 2e-3f;
-      C.BitIdenticalTo = "full";
-      M.push_back(C);
-    }
-    {
       // Engine dimension, packed-vs-naive: same full pipeline with the
       // Many-to-Many kernels pinned to the naive loops instead of the
       // packed register-blocked engine. Must be bit-identical to "full"
@@ -1021,9 +1009,9 @@ const std::vector<DiffConfig> &defaultConfigMatrix() {
       M.push_back(C);
     }
     {
-      // Kernel-registry dimension, forced scalar: every registry-dispatched
-      // kernel pinned to the portable tier. "full" auto-resolves to the
-      // highest bit-exact tier (avx2 on AVX2 hosts), and that tier
+      // Kernel-tier dimension, forced scalar: every dispatched kernel
+      // pinned to the portable tier. "full" auto-resolves to avx2 on AVX2
+      // hosts, and that tier
       // multiplies and adds in separate roundings in the same per-element
       // k-order as scalar — so scalar-vs-SIMD must be bit-identical, not
       // merely close. This is the zoo-wide SIMD correctness oracle.
@@ -1036,7 +1024,7 @@ const std::vector<DiffConfig> &defaultConfigMatrix() {
       M.push_back(C);
     }
     {
-      // Kernel-registry dimension, forced avx2: the bit-exact SIMD tier
+      // Kernel-tier dimension, forced avx2: the bit-exact SIMD tier
       // explicitly requested (clamps down to scalar on hosts without AVX2,
       // which is also bit-identical). Distinct from "full" in that it
       // exercises the forced-dispatch resolution path, not auto.
@@ -1046,20 +1034,6 @@ const std::vector<DiffConfig> &defaultConfigMatrix() {
       C.RelTol = 2e-3f;
       C.AbsTol = 2e-3f;
       C.BitIdenticalTo = "full";
-      M.push_back(C);
-    }
-    {
-      // Kernel-registry dimension, forced avx2fma: the packed-GEMM micro
-      // tile with fused multiply-add. FMA keeps the infinite-precision
-      // product through the add, so results deliberately differ from the
-      // bit-exact tiers in the last bits — the documented tolerance, with
-      // no bit-identity pairing. On non-FMA hosts this clamps down and
-      // trivially stays within the bound.
-      DiffConfig C;
-      C.Name = "forced-fma";
-      C.Options.Codegen.Kernels.ForceKernelLevel = 2;
-      C.RelTol = 2e-3f;
-      C.AbsTol = 2e-3f;
       M.push_back(C);
     }
     return M;
@@ -1140,9 +1114,8 @@ runDifferential(const FuzzSpec &Spec, const std::vector<DiffConfig> &Configs,
   // configs stay strict, fused-path configs carry the documented
   // relaxation). Configs naming a BitIdenticalTo baseline additionally
   // must match that earlier config's outputs bit-for-bit: thread count
-  // (deterministic slicing), engine path (program vs tree-walk), kernel
-  // path (packed vs naive), and epilogue folding are all exact
-  // dimensions.
+  // (deterministic slicing), kernel path (packed vs naive), epilogue
+  // folding, and kernel tier (scalar vs avx2) are all exact dimensions.
   std::map<std::string, std::vector<Tensor>> ByName;
   for (const DiffConfig &Config : Configs) {
     std::vector<Tensor> Opt =

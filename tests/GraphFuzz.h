@@ -136,10 +136,11 @@ struct DiffConfig {
 /// The default configuration matrix: full pipeline, fusion without
 /// rewriting, rewriting without fusion, fusion without the §4.4.2 "other"
 /// optimizations, the full pipeline pinned to a single-thread pool
-/// (the thread-count dimension), engine/kernel-path dimensions
-/// (tree-walk, naive GEMM), and the transformer-fusion dimensions
-/// (epilogue folding off — bit-identical; fused attention/layernorm off —
-/// reference path).
+/// (the thread-count dimension), the kernel-path dimension (naive GEMM),
+/// the transformer-fusion dimensions (epilogue folding off —
+/// bit-identical; fused attention/layernorm off — reference path), and
+/// the kernel-tier dimensions (forced scalar, forced avx2 — both
+/// bit-identical to "full").
 const std::vector<DiffConfig> &defaultConfigMatrix();
 
 /// A reference-vs-optimized divergence.

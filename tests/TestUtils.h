@@ -6,8 +6,9 @@
 ///
 /// \file
 /// Helpers shared across the test suite: running a graph through the
-/// no-fusion reference pipeline and through the fully optimized pipeline,
-/// and comparing outputs.
+/// no-fusion reference pipeline, through the fully optimized pipeline,
+/// and operator by operator through the reference kernels, and comparing
+/// outputs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +16,7 @@
 #define DNNFUSION_TESTS_TESTUTILS_H
 
 #include "GraphFuzz.h"
+#include "ops/Kernels.h"
 #include "runtime/ExecutionContext.h"
 #include "runtime/ModelCompiler.h"
 #include "support/StringUtils.h"
@@ -59,6 +61,45 @@ inline std::vector<Tensor> runReference(const Graph &G,
   Exec.Mode = ExecutionOptions::Schedule::Sequential;
   ExecutionContext E(M, Exec);
   return E.run(Inputs);
+}
+
+/// Runs every live operator of \p G through its reference kernel
+/// (runRefKernel with the naive GEMM kernels and the scalar tier) in
+/// topological order, and returns each node's value indexed by NodeId
+/// (null for dead nodes). \p Inputs bind the Input nodes in id order, as
+/// randomInputs produces them.
+///
+/// This is the tape-independent oracle. runReference cannot be one for
+/// the tape: with fusion off, its elementwise operators still run as
+/// single-op DftProgram tapes, so a lowering bug (LoadSplat, LoadPeriodic,
+/// router sets) would hit both sides of the comparison. Nothing here goes
+/// through codegen.
+inline std::vector<Tensor> runPerOpWalker(const Graph &G,
+                                          const std::vector<Tensor> &Inputs) {
+  KernelConfig Reference;
+  Reference.UsePackedGemm = false;
+  Reference.ForceKernelLevel = 0;
+  std::vector<Tensor> Values(static_cast<size_t>(G.numNodes()));
+  size_t NextInput = 0;
+  for (int Id = 0; Id < G.numNodes(); ++Id)
+    if (!G.node(Id).Dead && G.node(Id).Kind == OpKind::Input)
+      Values[static_cast<size_t>(Id)] = Inputs.at(NextInput++);
+  for (NodeId Id : G.topologicalOrder()) {
+    const Node &N = G.node(Id);
+    if (N.Kind == OpKind::Input)
+      continue;
+    if (N.Kind == OpKind::Constant) {
+      Values[static_cast<size_t>(Id)] = N.ConstValue;
+      continue;
+    }
+    std::vector<const Tensor *> Args;
+    for (NodeId In : N.Inputs)
+      Args.push_back(&Values[static_cast<size_t>(In)]);
+    Tensor Out(N.OutShape);
+    runRefKernel(N.Kind, N.Attrs, Args, Out, Reference);
+    Values[static_cast<size_t>(Id)] = std::move(Out);
+  }
+  return Values;
 }
 
 /// Runs \p G through the full DNNFusion pipeline with \p Options (default

@@ -358,9 +358,16 @@ TEST(ChaosFileIO, CacheOutageDegradesToCleanRecompile) {
 //===----------------------------------------------------------------------===//
 
 TEST(ChaosKernel, DispatchFaultLatchesScalarWithIdenticalResults) {
+  // The fault point sits on the SIMD dispatch path, so the session pins
+  // avx2 explicitly: a forced-scalar env hook (CI's forced-dispatch pass)
+  // must not route around it.
+  if (!(dispatchFeatureMask() & CpuFeatureAvx2))
+    GTEST_SKIP() << "host/build has no AVX2 tier to degrade";
   FaultScope Guard;
   resetKernelDegradeLatchForTests();
-  Expected<CompiledModel> M = compileModel(mlp());
+  CompileOptions Avx2;
+  Avx2.Codegen.Kernels.ForceKernelLevel = 1;
+  Expected<CompiledModel> M = compileModel(mlp(), Avx2);
   ASSERT_TRUE(M.ok());
   std::vector<Tensor> In = inputsFor(M->Signature, 2);
   InferenceSession Session(M.takeValue());
@@ -538,10 +545,15 @@ TEST(ChaosDeadline, MidRunExpiryAbortsWithinOneBlockOfTheDeadline) {
   bool LatencyBounded = false;
   double LastTotal = 0, LastBlockMax = 0, LastAbortLatency = 0;
   for (int Attempt = 0; Attempt < 4 && !LatencyBounded; ++Attempt) {
+    // Calibrate on the fastest of three runs: a deadline set from one
+    // preempted run can fall after the next run has already finished.
     ExecutionStats Baseline;
-    Expected<std::vector<Tensor>> Warm =
-        Ctx.tryRun(In, &Baseline, /*PerBlockTiming=*/true);
-    ASSERT_TRUE(Warm.ok());
+    for (int Warm = 0; Warm < 3; ++Warm) {
+      ExecutionStats S;
+      ASSERT_TRUE(Ctx.tryRun(In, &S, /*PerBlockTiming=*/true).ok());
+      if (Warm == 0 || S.WallMs < Baseline.WallMs)
+        Baseline = S;
+    }
     double TotalMs = Baseline.WallMs;
     double BlockMaxMs = 0;
     for (double B : Baseline.PerBlockMs)

@@ -2,10 +2,10 @@
 //
 // The compiled execution engine end to end: DftTree -> DftProgram tape
 // lowering (register allocation, variant selection, router/gather edge
-// cases), program-vs-treewalk and packed-vs-naive bit-identity at the
-// kernel, block, and model-zoo levels, the prepack store lifecycle
-// (compile, cache hit, save/load), and the engine-path observability
-// counters.
+// cases) checked bitwise against the per-op reference walker, packed-vs-
+// naive bit-identity at the kernel and model-zoo levels, the prepack
+// store lifecycle (compile, cache hit, save/load), and the engine-path
+// observability counters.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 
 using namespace dnnfusion;
 using namespace dnnfusion::testutil;
@@ -51,46 +52,50 @@ int countInstrs(const DftProgram &P, DftInstr::Kind K) {
   return N;
 }
 
-/// Runs every expression step of \p CB through both engines over
-/// deterministic slot data and expects bit-identical outputs for every
-/// chunk size in \p ChunkSizes.
-void expectStepBitIdentity(const Graph &G, const CompiledBlock &CB,
-                           std::initializer_list<int> ChunkSizes = {256}) {
-  Rng R(17);
-  // Deterministic backing store for every slot (externals and locals).
-  std::vector<std::vector<float>> Store;
-  std::vector<const float *> Slots;
-  for (NodeId Id : CB.ExternalInputs) {
-    Store.emplace_back(
-        static_cast<size_t>(G.node(Id).OutShape.numElements()));
-    for (float &V : Store.back())
-      V = R.nextFloatInRange(-2.0f, 2.0f);
-    Slots.push_back(Store.back().data());
-  }
-  for (const CompiledBlock::LocalBuffer &L : CB.Locals) {
-    Store.emplace_back(static_cast<size_t>(L.Sh.numElements()));
-    for (float &V : Store.back())
-      V = R.nextFloatInRange(-2.0f, 2.0f);
-    Slots.push_back(Store.back().data());
-  }
-  int Checked = 0;
-  for (const CompiledStep &S : CB.Steps) {
-    if (S.K != CompiledStep::Kind::Expression)
-      continue;
-    ASSERT_FALSE(S.Program.empty());
-    int64_t E = S.OutShape.numElements();
-    for (int Chunk : ChunkSizes) {
-      std::vector<float> Tree(static_cast<size_t>(E), -7.0f);
-      std::vector<float> Prog(static_cast<size_t>(E), 7.0f);
-      S.Tree.evaluate(Slots, Tree.data(), Chunk);
-      S.Program.execute(Slots, Prog.data(), Chunk);
-      for (int64_t I = 0; I < E; ++I)
-        ASSERT_EQ(Tree[static_cast<size_t>(I)], Prog[static_cast<size_t>(I)])
-            << "chunk " << Chunk << " elem " << I << " origin " << S.Origin;
+/// Executes \p CB — compiled from the whole of \p G — at every chunk size
+/// in \p ChunkSizes and at both kernel tiers, and expects every
+/// block-local buffer bitwise equal to the per-op walker's value of its
+/// node (testutil::runPerOpWalker, which never touches a tape).
+void expectBlockMatchesWalker(const Graph &G, const CompiledBlock &CB,
+                              std::initializer_list<int> ChunkSizes = {256}) {
+  int ExpressionSteps = 0;
+  for (const CompiledStep &S : CB.Steps)
+    ExpressionSteps += S.K == CompiledStep::Kind::Expression ? 1 : 0;
+  EXPECT_GT(ExpressionSteps, 0);
+
+  std::vector<Tensor> Want =
+      runPerOpWalker(G, randomInputs(G, 17, -2.0f, 2.0f));
+  BlockIo Io;
+  for (NodeId Id : CB.ExternalInputs)
+    Io.Externals.push_back(Want[static_cast<size_t>(Id)].data());
+  std::vector<std::vector<float>> Locals;
+  for (const CompiledBlock::LocalBuffer &L : CB.Locals)
+    Locals.emplace_back(static_cast<size_t>(L.Sh.numElements()));
+  for (std::vector<float> &L : Locals)
+    Io.LocalPtrs.push_back(L.data());
+
+  for (int Chunk : ChunkSizes)
+    for (int Force : {0, 1}) {
+      for (std::vector<float> &L : Locals)
+        std::fill(L.begin(), L.end(), -7.0f);
+      CodegenOptions Opt;
+      Opt.ChunkSize = Chunk;
+      Opt.Kernels.ForceKernelLevel = Force;
+      executeBlock(CB, Io, Opt);
+      for (size_t J = 0; J < Locals.size(); ++J) {
+        const Tensor &Ref = Want[static_cast<size_t>(CB.Locals[J].Node)];
+        ASSERT_EQ(static_cast<size_t>(Ref.numElements()), Locals[J].size());
+        for (size_t I = 0; I < Locals[J].size(); ++I) {
+          uint32_t RefBits, GotBits;
+          std::memcpy(&RefBits, Ref.data() + I, sizeof(float));
+          std::memcpy(&GotBits, Locals[J].data() + I, sizeof(float));
+          ASSERT_EQ(RefBits, GotBits)
+              << "chunk " << Chunk << " tier " << Force << " node "
+              << CB.Locals[J].Node << " elem " << I << ": walker "
+              << Ref.data()[I] << " vs block " << Locals[J][I];
+        }
+      }
     }
-    ++Checked;
-  }
-  EXPECT_GT(Checked, 0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -117,7 +122,7 @@ TEST(DftProgramLowering, ElementwiseChainReusesOneRegister) {
   EXPECT_TRUE(P.Instrs.front().Args[0].IsSlot);
   // The final operator writes the chunk output directly.
   EXPECT_EQ(P.Instrs.back().Dst, DftProgram::OutputReg);
-  expectStepBitIdentity(B.graph(), CB, {16, 256, 512});
+  expectBlockMatchesWalker(B.graph(), CB, {16, 256, 512});
 }
 
 TEST(DftProgramLowering, BinaryTreeRegisterHighWaterStaysSmall) {
@@ -133,7 +138,7 @@ TEST(DftProgramLowering, BinaryTreeRegisterHighWaterStaysSmall) {
   const DftProgram &P = CB.Steps[0].Program;
   EXPECT_EQ(countInstrs(P, DftInstr::Kind::Eltwise), 7);
   EXPECT_LE(P.NumValueRegs, 3);
-  expectStepBitIdentity(B.graph(), CB);
+  expectBlockMatchesWalker(B.graph(), CB);
 }
 
 TEST(DftProgramLowering, FoldedTransposeBecomesMapAndGather) {
@@ -149,7 +154,7 @@ TEST(DftProgramLowering, FoldedTransposeBecomesMapAndGather) {
   EXPECT_EQ(countInstrs(P, DftInstr::Kind::LoadGather), 1);
   EXPECT_EQ(countInstrs(P, DftInstr::Kind::Eltwise), 1);
   EXPECT_EQ(P.NumIndexSets, 2);
-  expectStepBitIdentity(B.graph(), CB, {17, 256});
+  expectBlockMatchesWalker(B.graph(), CB, {17, 256});
 }
 
 TEST(DftProgramLowering, PureMovementRootGathersStraightToOutput) {
@@ -166,7 +171,7 @@ TEST(DftProgramLowering, PureMovementRootGathersStraightToOutput) {
   EXPECT_EQ(P.Instrs[1].K, DftInstr::Kind::LoadGather);
   EXPECT_EQ(P.Instrs[1].Dst, DftProgram::OutputReg);
   EXPECT_EQ(P.NumValueRegs, 1); // Allocated, then retargeted at out.
-  expectStepBitIdentity(B.graph(), CB, {8, 100, 256});
+  expectBlockMatchesWalker(B.graph(), CB, {8, 100, 256});
 }
 
 TEST(DftProgramLowering, ConcatLowersToRouterSplitMerge) {
@@ -185,7 +190,7 @@ TEST(DftProgramLowering, ConcatLowersToRouterSplitMerge) {
   // One set per branch plus the implicit contiguous set.
   EXPECT_EQ(P.NumIndexSets, 3);
   // Chunk sizes that split, straddle, and cover whole branch rows.
-  expectStepBitIdentity(B.graph(), CB, {4, 5, 12, 256});
+  expectBlockMatchesWalker(B.graph(), CB, {4, 5, 12, 256});
 }
 
 TEST(DftProgramLowering, NestedConcatWithMappedBranches) {
@@ -204,7 +209,7 @@ TEST(DftProgramLowering, NestedConcatWithMappedBranches) {
   const DftProgram &P = CB.Steps[0].Program;
   EXPECT_EQ(countInstrs(P, DftInstr::Kind::RouterSplit), 2);
   EXPECT_EQ(countInstrs(P, DftInstr::Kind::RouterMerge), 2);
-  expectStepBitIdentity(B.graph(), CB, {3, 11, 64, 256});
+  expectBlockMatchesWalker(B.graph(), CB, {3, 11, 64, 256});
 }
 
 TEST(DftProgramLowering, BroadcastRowOperandLowersToPeriodicLoad) {
@@ -226,7 +231,7 @@ TEST(DftProgramLowering, BroadcastRowOperandLowersToPeriodicLoad) {
       for (int A = 0; A < I.NumArgs; ++A)
         SawSlotArg |= I.Args[A].IsSlot;
   EXPECT_TRUE(SawSlotArg);
-  expectStepBitIdentity(B.graph(), CB, {8, 30, 256});
+  expectBlockMatchesWalker(B.graph(), CB, {8, 30, 256});
 }
 
 TEST(DftProgramLowering, BroadcastScalarOperandLowersToSplat) {
@@ -240,7 +245,7 @@ TEST(DftProgramLowering, BroadcastScalarOperandLowersToSplat) {
   EXPECT_EQ(countInstrs(P, DftInstr::Kind::LoadSplat), 1);
   EXPECT_EQ(countInstrs(P, DftInstr::Kind::MapIndices), 0);
   EXPECT_EQ(countInstrs(P, DftInstr::Kind::LoadGather), 0);
-  expectStepBitIdentity(B.graph(), CB, {8, 30, 256});
+  expectBlockMatchesWalker(B.graph(), CB, {8, 30, 256});
 }
 
 TEST(DftProgramLowering, EmitterRendersTape) {
@@ -450,7 +455,6 @@ TEST(PrepackStore, ConstantWeightsPackOnceAndHitAtRunTime) {
   // first GEMM's row loop, not as a standalone program step.
   EXPECT_EQ(Stats.Engine.ProgramSteps, 0);
   EXPECT_EQ(Stats.Engine.GemmEpilogueSteps, 1);
-  EXPECT_EQ(Stats.Engine.TreeWalkSteps, 0);
 }
 
 TEST(PrepackStore, EpilogueToggleRestoresStandaloneProgramSteps) {
@@ -467,7 +471,6 @@ TEST(PrepackStore, EpilogueToggleRestoresStandaloneProgramSteps) {
 
 TEST(PrepackStore, DisabledEngineReportsLegacyPaths) {
   CompileOptions Opt;
-  Opt.Codegen.UseCompiledPrograms = false;
   Opt.Codegen.FuseGemmEpilogue = false;
   Opt.Codegen.Kernels.UsePackedGemm = false;
   CompiledModel M = cantFail(compileModel(constantWeightModel(11), Opt));
@@ -478,8 +481,6 @@ TEST(PrepackStore, DisabledEngineReportsLegacyPaths) {
   E.run(Inputs, &Stats);
   EXPECT_EQ(Stats.Engine.PackedKernelCalls, 0);
   EXPECT_EQ(Stats.Engine.DirectKernelCalls, 2);
-  EXPECT_EQ(Stats.Engine.ProgramSteps, 0);
-  EXPECT_GT(Stats.Engine.TreeWalkSteps, 0);
 }
 
 TEST(PrepackStore, SessionMetricsAccumulateEngineCounters) {
@@ -495,7 +496,6 @@ TEST(PrepackStore, SessionMetricsAccumulateEngineCounters) {
   EXPECT_EQ(Metrics.Engine.PrepackHits, 6);
   EXPECT_EQ(Metrics.Engine.PackedKernelCalls, 6);
   EXPECT_EQ(Metrics.Engine.GemmEpilogueSteps, 3);
-  EXPECT_EQ(Metrics.Engine.TreeWalkSteps, 0);
 }
 
 TEST(PrepackStore, SaveLoadRebuildsPrepackAndExecutesBitIdentically) {
@@ -525,11 +525,9 @@ TEST(PrepackStore, SaveLoadRebuildsPrepackAndExecutesBitIdentically) {
 // Zoo-wide engine bit-identity
 //===----------------------------------------------------------------------===//
 
-TEST(EngineZooSweep, ProgramAndPackedPathsAreBitIdenticalZooWide) {
-  // The acceptance gate of the engine overhaul: for every zoo model, the
-  // default engine (compiled programs + packed kernels) must produce
-  // exactly the bytes the legacy engine (tree-walk + naive loops)
-  // produces.
+TEST(EngineZooSweep, PackedAndNaivePathsAreBitIdenticalZooWide) {
+  // For every zoo model, the default engine (packed kernels) must produce
+  // exactly the bytes the naive Many-to-Many loops produce.
   ExecutionOptions Seq;
   Seq.Mode = ExecutionOptions::Schedule::Sequential;
   for (const ModelZooEntry &Entry : modelZoo()) {
@@ -537,7 +535,6 @@ TEST(EngineZooSweep, ProgramAndPackedPathsAreBitIdenticalZooWide) {
     std::vector<Tensor> Inputs = randomInputs(G, 42);
 
     CompileOptions Legacy;
-    Legacy.Codegen.UseCompiledPrograms = false;
     Legacy.Codegen.Kernels.UsePackedGemm = false;
     CompiledModel MLegacy = cantFail(compileModel(Entry.Build(), Legacy));
     ExecutionContext ELegacy(MLegacy, Seq);
@@ -553,9 +550,8 @@ TEST(EngineZooSweep, ProgramAndPackedPathsAreBitIdenticalZooWide) {
       for (int64_t J = 0; J < Want[I].numElements(); ++J)
         ASSERT_EQ(Want[I].at(J), Got[I].at(J))
             << Entry.Info.Name << " output " << I << " elem " << J;
-    // The default engine must actually be on the new paths.
+    // The default engine must actually run compiled programs.
     EXPECT_GT(Stats.Engine.ProgramSteps, 0) << Entry.Info.Name;
-    EXPECT_EQ(Stats.Engine.TreeWalkSteps, 0) << Entry.Info.Name;
   }
 }
 

@@ -2,11 +2,10 @@
 //
 // Part of the DNNFusion reproduction. MIT license.
 //
-// The CPU-feature kernel registry: level resolution against mocked feature
-// masks, registration/priority/fallback semantics on mock tables, the
-// DNNFUSION_FORCE_KERNEL_LEVEL env hook, scalar-vs-AVX2 differential
-// sweeps over the packed-GEMM shape grid (bit-identical by contract),
-// the FMA tier's documented tolerance, forced-level dispatch through the
+// CPU-feature kernel dispatch: level resolution against mocked feature
+// masks, the typed resolvers' conditions, the DNNFUSION_FORCE_KERNEL_LEVEL
+// env hook, scalar-vs-AVX2 differential sweeps over the packed-GEMM shape
+// grid (bit-identical by contract), forced-level dispatch through the
 // reference kernels, and the cache-hit-then-redispatch property (kernel
 // knobs are excluded from the CompilationCache key; a cached artifact
 // re-resolves dispatch on the loading host).
@@ -25,7 +24,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -38,7 +36,6 @@ namespace {
 
 constexpr uint32_t MaskNone = 0;
 constexpr uint32_t MaskAvx2 = CpuFeatureAvx2;
-constexpr uint32_t MaskAvx2Fma = CpuFeatureAvx2 | CpuFeatureFma;
 
 /// True when this build + host can actually execute the AVX2 tiers (the
 /// differential tests degrade to scalar-vs-scalar otherwise, which is
@@ -47,51 +44,38 @@ bool hostRunsAvx2() {
   return simdKernelsCompiledIn() && (dispatchFeatureMask() & CpuFeatureAvx2);
 }
 
-bool hostRunsFma() {
-  return simdKernelsCompiledIn() &&
-         (dispatchFeatureMask() & CpuFeatureFma) != 0 &&
-         (dispatchFeatureMask() & CpuFeatureAvx2) != 0;
-}
-
 //===----------------------------------------------------------------------===//
 // Level resolution against mocked feature masks
 //===----------------------------------------------------------------------===//
 
-TEST(KernelLevelResolution, AutoPicksHighestBitExactTier) {
+TEST(KernelLevelResolution, AutoPicksAvx2WhereSupported) {
   EXPECT_EQ(resolveKernelLevel(ForceKernelAuto, MaskNone),
             KernelLevel::Scalar);
   EXPECT_EQ(resolveKernelLevel(ForceKernelAuto, MaskAvx2), KernelLevel::Avx2);
-  // FMA changes results (the one non-bit-exact tier); auto must never
-  // select it even when the host supports it.
-  EXPECT_EQ(resolveKernelLevel(ForceKernelAuto, MaskAvx2Fma),
+  // Dispatch reads only the AVX2 bit; FMA alone runs nothing wider.
+  EXPECT_EQ(resolveKernelLevel(ForceKernelAuto, CpuFeatureFma),
+            KernelLevel::Scalar);
+  EXPECT_EQ(resolveKernelLevel(ForceKernelAuto, MaskAvx2 | CpuFeatureFma),
             KernelLevel::Avx2);
 }
 
 TEST(KernelLevelResolution, ForcedLevelsClampDownNeverUp) {
   // Forced scalar always honored.
   EXPECT_EQ(resolveKernelLevel(0, MaskNone), KernelLevel::Scalar);
-  EXPECT_EQ(resolveKernelLevel(0, MaskAvx2Fma), KernelLevel::Scalar);
+  EXPECT_EQ(resolveKernelLevel(0, MaskAvx2), KernelLevel::Scalar);
   // Forced avx2 on a host without it runs scalar instead of faulting.
   EXPECT_EQ(resolveKernelLevel(1, MaskNone), KernelLevel::Scalar);
   EXPECT_EQ(resolveKernelLevel(1, MaskAvx2), KernelLevel::Avx2);
-  EXPECT_EQ(resolveKernelLevel(1, MaskAvx2Fma), KernelLevel::Avx2);
-  // Forced avx2fma needs both bits; AVX2-only clamps one step down.
-  EXPECT_EQ(resolveKernelLevel(2, MaskAvx2Fma), KernelLevel::Avx2Fma);
+  // Out-of-range forces: above the top tier clamps to it, below -1 is auto.
   EXPECT_EQ(resolveKernelLevel(2, MaskAvx2), KernelLevel::Avx2);
-  EXPECT_EQ(resolveKernelLevel(2, MaskNone), KernelLevel::Scalar);
-  // FMA without AVX2 cannot run the 8-wide kernels at all.
-  EXPECT_EQ(resolveKernelLevel(2, CpuFeatureFma), KernelLevel::Scalar);
-  // Out-of-range forces clamp into the valid tier range first.
-  EXPECT_EQ(resolveKernelLevel(7, MaskAvx2Fma), KernelLevel::Avx2Fma);
+  EXPECT_EQ(resolveKernelLevel(7, MaskNone), KernelLevel::Scalar);
   EXPECT_EQ(resolveKernelLevel(-5, MaskAvx2), KernelLevel::Avx2);
 }
 
 TEST(KernelLevelResolution, NamesRoundTrip) {
   EXPECT_STREQ(kernelLevelName(KernelLevel::Scalar), "scalar");
   EXPECT_STREQ(kernelLevelName(KernelLevel::Avx2), "avx2");
-  EXPECT_STREQ(kernelLevelName(KernelLevel::Avx2Fma), "avx2fma");
-  for (KernelLevel L :
-       {KernelLevel::Scalar, KernelLevel::Avx2, KernelLevel::Avx2Fma})
+  for (KernelLevel L : {KernelLevel::Scalar, KernelLevel::Avx2})
     EXPECT_EQ(parseKernelLevel(kernelLevelName(L)), static_cast<int>(L));
   EXPECT_EQ(parseKernelLevel("auto"), ForceKernelAuto);
   EXPECT_EQ(parseKernelLevel(""), ForceKernelAuto);
@@ -108,122 +92,38 @@ TEST(KernelLevelResolution, DispatchMaskReflectsBuild) {
     // The dispatch mask never invents features the probe did not report.
     EXPECT_EQ(dispatchFeatureMask() & ~detectCpuFeatures(), MaskNone);
   }
-  EXPECT_EQ(kernelLevelFeatures(KernelLevel::Scalar), MaskNone);
-  EXPECT_EQ(kernelLevelFeatures(KernelLevel::Avx2), MaskAvx2);
-  EXPECT_EQ(kernelLevelFeatures(KernelLevel::Avx2Fma), MaskAvx2Fma);
 }
 
 //===----------------------------------------------------------------------===//
-// Registry table semantics (mock entries)
+// Typed resolvers
 //===----------------------------------------------------------------------===//
 
-void fakeKernelA() {}
-void fakeKernelB() {}
-void fakeKernelC() {}
-
-KernelEntry makeEntry(KernelLevel Level, uint32_t Features, int Priority,
-                      const char *Name, void *Fn,
-                      bool (*Supports)(const KernelProblem &) = nullptr) {
-  KernelEntry E;
-  E.Kind = KernelKind::GemmPackedRows;
-  E.Level = Level;
-  E.RequiredFeatures = Features;
-  E.Priority = Priority;
-  E.Name = Name;
-  E.Fn = Fn;
-  E.Supports = Supports;
-  return E;
-}
-
-TEST(KernelRegistryTable, HighestSatisfiablePriorityWins) {
-  KernelRegistry R;
-  R.add(makeEntry(KernelLevel::Scalar, MaskNone, 0, "scalar",
-                  reinterpret_cast<void *>(&fakeKernelA)));
-  R.add(makeEntry(KernelLevel::Avx2, MaskAvx2, 10, "avx2",
-                  reinterpret_cast<void *>(&fakeKernelB)));
-  R.add(makeEntry(KernelLevel::Avx2Fma, MaskAvx2Fma, 20, "avx2fma",
-                  reinterpret_cast<void *>(&fakeKernelC)));
-  KernelProblem P;
-  P.M = P.N = P.K = 64;
-  P.NR = 16;
-
-  const KernelEntry *E =
-      R.resolve(KernelKind::GemmPackedRows, P, KernelLevel::Avx2Fma,
-                MaskAvx2Fma);
-  ASSERT_NE(E, nullptr);
-  EXPECT_STREQ(E->Name, "avx2fma");
-
-  // MaxLevel caps the tier even when features would allow more.
-  E = R.resolve(KernelKind::GemmPackedRows, P, KernelLevel::Avx2, MaskAvx2Fma);
-  ASSERT_NE(E, nullptr);
-  EXPECT_STREQ(E->Name, "avx2");
-
-  // Missing features drop candidates regardless of MaxLevel.
-  E = R.resolve(KernelKind::GemmPackedRows, P, KernelLevel::Avx2Fma, MaskAvx2);
-  ASSERT_NE(E, nullptr);
-  EXPECT_STREQ(E->Name, "avx2");
-  E = R.resolve(KernelKind::GemmPackedRows, P, KernelLevel::Avx2Fma, MaskNone);
-  ASSERT_NE(E, nullptr);
-  EXPECT_STREQ(E->Name, "scalar");
-
-  // Wrong kind resolves nothing.
-  EXPECT_EQ(R.resolve(KernelKind::EltwiseChunk, P, KernelLevel::Avx2Fma,
-                      MaskAvx2Fma),
-            nullptr);
-}
-
-TEST(KernelRegistryTable, SupportsPredicateGatesGeometry) {
-  KernelRegistry R;
-  R.add(makeEntry(KernelLevel::Scalar, MaskNone, 0, "scalar",
-                  reinterpret_cast<void *>(&fakeKernelA)));
-  R.add(makeEntry(KernelLevel::Avx2, MaskAvx2, 10, "avx2-wide",
-                  reinterpret_cast<void *>(&fakeKernelB),
-                  [](const KernelProblem &P) { return P.NR >= 8; }));
-  KernelProblem Wide, Narrow;
-  Wide.NR = 16;
-  Narrow.NR = 4;
-
-  const KernelEntry *E =
-      R.resolve(KernelKind::GemmPackedRows, Wide, KernelLevel::Avx2, MaskAvx2);
-  ASSERT_NE(E, nullptr);
-  EXPECT_STREQ(E->Name, "avx2-wide");
-  // The narrow panel falls through to scalar even though level and
-  // features would admit the SIMD entry.
-  E = R.resolve(KernelKind::GemmPackedRows, Narrow, KernelLevel::Avx2,
-                MaskAvx2);
-  ASSERT_NE(E, nullptr);
-  EXPECT_STREQ(E->Name, "scalar");
-}
-
-TEST(KernelRegistryTable, BuiltinsAlwaysCarryScalarFallback) {
-  const KernelRegistry &B = KernelRegistry::builtins();
-  for (KernelKind Kind :
-       {KernelKind::GemmPackedRows, KernelKind::FusedAttentionRows,
-        KernelKind::EltwiseChunk}) {
-    std::vector<KernelEntry> Entries = B.entries(Kind);
-    ASSERT_FALSE(Entries.empty());
-    bool HasScalar = false;
-    for (const KernelEntry &E : Entries) {
-      if (E.Level == KernelLevel::Scalar) {
-        HasScalar = true;
-        // The fallback must be executable on any host.
-        EXPECT_EQ(E.RequiredFeatures, MaskNone);
-      }
-      // Every tier above scalar declares the features it needs.
-      if (E.Level != KernelLevel::Scalar) {
-        EXPECT_NE(E.RequiredFeatures & MaskAvx2, MaskNone);
-      }
-      EXPECT_NE(E.Fn, nullptr);
-    }
-    EXPECT_TRUE(HasScalar);
+TEST(KernelDispatch, ResolversReturnAvx2KernelsOnlyWhenEveryConditionHolds) {
+  // Scalar level resolves no SIMD kernel, on any host.
+  EXPECT_EQ(resolveGemmPackedRows(KernelLevel::Scalar, 16), nullptr);
+  EXPECT_EQ(resolveFusedAttentionRows(KernelLevel::Scalar), nullptr);
+  EXPECT_EQ(resolveEltwiseChunk(KernelLevel::Scalar), nullptr);
+  if (!hostRunsAvx2()) {
+    // No AVX2 in the dispatch mask: even a requested avx2 resolves null.
+    EXPECT_EQ(resolveGemmPackedRows(KernelLevel::Avx2, 16), nullptr);
+    EXPECT_EQ(resolveEltwiseChunk(KernelLevel::Avx2), nullptr);
+    GTEST_SKIP() << "host/build has no AVX2 tier";
   }
-  if (simdKernelsCompiledIn()) {
-    // The build compiled the AVX2 units: the GEMM family registers both
-    // SIMD tiers, attention and eltwise the bit-exact one.
-    EXPECT_GE(B.entries(KernelKind::GemmPackedRows).size(), 3u);
-    EXPECT_GE(B.entries(KernelKind::FusedAttentionRows).size(), 2u);
-    EXPECT_GE(B.entries(KernelKind::EltwiseChunk).size(), 2u);
-  }
+  EXPECT_EQ(resolveGemmPackedRows(KernelLevel::Avx2, 16),
+            simd::gemmPackedRowsAvx2());
+  EXPECT_EQ(resolveFusedAttentionRows(KernelLevel::Avx2),
+            simd::fusedAttentionRowsAvx2());
+  EXPECT_EQ(resolveEltwiseChunk(KernelLevel::Avx2), simd::eltwiseChunkAvx2());
+  // Narrow panels stay on the scalar micro tile.
+  EXPECT_EQ(resolveGemmPackedRows(KernelLevel::Avx2, 8),
+            simd::gemmPackedRowsAvx2());
+  EXPECT_EQ(resolveGemmPackedRows(KernelLevel::Avx2, 4), nullptr);
+  // A tripped degrade latch closes every resolver.
+  latchKernelDegradeToScalar("test");
+  EXPECT_EQ(resolveGemmPackedRows(KernelLevel::Avx2, 16), nullptr);
+  EXPECT_EQ(resolveFusedAttentionRows(KernelLevel::Avx2), nullptr);
+  EXPECT_EQ(resolveEltwiseChunk(KernelLevel::Avx2), nullptr);
+  resetKernelDegradeLatchForTests();
 }
 
 //===----------------------------------------------------------------------===//
@@ -262,12 +162,6 @@ TEST_F(ForcedLevelEnv, EnvForcesTierForDefaultConfigs) {
   EXPECT_EQ(effectiveKernelLevel(Default),
             hostRunsAvx2() ? KernelLevel::Avx2 : KernelLevel::Scalar);
 
-  force("avx2fma");
-  KernelLevel WantFma = hostRunsFma()    ? KernelLevel::Avx2Fma
-                        : hostRunsAvx2() ? KernelLevel::Avx2
-                                         : KernelLevel::Scalar;
-  EXPECT_EQ(effectiveKernelLevel(Default), WantFma);
-
   force("auto");
   EXPECT_EQ(effectiveKernelLevel(Default),
             hostRunsAvx2() ? KernelLevel::Avx2 : KernelLevel::Scalar);
@@ -296,10 +190,10 @@ TEST_F(ForcedLevelEnv, GarbageEnvFallsBackToAuto) {
 // Scalar-vs-SIMD differential: packed GEMM micro tile
 //===----------------------------------------------------------------------===//
 
-/// Runs one packed-GEMM problem at \p Level and compares against the
-/// scalar reference: bit-identical for Scalar/Avx2, FMA-tolerance for
-/// Avx2Fma. \p ATransposed stores A column-major to exercise the strided
-/// A-operand path (the Gemm transA layout).
+/// Runs one packed-GEMM problem at the avx2 level and expects it
+/// bit-identical to the scalar reference. \p ATransposed stores A
+/// column-major to exercise the strided A-operand path (the Gemm transA
+/// layout).
 void gemmDifferentialCase(int64_t M, int64_t N, int64_t K, int MR, int NR,
                           bool WithBias, bool ATransposed, uint64_t Seed) {
   SCOPED_TRACE(formatString("M=%lld N=%lld K=%lld MR=%d NR=%d bias=%d tA=%d",
@@ -338,24 +232,13 @@ void gemmDifferentialCase(int64_t M, int64_t N, int64_t K, int MR, int NR,
   for (int64_t I = 0; I < M * N; ++I)
     ASSERT_EQ(Ref[static_cast<size_t>(I)], Simd[static_cast<size_t>(I)])
         << "avx2 diverged at element " << I;
-
-  // The FMA tier: deliberately different rounding, bounded difference.
-  std::vector<float> Fma(static_cast<size_t>(M * N), -42.0f);
-  gemmPackedRows(A.data(), ARow, ACol, Packed.data(), Fma.data(), N, 0, M, N,
-                 K, MR, NR, RowBias, KernelLevel::Avx2Fma);
-  for (int64_t I = 0; I < M * N; ++I) {
-    float Want = Ref[static_cast<size_t>(I)];
-    float Got = Fma[static_cast<size_t>(I)];
-    ASSERT_NEAR(Want, Got, 2e-3f * std::max(1.0f, std::fabs(Want)))
-        << "avx2fma outside tolerance at element " << I;
-  }
 }
 
 TEST(GemmPackedDifferential, ShapeGridScalarVsSimd) {
   uint64_t Seed = 0xd15ba7c4;
   // Odd M/N/K so every row-block and panel tail path runs; MR below,
   // at, and above the SIMD kernel's internal 4-row blocking; every
-  // supported panel width (NR=4 exercises the Supports-gate fallback).
+  // supported panel width (NR=4 exercises the narrow-panel fallback).
   for (int MR : {1, 3, 8})
     for (int NR : {4, 8, 16, 32})
       for (bool WithBias : {false, true})
@@ -367,20 +250,6 @@ TEST(GemmPackedDifferential, ShapeGridScalarVsSimd) {
   // Single-column and single-row degenerate geometries.
   gemmDifferentialCase(1, 32, 24, 8, 8, false, false, ++Seed);
   gemmDifferentialCase(16, 8, 1, 4, 8, true, false, ++Seed);
-}
-
-TEST(GemmPackedDifferential, Avx2TierActuallyDispatchesOnCapableHosts) {
-  if (!hostRunsAvx2())
-    GTEST_SKIP() << "host/build has no AVX2 tier";
-  EXPECT_NE(resolveGemmPackedRows(KernelLevel::Avx2, 64, 64, 16), nullptr);
-  if (hostRunsFma()) {
-    EXPECT_NE(resolveGemmPackedRows(KernelLevel::Avx2Fma, 64, 64, 16),
-              nullptr);
-  }
-  // Narrow panels stay scalar (the Supports gate).
-  EXPECT_EQ(resolveGemmPackedRows(KernelLevel::Avx2, 64, 64, 4), nullptr);
-  // Scalar level resolves no SIMD entry by definition.
-  EXPECT_EQ(resolveGemmPackedRows(KernelLevel::Scalar, 64, 64, 16), nullptr);
 }
 
 //===----------------------------------------------------------------------===//
@@ -511,8 +380,8 @@ Tensor randomTensor(const Shape &Sh, Rng &R, float Lo = -1.0f,
 }
 
 /// Runs \p Kind at every forced tier and checks the tier contract:
-/// scalar == avx2 bit-for-bit, avx2fma within tolerance, and the per-tier
-/// dispatch counters record what actually ran.
+/// scalar == avx2 bit-for-bit, and the per-tier dispatch counters record
+/// what actually ran.
 void refKernelForcedSweep(OpKind Kind, const AttrMap &Attrs,
                           const std::vector<const Tensor *> &Inputs,
                           const Shape &OutShape) {
@@ -527,41 +396,30 @@ void refKernelForcedSweep(OpKind Kind, const AttrMap &Attrs,
     return Out;
   };
 
-  EngineCounters ScalarCtrs, SimdCtrs, FmaCtrs;
+  EngineCounters ScalarCtrs, SimdCtrs;
   Tensor RefOut = RunAt(0, &ScalarCtrs);
   Tensor SimdOut = RunAt(1, &SimdCtrs);
-  Tensor FmaOut = RunAt(2, &FmaCtrs);
   Tensor AutoOut = RunAt(ForceKernelAuto, nullptr);
 
   ASSERT_EQ(maxAbsDiff(RefOut, SimdOut), 0.0f) << "scalar vs avx2";
   ASSERT_EQ(maxAbsDiff(RefOut, AutoOut), 0.0f) << "scalar vs auto";
-  for (int64_t I = 0; I < RefOut.numElements(); ++I) {
-    float Want = RefOut.data()[I];
-    ASSERT_NEAR(Want, FmaOut.data()[I],
-                2e-3f * std::max(1.0f, std::fabs(Want)))
-        << "scalar vs avx2fma at " << I;
-  }
 
   // Audit trail: the forced-scalar run took only scalar dispatches; the
-  // forced-SIMD runs took their tier exactly when the host supports it.
+  // forced-SIMD run took avx2 exactly when the host supports it.
   EXPECT_GT(ScalarCtrs.KernelScalarCalls, 0);
   EXPECT_EQ(ScalarCtrs.KernelAvx2Calls, 0);
-  EXPECT_EQ(ScalarCtrs.KernelAvx2FmaCalls, 0);
   if (hostRunsAvx2()) {
     EXPECT_GT(SimdCtrs.KernelAvx2Calls, 0);
     EXPECT_EQ(SimdCtrs.KernelScalarCalls, 0);
   } else {
     EXPECT_GT(SimdCtrs.KernelScalarCalls, 0);
   }
-  if (hostRunsFma()) {
-    EXPECT_GT(FmaCtrs.KernelAvx2FmaCalls, 0);
-  }
 }
 
 TEST(RefKernelForcedDispatch, MatMulGemmConvAgreeAcrossTiers) {
   Rng R(0xbead);
   {
-    // Above the packed-profitability threshold so the registry path runs.
+    // Above the packed-profitability threshold so the dispatched path runs.
     Tensor A = randomTensor(Shape({32, 96}), R);
     Tensor B = randomTensor(Shape({96, 64}), R);
     refKernelForcedSweep(OpKind::MatMul, AttrMap(), {&A, &B},
@@ -619,7 +477,7 @@ TEST_F(CacheRedispatch, KernelKnobsExcludedFromKeyAndReResolvedOnLoad) {
   CompileOptions Default;
   Default.CacheDir = Dir;
 
-  // The registry knob must not fragment the cache: both configurations
+  // The dispatch knob must not fragment the cache: both configurations
   // key to the same artifact.
   ASSERT_EQ(CompilationCache::fingerprint(G, ForcedScalar),
             CompilationCache::fingerprint(G, Default));

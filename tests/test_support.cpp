@@ -288,6 +288,28 @@ TEST(ThreadPool, ForEachVisitsEveryIndexOnceWithValidLanes) {
   EXPECT_FALSE(LaneOutOfRange.load());
 }
 
+/// Blocks each caller until \p Expected callers have arrived. Used with
+/// forEach(Expected, ...) it keeps every task in flight at once, so at
+/// least one runs on a worker thread (the participating master can hold
+/// only one) and the worker-only inline path is deterministically
+/// exercised.
+class Rendezvous {
+public:
+  explicit Rendezvous(int Expected) : Expected(Expected) {}
+  void arriveAndWait() {
+    std::unique_lock<std::mutex> Lock(M);
+    ++Arrived;
+    Cv.notify_all();
+    Cv.wait(Lock, [&] { return Arrived == Expected; });
+  }
+
+private:
+  std::mutex M;
+  std::condition_variable Cv;
+  int Arrived = 0;
+  const int Expected;
+};
+
 TEST(ThreadPool, ParallelForInsideWorkerRunsInlineWithoutDeadlock) {
   // The wavefront dispatcher runs fusion blocks as forEach tasks; the
   // fused kernels inside then call parallelFor on the same pool. That
@@ -299,20 +321,10 @@ TEST(ThreadPool, ParallelForInsideWorkerRunsInlineWithoutDeadlock) {
   std::vector<std::atomic<int64_t>> Sums(Outer);
   for (auto &S : Sums)
     S = 0;
-  std::mutex RendezvousMutex;
-  std::condition_variable RendezvousCv;
-  int Arrived = 0;
+  Rendezvous AllInFlight(Outer);
   std::atomic<int> WorkerDispatches{0};
   Pool.forEach(Outer, [&](int64_t I, unsigned) {
-    {
-      // Rendezvous: both tasks must be in flight at once, so at least one
-      // runs on a worker thread (the participating master can hold only
-      // one) and the inline path below is deterministically exercised.
-      std::unique_lock<std::mutex> Lock(RendezvousMutex);
-      ++Arrived;
-      RendezvousCv.notify_all();
-      RendezvousCv.wait(Lock, [&] { return Arrived == Outer; });
-    }
+    AllInFlight.arriveAndWait();
     bool OnWorker = Pool.onWorkerThread();
     std::thread::id Caller = std::this_thread::get_id();
     Pool.parallelFor(Inner, [&](int64_t Begin, int64_t End) {
@@ -338,16 +350,33 @@ TEST(ThreadPool, ParallelForInsideWorkerRunsInlineWithoutDeadlock) {
 }
 
 TEST(ThreadPool, ForEachInsideWorkerRunsInline) {
+  // Only pool workers promise an inline nested forEach; an outer task the
+  // participating master runs may dispatch its nested call normally.
   ThreadPool Pool(2);
-  std::atomic<int> Total{0};
-  Pool.forEach(4, [&](int64_t, unsigned OuterLane) {
-    Pool.forEach(4, [&](int64_t, unsigned InnerLane) {
-      // Nested dispatch degrades to an inline loop on the same lane.
-      EXPECT_EQ(InnerLane, OuterLane);
-      ++Total;
+  const int64_t Outer = 2, Inner = 4;
+  std::vector<std::atomic<int>> Visits(Outer * Inner);
+  for (auto &V : Visits)
+    V = 0;
+  Rendezvous AllInFlight(Outer);
+  std::atomic<int> WorkerDispatches{0};
+  Pool.forEach(Outer, [&](int64_t I, unsigned OuterLane) {
+    AllInFlight.arriveAndWait();
+    bool OnWorker = Pool.onWorkerThread();
+    std::thread::id Caller = std::this_thread::get_id();
+    Pool.forEach(Inner, [&](int64_t J, unsigned InnerLane) {
+      if (OnWorker) {
+        // Nested dispatch degrades to an inline loop on the same lane.
+        EXPECT_EQ(std::this_thread::get_id(), Caller);
+        EXPECT_EQ(InnerLane, OuterLane);
+      }
+      ++Visits[static_cast<size_t>(I * Inner + J)];
     });
+    if (OnWorker)
+      ++WorkerDispatches;
   });
-  EXPECT_EQ(Total.load(), 16);
+  EXPECT_GE(WorkerDispatches.load(), 1);
+  for (size_t K = 0; K < Visits.size(); ++K)
+    EXPECT_EQ(Visits[K].load(), 1) << "index " << K;
 }
 
 TEST(ThreadPool, LaneIdentification) {
