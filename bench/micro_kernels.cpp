@@ -3,8 +3,8 @@
 // Micro-benchmarks (google-benchmark) isolating the mechanisms behind the
 // end-to-end results: fused vs unfused elementwise chains, data-movement
 // folding vs materialization, DFT chunk-size sensitivity, compiled-program
-// evaluation, and the GEMM kernels (naive, tiled, packed) the auto-tuner
-// searches.
+// evaluation, the GEMM kernels (naive, tiled, packed) the auto-tuner
+// searches, and the narrow-N packed route against the naive row walk.
 //
 //===----------------------------------------------------------------------===//
 
@@ -167,6 +167,38 @@ void BM_GemmPackedTier(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations() * 2 * N * N * N);
 }
 BENCHMARK(BM_GemmPackedTier)->Arg(0)->Arg(1);
+
+// The narrow-N route at the serving MLP's middle layer: W[1024,1024] x
+// X[1024,N] at the N of a batch-1..8 bucket, through runRefKernel. Mode 0
+// runs the naive row walk (UsePackedGemm off), 1 the packed engine at the
+// scalar tier, 2 at avx2 (clamps to scalar on hosts without it; the label
+// records what ran). The activation packs into caller scratch, as in a
+// compiled model.
+void BM_GemmNarrow(benchmark::State &State) {
+  int Mode = static_cast<int>(State.range(0));
+  int64_t M = 1024, K = 1024, N = State.range(1);
+  Rng R(11);
+  Tensor W(Shape({M, K})), X(Shape({K, N})), Out(Shape({M, N}));
+  fillRandom(W, R);
+  fillRandom(X, R);
+  KernelConfig Config;
+  Config.UsePackedGemm = Mode != 0;
+  Config.ForceKernelLevel = Mode == 2 ? 1 : 0;
+  std::vector<float> Scratch(
+      static_cast<size_t>(packedPanelElems(K, N, GemmNarrowNR)));
+  KernelRuntime Rt;
+  Rt.PackScratch = Scratch.data();
+  Rt.PackScratchElems = static_cast<int64_t>(Scratch.size());
+  State.SetLabel(Mode == 0 ? "naive"
+                           : kernelLevelName(effectiveKernelLevel(Config)));
+  for (auto _ : State) {
+    runRefKernel(OpKind::MatMul, AttrMap(), {&W, &X}, Out, Config, Rt);
+    benchmark::DoNotOptimize(Out.data());
+    benchmark::ClobberMemory();
+  }
+  State.SetItemsProcessed(State.iterations() * 2 * M * N * K);
+}
+BENCHMARK(BM_GemmNarrow)->ArgsProduct({{0, 1, 2}, {1, 2, 4, 8}});
 
 // Fused-attention inner loop per kernel tier. Both tiers are
 // bit-identical here (the AVX2 rows vectorize the score/accumulate loops

@@ -13,9 +13,9 @@
 /// The compute-intensive Many-to-Many kernels (MatMul/Gemm/Conv) carry two
 /// implementations: the legacy naive loops and the packed register-blocked
 /// engine (KernelsGemmPacked.h), selected by KernelConfig::UsePackedGemm
-/// plus a per-shape profitability gate. Both produce bit-identical results
-/// (same per-element k-order accumulation), so the toggle is purely a
-/// performance/debugging knob.
+/// plus a per-shape gate (packedGemmPanelWidth for MatMul/Gemm). Both
+/// produce bit-identical results (same per-element k-order accumulation),
+/// so the toggle is purely a performance/debugging knob.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,10 +48,13 @@ struct KernelConfig {
   bool UsePackedGemm = true;
   /// Micro-kernel row-block height (accumulator tile rows, 1..8).
   int PackMR = 8;
-  /// B-panel width (accumulator tile columns; clamped to 4/8/16/32). Wide
+  /// B-panel width (accumulator tile columns; clamped to 4/8/16/32) of
+  /// Conv and of MatMul/Gemm problems with N > 8 output columns. Wide
   /// panels give the inner loop a long fixed trip count that vectorizes
-  /// well; the profitability gate declines shapes where tail padding
-  /// would waste too much of the panel.
+  /// well; the gate (packedGemmPanelWidth) declines shapes where tail
+  /// padding would waste too much of the panel. MatMul/Gemm problems with
+  /// N <= 8 (a weight-stationary layer at a serving batch of 8 or less)
+  /// always pack into one 8-wide panel instead.
   int PackNR = 32;
   /// Column-tile width of the conv im2col pass: output pixels packed and
   /// multiplied per tile, bounding the packing scratch.

@@ -2,6 +2,7 @@
 
 #include "ops/KernelsGemmPacked.h"
 
+#include "ops/Kernels.h"
 #include "support/Error.h"
 
 #include <algorithm>
@@ -138,21 +139,22 @@ void dnnfusion::gemmPackedRows(const float *A, int64_t ARowStride,
                        RowBegin, RowEnd, N, K, MR, NR, RowBias);
 }
 
-bool dnnfusion::packedGemmProfitable(int64_t M, int64_t N, int64_t K, int NR,
-                                     bool Prepacked) {
-  if (N < 4 || K < 2)
-    return false;
-  // Tail padding: the micro kernel computes whole NR-wide panels, so a
-  // narrow N pays for discarded columns. Decline once the padded columns
-  // exceed a third of the useful ones (waste/N > 1/3, i.e. 3*PaddedN >
-  // 4*N).
-  NR = clampPackNR(NR);
+int dnnfusion::packedGemmPanelWidth(const KernelConfig &Config, int64_t M,
+                                    int64_t N, int64_t K, bool Prepacked) {
+  if (!Config.UsePackedGemm || K < 2)
+    return 0;
+  if (N <= GemmNarrowNR)
+    return M >= 4 ? GemmNarrowNR : 0;
+  // Tail padding: the micro kernel computes whole NR-wide panels, so the
+  // last panel's unused columns are paid for. Decline once the padded
+  // columns exceed a third of the useful ones (3*PaddedN > 4*N).
+  int NR = clampPackNR(Config.PackNR);
   int64_t PaddedN = (N + NR - 1) / NR * NR;
   if (PaddedN * 3 > N * 4)
-    return false;
+    return 0;
   if (Prepacked)
-    return true; // Packing already paid for; the micro kernel never loses.
+    return NR; // Packing already paid for; the micro kernel never loses.
   // Run-time packing costs one K*N pass; it amortizes over the M rows that
   // reuse the panels.
-  return M >= 4 && M * N * K >= 16384;
+  return M >= 4 && M * N * K >= 16384 ? NR : 0;
 }

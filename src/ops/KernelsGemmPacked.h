@@ -12,6 +12,13 @@
 /// cuts B's main-memory traffic by ~MR x versus the naive row-walk kernels
 /// and lets the inner j loop vectorize over a compile-time panel width.
 ///
+/// One route decision (packedGemmPanelWidth) says whether a MatMul/Gemm
+/// call runs here and at which panel width. Wide problems (N > 8) pack at
+/// the configured PackNR. Narrow ones (N <= 8: a weight-stationary
+/// W[M,K] x X[K,B] layer at a serving batch B <= 8) pack their small
+/// activation operand into a single 8-wide panel, which the AVX2 tier
+/// runs on an 8-row x 8-column tile.
+///
 /// Bit-identity contract: for every output element the micro kernel
 /// accumulates products in strictly ascending k order, exactly like the
 /// naive i-k-j kernels in KernelsMatMul.cpp — register blocking spans
@@ -115,13 +122,31 @@ struct PackBuffer {
   }
 };
 
-/// Heuristic gate: true when the packed kernel is expected to beat the
-/// naive row-walk for an [M, K] x [K, N] problem at panel width \p NR.
-/// Declines when the tail-padded columns would exceed a third of the
-/// useful ones (narrow N), and — unless the operand is prepacked — when
-/// the problem is too small to amortize the run-time packing pass.
-bool packedGemmProfitable(int64_t M, int64_t N, int64_t K, int NR,
-                          bool Prepacked);
+/// Panel width of the narrow-N route: every problem with N <= 8 output
+/// columns packs into one panel of this width, whatever PackNR says.
+inline constexpr int GemmNarrowNR = 8;
+
+/// The route of one [M, K] x [K, N] MatMul/Gemm problem: the panel width
+/// the packed kernel runs it at, or 0 when the naive row walk runs
+/// instead. runMatMul/runGemm execute this decision, matmulPackScratchElems
+/// sizes the per-lane pack scratch from it and buildPrepack prepacks
+/// constant B operands by it, so the three cannot disagree. \p M counts
+/// the rows that reuse one packed B (for a batched MatMul, every batch's
+/// rows over one B slice); \p Prepacked says B comes from the prepack
+/// store, so no run-time packing pass needs amortizing.
+///
+///  - Naive when Config.UsePackedGemm is off or K < 2.
+///  - N <= 8: GemmNarrowNR when M >= 4, else naive, prepacked or not.
+///    Padding the lone panel to 8 columns costs SIMD lanes, not memory
+///    traffic, and the 8-row tile replaces the naive walk's one dependent
+///    add chain per row with eight independent accumulators
+///    (BM_GemmNarrow in bench/micro_kernels.cpp measures the trade).
+///  - N > 8: Config.PackNR (clamped). Naive when the tail-padded columns
+///    would exceed a third of the useful ones (waste/N > 1/3), and — unless
+///    B is prepacked — when M < 4 or M * N * K < 16384, too small to repay
+///    the K * N packing pass.
+int packedGemmPanelWidth(const KernelConfig &Config, int64_t M, int64_t N,
+                         int64_t K, bool Prepacked);
 
 } // namespace dnnfusion
 

@@ -17,10 +17,18 @@
 // compiler cannot fuse the pair, so the tile is bit-identical to
 // gemmPackedRowsScalar.
 //
-// The tile is re-blocked at 4 rows x 16 columns (8 accumulator ymm + 2
-// panel loads + 1 broadcast stays comfortably inside the 16 ymm registers)
-// regardless of the caller's MR: register blocking spans output elements,
-// never the k axis, so results are invariant to the tile shape. Panels are
+// The tile is re-blocked regardless of the caller's MR — register
+// blocking spans output elements, never the k axis, so results are
+// invariant to the tile shape:
+//
+//  - Wide panels (NR = 16 or 32): 4 rows x 16 columns, 8 accumulator ymm +
+//    2 panel loads + 1 broadcast, comfortably inside the 16 ymm registers.
+//  - Narrow panels (NR = 8, the route of every N <= 8 problem): 8 rows x
+//    8 columns, 8 accumulator ymm + 1 panel load + 1 broadcast. A
+//    weight-stationary W[M,K] x X[K,B] layer at B <= 8 streams eight
+//    weight rows per panel load instead of walking one row per add chain.
+//
+// Row tails run as one narrower block of the same width. Panels are
 // zero-padded to NR by packBPanels, which makes every 8-wide load safe;
 // only the stores honor the useful-column count.
 //
@@ -82,32 +90,46 @@ inline void microTile(const float *A, int64_t ARowStride, int64_t AColStride,
   }
 }
 
-/// All panels for one block of ROWS output rows starting at row I.
-template <int ROWS>
+/// All panels for one block of ROWS output rows starting at row I, in
+/// column groups of VECS * 8 (NR is a multiple of the group width).
+template <int ROWS, int VECS>
 void rowBlockPanels(const float *A, int64_t ARowStride, int64_t AColStride,
                     const float *Packed, float *C, int64_t CRowStride,
                     int64_t I, int64_t N, int64_t K, int NR,
                     const float *RowBias) {
+  constexpr int GroupWidth = VECS * 8;
   int64_t Panels = (N + NR - 1) / NR;
   for (int64_t P = 0; P < Panels; ++P) {
     int64_t JBase = P * NR;
     const float *Bp = Packed + P * K * NR;
-    for (int JOff = 0; JOff < NR; JOff += 16) {
+    for (int JOff = 0; JOff < NR; JOff += GroupWidth) {
       int64_t ColBase = JBase + JOff;
       if (ColBase >= N)
         break; // Whole group is tail padding — nothing to store.
-      int GroupWidth = NR - JOff >= 16 ? 16 : 8; // NR is 8, 16 or 32.
       int64_t Cols = N - ColBase;
       if (Cols > GroupWidth)
         Cols = GroupWidth;
-      if (GroupWidth == 16)
-        microTile<ROWS, 2>(A, ARowStride, AColStride, Bp, NR, C, CRowStride,
-                           I, ColBase, JOff, K, Cols, RowBias);
-      else
-        microTile<ROWS, 1>(A, ARowStride, AColStride, Bp, NR, C, CRowStride,
-                           I, ColBase, JOff, K, Cols, RowBias);
+      microTile<ROWS, VECS>(A, ARowStride, AColStride, Bp, NR, C, CRowStride,
+                            I, ColBase, JOff, K, Cols, RowBias);
     }
   }
+}
+
+/// Rows [I, RowEnd) in blocks of ROWS; the remaining fewer than ROWS rows
+/// fall through to the next narrower instantiation, which runs them as
+/// one block.
+template <int ROWS, int VECS>
+void rowBlocks(const float *A, int64_t ARowStride, int64_t AColStride,
+               const float *Packed, float *C, int64_t CRowStride, int64_t I,
+               int64_t RowEnd, int64_t N, int64_t K, int NR,
+               const float *RowBias) {
+  for (; I + ROWS <= RowEnd; I += ROWS)
+    rowBlockPanels<ROWS, VECS>(A, ARowStride, AColStride, Packed, C,
+                               CRowStride, I, N, K, NR, RowBias);
+  if constexpr (ROWS > 1)
+    if (I < RowEnd)
+      rowBlocks<ROWS - 1, VECS>(A, ARowStride, AColStride, Packed, C,
+                                CRowStride, I, RowEnd, N, K, NR, RowBias);
 }
 
 void gemmPackedRowsAvx2Impl(const float *A, int64_t ARowStride,
@@ -115,27 +137,13 @@ void gemmPackedRowsAvx2Impl(const float *A, int64_t ARowStride,
                             int64_t CRowStride, int64_t RowBegin,
                             int64_t RowEnd, int64_t N, int64_t K, int MR,
                             int NR, const float *RowBias) {
-  (void)MR; // Re-blocked at 4 x 16 (see file header).
-  int64_t I = RowBegin;
-  for (; I + 4 <= RowEnd; I += 4)
-    rowBlockPanels<4>(A, ARowStride, AColStride, Packed, C, CRowStride, I, N,
-                      K, NR, RowBias);
-  switch (RowEnd - I) {
-  case 3:
-    rowBlockPanels<3>(A, ARowStride, AColStride, Packed, C, CRowStride, I, N,
-                      K, NR, RowBias);
-    break;
-  case 2:
-    rowBlockPanels<2>(A, ARowStride, AColStride, Packed, C, CRowStride, I, N,
-                      K, NR, RowBias);
-    break;
-  case 1:
-    rowBlockPanels<1>(A, ARowStride, AColStride, Packed, C, CRowStride, I, N,
-                      K, NR, RowBias);
-    break;
-  default:
-    break;
-  }
+  (void)MR; // Re-blocked per panel width (see file header).
+  if (NR == 8)
+    rowBlocks<8, 1>(A, ARowStride, AColStride, Packed, C, CRowStride,
+                    RowBegin, RowEnd, N, K, NR, RowBias);
+  else
+    rowBlocks<4, 2>(A, ARowStride, AColStride, Packed, C, CRowStride,
+                    RowBegin, RowEnd, N, K, NR, RowBias);
 }
 
 } // namespace

@@ -121,13 +121,12 @@ void runMatMul(const std::vector<const Tensor *> &Inputs, Tensor &Out,
 
   // Packed path: B repacked (or prepacked) into NR panels shared by every
   // row of every batch that maps onto the same slice.
-  int NR = clampPackNR(Config.PackNR);
-  int MR = clampPackMR(Config.PackMR);
   int64_t EffM = D.BSlices > 0 ? (Batches * M) / D.BSlices : M;
-  bool Prepacked =
-      Rt.Prepacked && Rt.Prepacked->matches(K, N, NR, D.BSlices);
-  if (Config.UsePackedGemm &&
-      packedGemmProfitable(EffM, N, K, NR, Prepacked)) {
+  if (int NR = packedGemmPanelWidth(Config, EffM, N, K,
+                                    Rt.Prepacked != nullptr)) {
+    int MR = clampPackMR(Config.PackMR);
+    bool Prepacked =
+        Rt.Prepacked && Rt.Prepacked->matches(K, N, NR, D.BSlices);
     KernelLevel Level = effectiveKernelLevel(Config);
     if (Rt.Counters) {
       ++Rt.Counters->PackedKernelCalls;
@@ -245,10 +244,9 @@ void runGemm(const AttrMap &Attrs, const std::vector<const Tensor *> &Inputs,
     BiasS1 = S[1];
   }
 
-  int NR = clampPackNR(Config.PackNR);
-  int MR = clampPackMR(Config.PackMR);
-  bool Prepacked = Rt.Prepacked && Rt.Prepacked->matches(K, N, NR, 1);
-  if (Config.UsePackedGemm && packedGemmProfitable(M, N, K, NR, Prepacked)) {
+  if (int NR = packedGemmPanelWidth(Config, M, N, K, Rt.Prepacked != nullptr)) {
+    int MR = clampPackMR(Config.PackMR);
+    bool Prepacked = Rt.Prepacked && Rt.Prepacked->matches(K, N, NR, 1);
     KernelLevel Level = effectiveKernelLevel(Config);
     if (Rt.Counters) {
       ++Rt.Counters->PackedKernelCalls;
@@ -311,23 +309,18 @@ void runGemm(const AttrMap &Attrs, const std::vector<const Tensor *> &Inputs,
 int64_t dnnfusion::detail::matmulPackScratchElems(
     OpKind Kind, const AttrMap &Attrs, const Shape &AShape,
     const Shape &BShape, const Shape &OutShape, const KernelConfig &Config) {
-  if (!Config.UsePackedGemm)
-    return 0;
-  int NR = clampPackNR(Config.PackNR);
   if (Kind == OpKind::MatMul) {
     MatMulDims D = matmulDims(AShape, BShape, OutShape);
     int64_t EffM = D.BSlices > 0 ? (D.Batches * D.M) / D.BSlices : D.M;
-    if (!packedGemmProfitable(EffM, D.N, D.K, NR, /*Prepacked=*/false))
-      return 0;
-    return D.BSlices * packedPanelElems(D.K, D.N, NR);
+    int NR = packedGemmPanelWidth(Config, EffM, D.N, D.K, /*Prepacked=*/false);
+    return NR ? D.BSlices * packedPanelElems(D.K, D.N, NR) : 0;
   }
   DNNF_CHECK(Kind == OpKind::Gemm, "unexpected kind in matmulPackScratchElems");
   bool TA = Attrs.getInt("transA", 0) != 0;
   int64_t M = OutShape.dim(0), N = OutShape.dim(1);
   int64_t K = TA ? AShape.dim(0) : AShape.dim(1);
-  if (!packedGemmProfitable(M, N, K, NR, /*Prepacked=*/false))
-    return 0;
-  return packedPanelElems(K, N, NR);
+  int NR = packedGemmPanelWidth(Config, M, N, K, /*Prepacked=*/false);
+  return NR ? packedPanelElems(K, N, NR) : 0;
 }
 
 void dnnfusion::detail::runMatMulKernel(

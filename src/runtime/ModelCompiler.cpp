@@ -106,9 +106,6 @@ void buildPrepack(CompiledModel &M, const Graph &G) {
     for (CompiledStep &S : B.Steps)
       S.PrepackIndex = -1;
   const KernelConfig &KC = M.Codegen.Kernels;
-  if (!KC.UsePackedGemm)
-    return;
-  int NR = clampPackNR(KC.PackNR);
   std::map<std::tuple<NodeId, int64_t, int64_t, int>, int> Dedup;
   for (CompiledBlock &B : M.Blocks) {
     for (CompiledStep &S : B.Steps) {
@@ -140,7 +137,10 @@ void buildPrepack(CompiledModel &M, const Graph &G) {
         NStride = 1;
         Slices = BS.numElements() / (K * N);
       }
-      if (!packedGemmProfitable(/*M=*/0, N, K, NR, /*Prepacked=*/true))
+      // Output rows that reuse one B slice: the route's M.
+      int64_t Rows = S.OutShape.numElements() / (N * Slices);
+      int NR = packedGemmPanelWidth(KC, Rows, N, K, /*Prepacked=*/true);
+      if (NR == 0)
         continue; // The packed kernel declines these shapes.
       auto Key = std::make_tuple(WId, K, N, TB);
       auto It = Dedup.find(Key);

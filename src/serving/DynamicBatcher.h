@@ -8,11 +8,13 @@
 /// The dynamic-batching front end: the queueing layer between concurrent
 /// clients and the InferenceSession context pool. Concurrent submit()
 /// calls are coalesced by a dispatcher thread into shared leading-dim
-/// batched executions — one batch-B run over shared prepacked weights
-/// amortizes per-request dispatch overhead and turns B independent
-/// M=1 GEMV-shaped matmuls into one M=B GEMM, which is where the fusion
-/// wins of the compile pipeline start paying off under load instead of
-/// per invocation.
+/// batched executions — one batch-B run over shared weights amortizes
+/// per-request dispatch overhead and turns B independent GEMVs into one
+/// GEMM: M = B rows for activation x weight layers, N = B columns for
+/// weight-stationary W x X layers (the packed engine's narrow-N route),
+/// so each weight is read once per batch instead of once per request.
+/// That is where the fusion wins of the compile pipeline start paying off
+/// under load instead of per invocation.
 ///
 ///   clients ──submit()──► AdmissionController ──queue──► dispatcher
 ///                              │ full: ResourceExhausted      │

@@ -483,15 +483,24 @@ private:
   }
 
   int emitMatMulGemm() {
-    if (R.nextBool()) {
+    uint64_t Form = R.nextBelow(3);
+    if (Form < 2) {
       int X = pickWhere(
           [](const FuzzNode &N) { return N.OutShape.rank() >= 2; });
       if (X < 0)
         return -1;
       const Shape &S = shapeOf(X);
-      int64_t K = S.dim(S.rank() - 1);
-      int W = addConst(Shape({K, R.nextInRange(2, 5)}), -0.4f, 0.4f);
-      return tryOp(OpKind::MatMul, {X, W});
+      if (Form == 0) {
+        int64_t K = S.dim(S.rank() - 1);
+        int W = addConst(Shape({K, R.nextInRange(2, 5)}), -0.4f, 0.4f);
+        return tryOp(OpKind::MatMul, {X, W});
+      }
+      // Weight-stationary: a constant [M, K] left operand against the
+      // activation's [.., K, N] (broadcast over its batch dims), the
+      // serving layers' shape class.
+      int64_t K = S.dim(S.rank() - 2);
+      int W = addConst(Shape({R.nextInRange(4, 16), K}), -0.4f, 0.4f);
+      return tryOp(OpKind::MatMul, {W, X});
     }
     int X = pickWithRank(2);
     if (X < 0)

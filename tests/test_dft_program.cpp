@@ -521,6 +521,61 @@ TEST(PrepackStore, SaveLoadRebuildsPrepackAndExecutesBitIdentically) {
       ASSERT_EQ(Before[I].at(J), After[I].at(J));
 }
 
+/// A weight-stationary model at batch \p Batch, the serving MLP's shape
+/// class: request rows {Batch, 32} are transposed into columns, so every
+/// MatMul is W[Out,In] x X[In,Batch], a narrow-N (N = Batch) problem
+/// whose activation operand packs at run time. Only the first layer
+/// carries a bias + relu, the one epilogue the plan folds.
+Graph weightStationaryModel(int64_t Batch) {
+  GraphBuilder B(19);
+  NodeId X = B.transpose(B.input(Shape({Batch, 32})), {1, 0});
+  NodeId W1 = B.weight(Shape({64, 32}));
+  NodeId Bias = B.weight(Shape({64, 1}));
+  NodeId H = B.relu(B.add(B.binary(OpKind::MatMul, W1, X), Bias));
+  H = B.binary(OpKind::MatMul, B.weight(Shape({48, 64})), H);
+  H = B.binary(OpKind::MatMul, B.weight(Shape({16, 48})), H);
+  B.markOutput(B.transpose(H, {1, 0}));
+  return B.take();
+}
+
+TEST(PrepackStore, WeightStationaryLayersTakeNarrowPackedRoute) {
+  for (int64_t Batch : {1, 2, 4, 8}) {
+    SCOPED_TRACE(formatString("batch %lld", static_cast<long long>(Batch)));
+    CompiledModel M =
+        cantFail(compileModel(weightStationaryModel(Batch), CompileOptions()));
+    // The activation operand is the packed one: nothing to prepack, and
+    // the per-lane scratch holds the widest layer's 8-wide panel, so no
+    // call packs onto the heap.
+    EXPECT_TRUE(M.Prepack.empty());
+    EXPECT_EQ(M.Memory.PackScratchBytes,
+              packedPanelElems(64, Batch, GemmNarrowNR) *
+                  static_cast<int64_t>(sizeof(float)));
+
+    ExecutionContext E(M);
+    std::vector<Tensor> Inputs = randomInputs(M.G, 23);
+    ExecutionStats Stats;
+    std::vector<Tensor> Got = E.run(Inputs, &Stats);
+    EXPECT_EQ(Stats.Engine.PackedKernelCalls, 3);
+    EXPECT_EQ(Stats.Engine.DirectKernelCalls, 0);
+    EXPECT_EQ(Stats.Engine.PrepackMisses, 3);
+    EXPECT_EQ(Stats.Engine.GemmEpilogueSteps, 1);
+
+    CompileOptions Naive;
+    Naive.Codegen.Kernels.UsePackedGemm = false;
+    CompiledModel MNaive =
+        cantFail(compileModel(weightStationaryModel(Batch), Naive));
+    ExecutionContext ENaive(MNaive);
+    ExecutionStats NaiveStats;
+    std::vector<Tensor> Want = ENaive.run(Inputs, &NaiveStats);
+    EXPECT_EQ(NaiveStats.Engine.DirectKernelCalls, 3);
+    ASSERT_EQ(Want.size(), Got.size());
+    for (size_t I = 0; I < Want.size(); ++I)
+      for (int64_t J = 0; J < Want[I].numElements(); ++J)
+        ASSERT_EQ(Want[I].at(J), Got[I].at(J)) << "output " << I << " elem "
+                                               << J;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Zoo-wide engine bit-identity
 //===----------------------------------------------------------------------===//

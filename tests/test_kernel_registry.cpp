@@ -6,9 +6,10 @@
 // masks, the typed resolvers' conditions, the DNNFUSION_FORCE_KERNEL_LEVEL
 // env hook, scalar-vs-AVX2 differential sweeps over the packed-GEMM shape
 // grid (bit-identical by contract), forced-level dispatch through the
-// reference kernels, and the cache-hit-then-redispatch property (kernel
-// knobs are excluded from the CompilationCache key; a cached artifact
-// re-resolves dispatch on the loading host).
+// reference kernels, the narrow-N (N <= 8) route against the naive
+// kernels, and the cache-hit-then-redispatch property (kernel knobs are
+// excluded from the CompilationCache key; a cached artifact re-resolves
+// dispatch on the loading host).
 //
 //===----------------------------------------------------------------------===//
 
@@ -250,6 +251,19 @@ TEST(GemmPackedDifferential, ShapeGridScalarVsSimd) {
   // Single-column and single-row degenerate geometries.
   gemmDifferentialCase(1, 32, 24, 8, 8, false, false, ++Seed);
   gemmDifferentialCase(16, 8, 1, 4, 8, true, false, ++Seed);
+  // The narrow route's 8x8 tile: N = 1..8 in one 8-wide panel, and
+  // M = 8q + r so every row tail r of the 8-row blocking runs, alone
+  // (q = 0) and behind full blocks.
+  for (int64_t N = 1; N <= 8; ++N)
+    for (int64_t Q : {0, 1, 3})
+      for (int64_t Rem = 0; Rem < 8; ++Rem) {
+        if (8 * Q + Rem == 0)
+          continue;
+        for (bool WithBias : {false, true})
+          for (bool ATransposed : {false, true})
+            gemmDifferentialCase(8 * Q + Rem, N, 19, 8, 8, WithBias,
+                                 ATransposed, ++Seed);
+      }
 }
 
 //===----------------------------------------------------------------------===//
@@ -447,6 +461,107 @@ TEST(RefKernelForcedDispatch, MatMulGemmConvAgreeAcrossTiers) {
     refKernelForcedSweep(OpKind::Conv, Attrs, {&X, &W, &Bias},
                          Shape({1, 8, 8, 8}));
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Narrow-N route: packed vs naive through the reference kernels
+//===----------------------------------------------------------------------===//
+
+/// Runs \p Kind through runRefKernel with the packed engine off (the naive
+/// oracle) and on, expects the outputs bitwise equal, and expects the
+/// packed run to have taken the packed kernel exactly when \p WantPacked.
+/// \p Prepack, when set, serves B the way a compiled model serves a
+/// constant weight.
+void expectNarrowRoute(OpKind Kind, const AttrMap &Attrs,
+                       const std::vector<const Tensor *> &Inputs,
+                       const Shape &OutShape, bool WantPacked,
+                       const PackedOperand *Prepack = nullptr) {
+  KernelConfig Naive;
+  Naive.UsePackedGemm = false;
+  Tensor Want(OutShape), Got(OutShape);
+  runRefKernel(Kind, Attrs, Inputs, Want, Naive);
+  EngineCounters Ctrs;
+  KernelRuntime Rt;
+  Rt.Prepacked = Prepack;
+  Rt.Counters = &Ctrs;
+  runRefKernel(Kind, Attrs, Inputs, Got, KernelConfig(), Rt);
+  ASSERT_EQ(std::memcmp(Want.data(), Got.data(),
+                        static_cast<size_t>(Want.numElements()) *
+                            sizeof(float)),
+            0)
+      << opKindName(Kind) << ": packed diverged from naive";
+  EXPECT_EQ(Ctrs.PackedKernelCalls, WantPacked ? 1 : 0) << opKindName(Kind);
+  EXPECT_EQ(Ctrs.DirectKernelCalls, WantPacked ? 0 : 1) << opKindName(Kind);
+  if (Prepack && WantPacked) {
+    EXPECT_EQ(Ctrs.PrepackHits, 1);
+  }
+}
+
+TEST(NarrowGemmRoute, PackedMatchesNaiveOverNarrowGrid) {
+  // Every N <= 8 problem with M >= 4 rows per packed B and K >= 2 takes
+  // the 8-wide panel route; the rest stay naive. Either way the bytes
+  // match the naive kernels.
+  Rng R(0x9a77);
+  for (int64_t N = 1; N <= 8; ++N)
+    for (int64_t M : {1, 3, 4, 5, 8, 9, 17, 1024})
+      for (int64_t K : {1, 2, 7, 256}) {
+        SCOPED_TRACE(formatString("M=%lld N=%lld K=%lld",
+                                  static_cast<long long>(M),
+                                  static_cast<long long>(N),
+                                  static_cast<long long>(K)));
+        auto Routed = [K](int64_t RowsPerB) {
+          return RowsPerB >= 4 && K >= 2;
+        };
+        Tensor W = randomTensor(Shape({M, K}), R);
+        Tensor X = randomTensor(Shape({K, N}), R);
+        // Weight-stationary W[M,K] x X[K,N]: X packs at run time.
+        expectNarrowRoute(OpKind::MatMul, AttrMap(), {&W, &X}, Shape({M, N}),
+                          Routed(M));
+        // Activation x weight: the [K,N] weight comes prepacked.
+        PackedOperand P;
+        P.K = K;
+        P.N = N;
+        P.NR = GemmNarrowNR;
+        P.Data.resize(static_cast<size_t>(P.sliceElems()));
+        packBPanels(X.data(), N, 1, K, N, GemmNarrowNR, P.Data.data());
+        expectNarrowRoute(OpKind::MatMul, AttrMap(), {&W, &X}, Shape({M, N}),
+                          Routed(M), &P);
+        // Batched (one B slice per batch) and broadcast MatMul: the
+        // weight over a batch of activations, and a batch of activations
+        // over one shared B (2M rows reuse it).
+        Tensor W2 = randomTensor(Shape({2, M, K}), R);
+        Tensor X2 = randomTensor(Shape({2, K, N}), R);
+        expectNarrowRoute(OpKind::MatMul, AttrMap(), {&W2, &X2},
+                          Shape({2, M, N}), Routed(M));
+        expectNarrowRoute(OpKind::MatMul, AttrMap(), {&W, &X2},
+                          Shape({2, M, N}), Routed(M));
+        expectNarrowRoute(OpKind::MatMul, AttrMap(), {&W2, &X},
+                          Shape({2, M, N}), Routed(2 * M));
+        // Gemm: every transA/transB, and no bias, scalar, row [N],
+        // column [M,1] and full [M,N] bias.
+        for (int TA : {0, 1})
+          for (int TB : {0, 1}) {
+            Tensor A = randomTensor(TA ? Shape({K, M}) : Shape({M, K}), R);
+            Tensor B = randomTensor(TB ? Shape({N, K}) : Shape({K, N}), R);
+            AttrMap Attrs;
+            Attrs.set("transA", TA).set("transB", TB);
+            const Shape BiasShapes[] = {Shape({int64_t(1)}), Shape({N}),
+                                        Shape({M, int64_t(1)}),
+                                        Shape({M, N})};
+            for (int BiasKind = -1; BiasKind < 4; ++BiasKind) {
+              SCOPED_TRACE(formatString("Gemm tA=%d tB=%d bias kind %d", TA,
+                                        TB, BiasKind));
+              std::vector<const Tensor *> Inputs{&A, &B};
+              Tensor Bias;
+              if (BiasKind >= 0) {
+                Bias = randomTensor(BiasShapes[BiasKind], R);
+                Inputs.push_back(&Bias);
+              }
+              expectNarrowRoute(OpKind::Gemm, Attrs, Inputs, Shape({M, N}),
+                                Routed(M));
+            }
+          }
+      }
 }
 
 //===----------------------------------------------------------------------===//

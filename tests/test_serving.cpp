@@ -39,6 +39,24 @@ Graph mlp(int64_t Batch) {
   return B.take();
 }
 
+/// The serving benchmark's weight-stationary MLP shape class at batch
+/// \p Batch: request rows {Batch, 16} are transposed into columns and each
+/// layer is W[Out,In] x X[In,Batch] + bias, so a batch-B bucket runs N = B
+/// narrow-N GEMMs on the packed route.
+Graph weightStationaryMlp(int64_t Batch) {
+  GraphBuilder B(78);
+  NodeId H = B.transpose(B.input(Shape({Batch, 16}), "features"), {1, 0});
+  auto Dense = [&B](NodeId In, int64_t InF, int64_t OutF) {
+    NodeId W = B.weight(Shape({OutF, InF}));
+    NodeId Bias = B.weight(Shape({OutF, 1}));
+    return B.add(B.binary(OpKind::MatMul, W, In), Bias);
+  };
+  H = B.relu(Dense(H, 16, 32));
+  H = Dense(H, 32, 8);
+  B.markOutput(B.softmax(B.transpose(H, {1, 0}), -1));
+  return B.take();
+}
+
 /// Distinct deterministic inputs for request \p R of a model with \p Sig.
 std::vector<Tensor> requestInputs(const ModelSignature &Sig, uint64_t R) {
   Rng Rand(1000 + R);
@@ -205,7 +223,9 @@ void expectBatchedMatchesSolo(DynamicBatcher::GraphFactory Factory,
 }
 
 TEST(DynamicBatcher, MlpBatchedBitIdenticalToSolo) {
-  expectBatchedMatchesSolo(mlp, 7, "MLP"); // 7 -> greedy 4 + 2 + 1.
+  // 7 -> greedy 4 + 2 + 1.
+  expectBatchedMatchesSolo(mlp, 7, "MLP");
+  expectBatchedMatchesSolo(weightStationaryMlp, 7, "weight-stationary MLP");
 }
 
 TEST(DynamicBatcher, ZooBatchedBitIdenticalToSolo) {
