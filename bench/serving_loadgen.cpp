@@ -3,8 +3,8 @@
 // The serving front end under load: closed-loop clients (each submits its
 // next request the moment the previous one completes) hammer one
 // DynamicBatcher at increasing client counts, batching on vs off, and the
-// bench reports served QPS and p50/p99 latency per point — the
-// throughput/latency trade the arrival-window coalescing buys. A
+// bench reports served QPS and p50/p99 latency per point — what coalescing
+// the backlog buys under load, and what it costs a lone client. A
 // saturation-storm section drives a deliberately under-provisioned queue
 // and proves every shed request surfaced as a typed Status (shed counters
 // reconcile exactly with client-observed rejections; any abort kills the
@@ -44,6 +44,7 @@ struct LoadPoint {
   double P50Ms = 0;
   double P99Ms = 0;
   double MeanBatch = 0; ///< Requests per dispatched execution.
+  uint64_t VariantCompiles = 0; ///< Batch variants compiled in the point.
 };
 
 /// Drives \p Clients closed-loop client threads against \p Batcher for
@@ -97,12 +98,19 @@ LoadPoint runClosedLoop(DynamicBatcher &Batcher, int Clients, double Seconds,
            (After.FailedExecution - Before.FailedExecution) +
            (After.DeadlineMidExecution - Before.DeadlineMidExecution);
   P.Qps = Elapsed > 0 ? static_cast<double>(P.Served) / Elapsed : 0;
-  P.P50Ms = After.TotalMicros.percentile(50.0) / 1000.0;
-  P.P99Ms = After.TotalMicros.percentile(99.0) / 1000.0;
+  // Percentiles of this point alone: the batcher's histogram spans its
+  // whole life, warm-up and earlier points included.
+  LatencyHistogram Latency = After.TotalMicros;
+  for (size_t I = 0; I < Latency.Buckets.size(); ++I)
+    Latency.Buckets[I] -= Before.TotalMicros.Buckets[I];
+  Latency.Count -= Before.TotalMicros.Count;
+  P.P50Ms = Latency.percentile(50.0) / 1000.0;
+  P.P99Ms = Latency.percentile(99.0) / 1000.0;
   uint64_t Batches = After.BatchesExecuted - Before.BatchesExecuted;
   P.MeanBatch =
       Batches > 0 ? static_cast<double>(P.Served) / static_cast<double>(Batches)
                   : 0;
+  P.VariantCompiles = After.VariantCompiles - Before.VariantCompiles;
   // Accounting must balance: what clients observed is what the front end
   // counted. (Served can race one in-flight request past the stop flag;
   // tolerate off-by-Clients, nothing more.)
@@ -128,6 +136,8 @@ int checkBatchedBitIdentity(DynamicBatcher::GraphFactory Factory,
   CompiledModel Solo = cantFail(compileModel(Factory(1)));
   InferenceSession SoloSession(std::move(Solo));
   BatcherOptions O;
+  // An explicit window: the guard needs all five requests coalesced into
+  // one 4 + 1 dispatch, which backlog alone does not guarantee.
   O.MaxQueueDelayMicros = 50000;
   std::unique_ptr<DynamicBatcher> B =
       cantFail(DynamicBatcher::create(Factory, CompileOptions(), O));
@@ -200,7 +210,6 @@ BatcherOptions servingOptions(bool Batched) {
   BatcherOptions O;
   O.MaxBatchSize = Batched ? 16 : 1;
   O.BatchSizes = {1, 2, 4, 8, 16};
-  O.MaxQueueDelayMicros = Batched ? 2000 : 0;
   O.Admission.MaxQueueDepth = 256;
   return O;
 }
@@ -208,7 +217,9 @@ BatcherOptions servingOptions(bool Batched) {
 void printPoint(TablePrinter &T, const LoadPoint &P) {
   T.addRow({P.Batched ? "on" : "off", fmtCount(P.Clients),
             formatString("%.0f", P.Qps), fmtMs(P.P50Ms), fmtMs(P.P99Ms),
-            formatString("%.2f", P.MeanBatch), fmtCount(static_cast<int64_t>(P.Shed))});
+            formatString("%.2f", P.MeanBatch),
+            fmtCount(static_cast<int64_t>(P.Shed)),
+            fmtCount(static_cast<int64_t>(P.VariantCompiles))});
 }
 
 } // namespace
@@ -266,14 +277,16 @@ int main(int Argc, char **Argv) {
     Guard |= checkBatchedBitIdentity(M.Factory, M.Name);
 
     TablePrinter T({"Batching", "Clients", "QPS", "p50 ms", "p99 ms",
-                    "Mean batch", "Shed"});
+                    "Mean batch", "Shed", "Compiles"});
     std::vector<LoadPoint> Points;
     for (bool Batched : {false, true}) {
       std::unique_ptr<DynamicBatcher> B = cantFail(DynamicBatcher::create(
           M.Factory, CompileOptions(), servingOptions(Batched)));
-      // Warm every bucket outside the measurement windows so on-demand
-      // variant compiles don't pollute the measured points: one fully
-      // coalesced wave per ladder size.
+      // Warm the buckets outside the measurement windows with one wave of
+      // simultaneous requests per ladder size. With no arrival window a
+      // wave need not coalesce whole (its first request often runs alone),
+      // so a bucket can still compile inside a measured point; each
+      // point's variant_compiles counts those.
       if (Batched) {
         for (int Wave : {16, 8, 4, 2}) {
           std::vector<std::thread> Warm;
@@ -323,11 +336,12 @@ int main(int Argc, char **Argv) {
             "      {\"batching\": %s, \"clients\": %d, \"threads\": %d, "
             "\"duration_s\": %.2f, \"served\": %llu, \"shed\": %llu, "
             "\"qps\": %.1f, \"p50_ms\": %.3f, \"p99_ms\": %.3f, "
-            "\"mean_batch\": %.2f}%s\n",
+            "\"mean_batch\": %.2f, \"variant_compiles\": %llu}%s\n",
             P.Batched ? "true" : "false", P.Clients, P.Clients, P.DurationSec,
             static_cast<unsigned long long>(P.Served),
             static_cast<unsigned long long>(P.Shed), P.Qps, P.P50Ms, P.P99Ms,
-            P.MeanBatch, PI + 1 < Points.size() ? "," : "");
+            P.MeanBatch, static_cast<unsigned long long>(P.VariantCompiles),
+            PI + 1 < Points.size() ? "," : "");
       }
       std::fprintf(Out,
                    "    ], \"saturation_speedup\": %.3f}%s\n", Speedup,
@@ -343,8 +357,9 @@ int main(int Argc, char **Argv) {
   {
     BatcherOptions O = servingOptions(true);
     O.Admission.MaxQueueDepth = 4;
-    // Longer than the 2 ms arrival window, shorter than queueing time under
-    // a 16-client storm: some requests serve, the laggards shed typed.
+    // A few batch executions long: with the queue bound at 4 an admitted
+    // request normally waits behind one batch and serves; the ones that
+    // CPU contention from the 16 clients stretches past it shed typed.
     O.Admission.DefaultDeadlineMicros = 5000;
     std::unique_ptr<DynamicBatcher> B = cantFail(
         DynamicBatcher::create(servingMlp, CompileOptions(), O));
@@ -365,8 +380,8 @@ int main(int Argc, char **Argv) {
       fillRandom(Tn, R, 0.2f, 1.0f);
       In.push_back(std::move(Tn));
     }
-    // Explicit generous deadline: the default 5 ms storm deadline would
-    // shed an idle-queue request still waiting out the arrival window.
+    // Explicit generous deadline: the check is that the pool serves again
+    // at all, not that it does so within the storm's 5 ms.
     Expected<std::vector<Tensor>> After = B->submit(In, 1000000);
     if (!After.ok()) {
       std::printf("FAIL (%s)\n", After.status().toString().c_str());

@@ -17,7 +17,9 @@
 #                              # timing
 #   ./scripts/ci.sh serving    # serving smoke: the closed-loop load
 #                              # generator briefly (--quick) into
-#                              # BENCH_serving.json; fails on crashes or
+#                              # build-ci-serving/BENCH_serving.json (the
+#                              # committed full-window file is left
+#                              # alone); fails on crashes or
 #                              # the batched-vs-solo bit-identity /
 #                              # request-accounting guards, never timing
 #   ./scripts/ci.sh forced     # forced-dispatch smoke: the smoke suite
@@ -29,6 +31,7 @@
 #                              # serving resilience tests in Debug and
 #                              # under ThreadSanitizer, then the loadgen
 #                              # --chaos storm (degraded-mode p99 into
+#                              # build-ci-chaos-bench/
 #                              # BENCH_serving_chaos.json); fails on any
 #                              # abort, deadlock, leak, or untyped error
 set -euo pipefail
@@ -74,11 +77,14 @@ for CONFIG in "${CONFIGS[@]}"; do
           -DDNNFUSION_BUILD_EXAMPLES=OFF
     echo "=== [serving] build ==="
     cmake --build "$BUILD_DIR" -j "$JOBS" --target bench_serving_loadgen
-    echo "=== [serving] closed-loop load smoke (BENCH_serving.json) ==="
+    echo "=== [serving] closed-loop load smoke ($BUILD_DIR/BENCH_serving.json) ==="
     # --quick shortens the measurement windows; the exit code carries the
     # correctness guards (batched-vs-solo bit-identity, request accounting,
     # pool integrity after the shedding storm) — never a timing assertion.
-    "$BUILD_DIR/bench_serving_loadgen" --quick --json BENCH_serving.json
+    # The JSON stays in the build tree: its short-window numbers must not
+    # overwrite the committed full-window BENCH_serving.json.
+    "$BUILD_DIR/bench_serving_loadgen" --quick \
+        --json "$BUILD_DIR/BENCH_serving.json"
     continue
   fi
   if [ "$CONFIG" = "forced" ]; then
@@ -125,11 +131,11 @@ for CONFIG in "${CONFIGS[@]}"; do
           -DDNNFUSION_BUILD_EXAMPLES=OFF
     echo "=== [chaos] build (loadgen) ==="
     cmake --build "$BENCH_DIR" -j "$JOBS" --target bench_serving_loadgen
-    echo "=== [chaos] degraded-mode storm (BENCH_serving_chaos.json) ==="
+    echo "=== [chaos] degraded-mode storm ($BENCH_DIR/BENCH_serving_chaos.json) ==="
     # Exit code carries the guards (typed-or-served accounting under the
     # armed fault, healthy service after disarm) — never a timing bar.
     "$BENCH_DIR/bench_serving_loadgen" --quick --chaos \
-        --json BENCH_serving_chaos.json
+        --json "$BENCH_DIR/BENCH_serving_chaos.json"
     continue
   fi
   if [ "$CONFIG" = "cache" ]; then

@@ -9,6 +9,7 @@
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <set>
 #include <tuple>
@@ -20,6 +21,36 @@ int64_t CompiledModel::totalFlops() const {
   for (int64_t F : BlockFlops)
     Total += F;
   return Total;
+}
+
+int64_t dnnfusion::shareConstants(CompiledModel &M, const CompiledModel &From) {
+  // Candidates by byte size; the bytes themselves decide.
+  std::multimap<size_t, const Tensor *> BySize;
+  for (int Id = 0; Id < From.G.numNodes(); ++Id) {
+    const Node &N = From.G.node(Id);
+    if (!N.Dead && N.Kind == OpKind::Constant && !N.ConstValue.isNull())
+      BySize.emplace(N.ConstValue.byteSize(), &N.ConstValue);
+  }
+  int64_t Shared = 0;
+  for (int Id = 0; Id < M.G.numNodes(); ++Id) {
+    Node &N = M.G.node(Id);
+    if (N.Dead || N.Kind != OpKind::Constant || N.ConstValue.isNull())
+      continue;
+    const size_t Bytes = N.ConstValue.byteSize();
+    auto Range = BySize.equal_range(Bytes);
+    for (auto It = Range.first; It != Range.second; ++It) {
+      const Tensor &Cand = *It->second;
+      if (Cand.shape() == N.ConstValue.shape() &&
+          Cand.dtype() == N.ConstValue.dtype() &&
+          (Cand.sharesStorageWith(N.ConstValue) ||
+           std::memcmp(Cand.data(), N.ConstValue.data(), Bytes) == 0)) {
+        N.ConstValue = Cand;
+        Shared += static_cast<int64_t>(Bytes);
+        break;
+      }
+    }
+  }
+  return Shared;
 }
 
 int dnnfusion::mergeMovementBlocks(const Graph &G, FusionPlan &Plan) {

@@ -154,6 +154,14 @@ Expected<CompiledModel> rebuildCompiledModel(Graph G, FusionPlan Plan,
                                              bool WavefrontSafeMemory,
                                              bool GraphAlreadyValidated = false);
 
+/// Points every constant of \p M at the storage of a bit-identical constant
+/// (same shape, dtype and bytes) of \p From, so two models compiled from
+/// the same weights hold one copy of them. Returns the bytes of constant
+/// storage \p M now shares with \p From. Call it before \p M executes: it
+/// replaces ConstValue tensors in place. Prepacked operands stay per model
+/// (their panel width depends on the shapes they serve).
+int64_t shareConstants(CompiledModel &M, const CompiledModel &From);
+
 /// Merges pure data-movement blocks into their producer block so boundary
 /// Transpose/Reshape operators become index arithmetic on the producer's
 /// fused output expression — this reproduction's inter-block data-format

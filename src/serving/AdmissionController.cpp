@@ -40,6 +40,14 @@ AdmissionController::deadlineFor(Clock::time_point Now,
       RelativeMicros > 0 ? RelativeMicros : Opts.DefaultDeadlineMicros;
   if (Micros <= 0)
     return noDeadline();
+  // The sum is taken in the clock's signed nanosecond count, so a huge
+  // request (INT64_MAX as "never expire") would overflow into the past.
+  // Saturate: anything at or beyond the clock's range never expires.
+  int64_t HeadroomMicros =
+      std::chrono::duration_cast<std::chrono::microseconds>(noDeadline() - Now)
+          .count();
+  if (Micros >= HeadroomMicros)
+    return noDeadline();
   return Now + std::chrono::microseconds(Micros);
 }
 

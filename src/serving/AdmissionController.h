@@ -76,7 +76,8 @@ public:
 
   /// The absolute deadline of a request arriving at \p Now asking for
   /// \p RelativeMicros (0 = use DefaultDeadlineMicros; when that is also
-  /// 0 the request never expires).
+  /// 0 the request never expires). A deadline past the clock's range
+  /// saturates to noDeadline().
   Clock::time_point deadlineFor(Clock::time_point Now,
                                 int64_t RelativeMicros) const;
 

@@ -1,9 +1,12 @@
-//===- serving/DynamicBatcher.cpp - Arrival-window request batching -------------===//
+//===- serving/DynamicBatcher.cpp - Work-conserving request batching ------------===//
 
 #include "serving/DynamicBatcher.h"
 
 #include <algorithm>
 #include <cstring>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 using namespace dnnfusion;
 
@@ -176,9 +179,11 @@ void DynamicBatcher::dispatchLoop() {
     QueueCV.wait(Lock, [&] { return ShuttingDown || !Queue.empty(); });
     if (ShuttingDown)
       break;
-    // Arrival window: give the batch a chance to fill, bounded by the
-    // oldest request's window so steady sub-saturation traffic still sees
-    // bounded added latency.
+    // Work-conserving by default: take whatever queued while the previous
+    // batch ran, so a lone request executes at once and only backlog
+    // batches. An opt-in arrival window holds the batch open to fill,
+    // bounded by the oldest request's window so steady sub-saturation
+    // traffic still sees bounded added latency.
     if (Opts.MaxQueueDelayMicros > 0) {
       Clock::time_point WindowEnd =
           Queue.front()->Enqueued + micros(Opts.MaxQueueDelayMicros);
@@ -479,6 +484,19 @@ InferenceSession *DynamicBatcher::variantFor(int64_t B, bool *CoolingDown) {
     }
     recordBucketFailureLocked(B);
     return nullptr;
+  }
+  // The factory rebuilt the batch-1 weights for this variant; keep one
+  // copy. A variant then costs its plan and arena, not a second set of
+  // weights, so the footprint barely depends on which buckets traffic
+  // happened to reach.
+  if (shareConstants(*M, Base->model()) > 0) {
+#if defined(__GLIBC__)
+    // Return the dropped copy's pages to the system. Kept by the
+    // allocator, they would sit under the next variant's transient copy,
+    // and a compile that traffic triggers mid-run would raise the peak
+    // footprint by a full set of weights.
+    malloc_trim(0);
+#endif
   }
   auto Session =
       std::make_unique<InferenceSession>(M.takeValue(), Opts.Session);

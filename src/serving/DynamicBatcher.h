@@ -1,4 +1,4 @@
-//===- serving/DynamicBatcher.h - Arrival-window request batching -*- C++ -*-===//
+//===- serving/DynamicBatcher.h - Work-conserving request batching -*- C++ -*-===//
 //
 // Part of the DNNFusion reproduction. MIT license.
 //
@@ -15,6 +15,13 @@
 /// so each weight is read once per batch instead of once per request.
 /// That is where the fusion wins of the compile pipeline start paying off
 /// under load instead of per invocation.
+///
+/// The dispatcher is work-conserving: the moment it is free it takes
+/// everything queued (up to MaxBatchSize). A lone request therefore goes
+/// straight to execution, and batches form from the backlog that builds
+/// while the previous batch runs — under saturation that backlog fills
+/// batches with no timer. A non-zero MaxQueueDelayMicros opts into an
+/// arrival window instead, holding each batch open for more arrivals.
 ///
 ///   clients ──submit()──► AdmissionController ──queue──► dispatcher
 ///                              │ full: ResourceExhausted      │
@@ -63,10 +70,12 @@ struct BatcherOptions {
   /// Most requests coalesced into one dispatched batch. Also caps the
   /// bucket ladder: configured BatchSizes above this are ignored.
   int64_t MaxBatchSize = 8;
-  /// Arrival window: after the first request of a batch arrives, the
-  /// dispatcher waits at most this long for the batch to fill before
-  /// executing. 0 = dispatch immediately with whatever has arrived.
-  int64_t MaxQueueDelayMicros = 2000;
+  /// Arrival window. 0 (the default) dispatches whatever is queued the
+  /// moment the dispatcher is free, so batches form only from backlog. A
+  /// non-zero window holds each batch until it is full or this long has
+  /// passed since its oldest request arrived: added latency for every
+  /// request in exchange for larger batches below saturation.
+  int64_t MaxQueueDelayMicros = 0;
   /// Batch-shape bucket ladder. A variant model is compiled on demand per
   /// bucket actually used; dispatched batches decompose greedily into
   /// bucket sizes (largest first). 1 is always available implicitly.
@@ -151,7 +160,9 @@ public:
 
   /// Creates a batching front end over \p Factory. The batch-1 variant is
   /// compiled eagerly (it defines the request signature); other buckets
-  /// compile on first use. Compilation goes through \p Compile unchanged,
+  /// compile on first use and keep no weights of their own: each constant
+  /// that matches a batch-1 constant byte for byte shares its storage
+  /// (shareConstants). Compilation goes through \p Compile unchanged,
   /// so a configured CacheDir gives every variant a warm start. Fails with
   /// the compile error when the factory's batch-1 graph is rejected.
   static Expected<std::unique_ptr<DynamicBatcher>>

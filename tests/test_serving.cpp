@@ -7,7 +7,8 @@
 // multi-model registry survives concurrent load/evict/run races (this file
 // runs under TSAN in CI). Saturation behavior is probabilistic by nature,
 // so tests assert on invariants — every submit resolves exactly one way —
-// rather than on timing.
+// rather than on timing. The one timing bound, a lone request's queue wait
+// under the default dispatch policy, sits far above a dispatcher wake-up.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +24,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <thread>
 
 using namespace dnnfusion;
@@ -40,21 +42,38 @@ Graph mlp(int64_t Batch) {
 }
 
 /// The serving benchmark's weight-stationary MLP shape class at batch
-/// \p Batch: request rows {Batch, 16} are transposed into columns and each
-/// layer is W[Out,In] x X[In,Batch] + bias, so a batch-B bucket runs N = B
-/// narrow-N GEMMs on the packed route.
-Graph weightStationaryMlp(int64_t Batch) {
-  GraphBuilder B(78);
-  NodeId H = B.transpose(B.input(Shape({Batch, 16}), "features"), {1, 0});
-  auto Dense = [&B](NodeId In, int64_t InF, int64_t OutF) {
-    NodeId W = B.weight(Shape({OutF, InF}));
-    NodeId Bias = B.weight(Shape({OutF, 1}));
-    return B.add(B.binary(OpKind::MatMul, W, In), Bias);
-  };
-  H = B.relu(Dense(H, 16, 32));
-  H = Dense(H, 32, 8);
+/// \p Batch with layer widths \p Widths and weights drawn at \p Scale:
+/// request rows {Batch, Widths[0]} are transposed into columns and each
+/// layer is W[Out,In] x X[In,Batch] + bias (relu between layers), so a
+/// batch-B bucket runs N = B narrow-N GEMMs on the packed route.
+Graph weightStationaryMlpOf(int64_t Batch, uint64_t Seed,
+                            const std::vector<int64_t> &Widths, float Scale) {
+  GraphBuilder B(Seed);
+  NodeId H =
+      B.transpose(B.input(Shape({Batch, Widths[0]}), "features"), {1, 0});
+  for (size_t L = 1; L < Widths.size(); ++L) {
+    NodeId W = B.weight(Shape({Widths[L], Widths[L - 1]}), Scale);
+    NodeId Bias = B.weight(Shape({Widths[L], 1}), Scale);
+    H = B.add(B.binary(OpKind::MatMul, W, H), Bias);
+    if (L + 1 < Widths.size())
+      H = B.relu(H);
+  }
   B.markOutput(B.softmax(B.transpose(H, {1, 0}), -1));
   return B.take();
+}
+
+Graph weightStationaryMlp(int64_t Batch) {
+  return weightStationaryMlpOf(Batch, 78, {16, 32, 8}, 0.5f);
+}
+
+/// Wide enough that a batch-1 run streams about 2 MB of weights (a few
+/// tenths of a millisecond in Release), so concurrent clients queue behind
+/// each execution and the backlog has something to coalesce. The scale
+/// keeps activations and logits near unit size, so the softmax neither
+/// saturates to 0/1 nor flattens to 1/16, which would hide a rounding
+/// difference from the bit-identity check.
+Graph wideWeightStationaryMlp(int64_t Batch) {
+  return weightStationaryMlpOf(Batch, 79, {256, 1024, 256, 16}, 0.125f);
 }
 
 /// Distinct deterministic inputs for request \p R of a model with \p Sig.
@@ -148,6 +167,20 @@ TEST(AdmissionController, DeadlineCheckShedsExpiredRequests) {
   ASSERT_FALSE(S.ok());
   EXPECT_EQ(S.code(), ErrorCode::DeadlineExceeded);
   EXPECT_EQ(A.stats().ShedDeadline, 1u);
+}
+
+TEST(AdmissionController, HugeDeadlineSaturatesToNoDeadline) {
+  // The sum is taken in nanoseconds; without saturation these overflow
+  // into the past and the request sheds on arrival.
+  AdmissionController A((AdmissionOptions()));
+  auto Now = AdmissionController::Clock::now();
+  for (int64_t Micros : {std::numeric_limits<int64_t>::max(),
+                         int64_t(1) << 62}) {
+    auto D = A.deadlineFor(Now, Micros);
+    EXPECT_EQ(D, AdmissionController::noDeadline()) << Micros;
+    EXPECT_TRUE(A.checkDeadline(D, Now).ok()) << Micros;
+  }
+  EXPECT_EQ(A.stats().ShedDeadline, 0u);
 }
 
 TEST(AdmissionController, DefaultDeadlineAppliesWhenRequestGivesNone) {
@@ -255,6 +288,61 @@ TEST(DynamicBatcher, BatchedBuilderAtBatchOneMatchesZooBuilder) {
   }
 }
 
+/// Total bytes of \p M's live constants.
+int64_t constantBytes(const CompiledModel &M) {
+  int64_t Bytes = 0;
+  for (int Id = 0; Id < M.G.numNodes(); ++Id) {
+    const Node &N = M.G.node(Id);
+    if (!N.Dead && N.Kind == OpKind::Constant)
+      Bytes += static_cast<int64_t>(N.ConstValue.byteSize());
+  }
+  return Bytes;
+}
+
+TEST(ShareConstants, BatchVariantSharesEveryWeightWithTheBase) {
+  // What the batcher does to each variant it compiles: the batch-2 build
+  // repeats the batch-1 weights, so every constant moves onto the batch-1
+  // model's storage, and the variant still computes exactly what an
+  // unshared compile of the same graph does.
+  Expected<CompiledModel> Base = compileModel(weightStationaryMlp(1));
+  Expected<CompiledModel> Variant = compileModel(weightStationaryMlp(2));
+  Expected<CompiledModel> Unshared = compileModel(weightStationaryMlp(2));
+  ASSERT_TRUE(Base.ok() && Variant.ok() && Unshared.ok());
+  const int64_t Bytes = constantBytes(*Variant);
+  ASSERT_GT(Bytes, 0);
+  EXPECT_EQ(shareConstants(*Variant, *Base), Bytes);
+  for (int Id = 0; Id < Variant->G.numNodes(); ++Id) {
+    const Node &N = Variant->G.node(Id);
+    if (N.Dead || N.Kind != OpKind::Constant)
+      continue;
+    bool Shared = false;
+    for (int B = 0; B < Base->G.numNodes() && !Shared; ++B)
+      Shared = Base->G.node(B).ConstValue.sharesStorageWith(N.ConstValue);
+    EXPECT_TRUE(Shared) << "constant node " << Id;
+  }
+  // Sharing again finds everything already shared and changes nothing.
+  EXPECT_EQ(shareConstants(*Variant, *Base), Bytes);
+
+  InferenceSession SharedSession(Variant.takeValue());
+  InferenceSession PlainSession(Unshared.takeValue());
+  std::vector<Tensor> In = requestInputs(SharedSession.signature(), 3);
+  Expected<std::vector<Tensor>> Want = PlainSession.run(In);
+  Expected<std::vector<Tensor>> Got = SharedSession.run(In);
+  ASSERT_TRUE(Want.ok() && Got.ok());
+  expectBitIdentical(Want.value(), Got.value(), "shared batch-2 variant");
+}
+
+TEST(ShareConstants, DifferentWeightsStayUnshared) {
+  // Same shapes, different seed: no constant matches byte for byte, so
+  // nothing is shared.
+  Expected<CompiledModel> A =
+      compileModel(weightStationaryMlpOf(1, 78, {16, 32, 8}, 0.5f));
+  Expected<CompiledModel> B =
+      compileModel(weightStationaryMlpOf(2, 80, {16, 32, 8}, 0.5f));
+  ASSERT_TRUE(A.ok() && B.ok());
+  EXPECT_EQ(shareConstants(*B, *A), 0);
+}
+
 TEST(DynamicBatcher, CoalescesConcurrentRequestsIntoFewerExecutions) {
   CompileOptions Compile;
   BatcherOptions O;
@@ -281,6 +369,83 @@ TEST(DynamicBatcher, CoalescesConcurrentRequestsIntoFewerExecutions) {
   for (size_t K = 0; K < S.BatchSizeCounts.size(); ++K)
     WeightedRequests += static_cast<uint64_t>(K) * S.BatchSizeCounts[K];
   EXPECT_EQ(WeightedRequests, 8u); // Every request in exactly one batch.
+}
+
+TEST(DynamicBatcher, DefaultOptionsDispatchALoneRequestAtOnce) {
+  // Work-conserving by default: with nothing else queued, a request goes
+  // straight to execution instead of waiting for company; an arrival
+  // window would hold every one of these for the whole window.
+  Expected<std::unique_ptr<DynamicBatcher>> B =
+      DynamicBatcher::create(mlp, CompileOptions());
+  ASSERT_TRUE(B.ok());
+  std::vector<Tensor> In = requestInputs(B.value()->signature(), 15);
+  for (int R = 0; R < 20; ++R)
+    ASSERT_TRUE(B.value()->submit(In).ok());
+  ServingStats S = B.value()->stats();
+  EXPECT_EQ(S.BatchSizeCounts[1], 20u);
+  EXPECT_LT(S.QueueMicros.percentile(50.0), 1000.0);
+}
+
+TEST(DynamicBatcher, BacklogCoalescesWithoutAWindow) {
+  // Closed-loop clients against the default (no window): requests that
+  // queue while a batch runs form the next batch, and every coalesced
+  // response stays bit-identical to solo batch-1 execution.
+  CompileOptions Compile;
+  Expected<CompiledModel> Solo =
+      compileModel(wideWeightStationaryMlp(1), Compile);
+  ASSERT_TRUE(Solo.ok()) << Solo.status().toString();
+  InferenceSession SoloSession(Solo.takeValue());
+  Expected<std::unique_ptr<DynamicBatcher>> B =
+      DynamicBatcher::create(wideWeightStationaryMlp, Compile);
+  ASSERT_TRUE(B.ok()) << B.status().toString();
+  DynamicBatcher &Batcher = *B.value();
+
+  const int Clients = 8, PerClient = 25;
+  std::vector<std::vector<Tensor>> Inputs, SoloOut;
+  for (int C = 0; C < Clients; ++C) {
+    Inputs.push_back(
+        requestInputs(Batcher.signature(), static_cast<uint64_t>(20 + C)));
+    Expected<std::vector<Tensor>> Out = SoloSession.run(Inputs.back());
+    ASSERT_TRUE(Out.ok()) << Out.status().toString();
+    SoloOut.push_back(Out.takeValue());
+  }
+  std::vector<std::thread> Threads;
+  for (int C = 0; C < Clients; ++C)
+    Threads.emplace_back([&, C] {
+      for (int R = 0; R < PerClient; ++R) {
+        Expected<std::vector<Tensor>> Out =
+            Batcher.submit(Inputs[static_cast<size_t>(C)]);
+        ASSERT_TRUE(Out.ok()) << Out.status().toString();
+        expectBitIdentical(SoloOut[static_cast<size_t>(C)], Out.value(),
+                           "backlog batch");
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+
+  ServingStats S = Batcher.stats();
+  EXPECT_EQ(S.Served, static_cast<uint64_t>(Clients * PerClient));
+  uint64_t WeightedRequests = 0, Coalesced = 0;
+  for (size_t K = 1; K < S.BatchSizeCounts.size(); ++K) {
+    WeightedRequests += static_cast<uint64_t>(K) * S.BatchSizeCounts[K];
+    if (K >= 2)
+      Coalesced += S.BatchSizeCounts[K];
+  }
+  EXPECT_EQ(WeightedRequests, static_cast<uint64_t>(Clients * PerClient));
+  EXPECT_GE(Coalesced, 1u) << "the backlog never formed a batch";
+}
+
+TEST(DynamicBatcher, HugeDeadlineIsServed) {
+  // INT64_MAX is the natural way to ask for "never expire"; it must not
+  // overflow into a deadline before arrival and shed the request.
+  Expected<std::unique_ptr<DynamicBatcher>> B =
+      DynamicBatcher::create(mlp, CompileOptions());
+  ASSERT_TRUE(B.ok());
+  std::vector<Tensor> In = requestInputs(B.value()->signature(), 16);
+  Expected<std::vector<Tensor>> Out =
+      B.value()->submit(In, std::numeric_limits<int64_t>::max());
+  EXPECT_TRUE(Out.ok()) << Out.status().toString();
+  EXPECT_EQ(B.value()->stats().ShedDeadline, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -704,10 +869,8 @@ TEST(ModelRegistry, ConcurrentLoadEvictRunRacesAreClean) {
 
 TEST(ServingMetrics, ExecLatencyHistogramFeedsFromSessions) {
   CompileOptions Compile;
-  BatcherOptions O;
-  O.MaxQueueDelayMicros = 0; // Dispatch immediately.
   Expected<std::unique_ptr<DynamicBatcher>> B =
-      DynamicBatcher::create(mlp, Compile, O);
+      DynamicBatcher::create(mlp, Compile);
   ASSERT_TRUE(B.ok());
   std::vector<Tensor> In = requestInputs(B.value()->signature(), 11);
   for (int R = 0; R < 3; ++R)
