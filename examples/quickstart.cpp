@@ -122,8 +122,8 @@ int main() {
     return 1;
 
   // 5. Persist the compiled model and serve it from disk: saveModel writes
-  //    one versioned artifact (graph + fusion plan + schedule + memory
-  //    plan), loadModel restores it without re-running planning, and the
+  //    one versioned artifact (graph + fusion plan + memory plan),
+  //    loadModel restores it without re-running planning, and the
   //    loaded model is bit-identical in execution. (For transparent warm
   //    starts, set CompileOptions::CacheDir instead and compileModel does
   //    this keyed on content hash — see examples/save_load_roundtrip.cpp.)

@@ -115,9 +115,9 @@ int main(int argc, char **argv) {
                  Loaded.status().toString().c_str());
     return 1;
   }
-  std::printf("saved and reloaded: %lld fused kernels, %lld schedule levels\n",
+  std::printf("saved and reloaded: %lld fused kernels, %.1f KB arena\n",
               static_cast<long long>(Loaded->kernelLaunches()),
-              static_cast<long long>(Loaded->Schedule.numLevels()));
+              static_cast<double>(Loaded->Memory.ArenaBytes) / 1024.0);
 
   // 4. The loaded model must serve bit-identical results.
   Rng R(7);

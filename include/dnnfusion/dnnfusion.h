@@ -49,7 +49,7 @@
 ///     chaos testing (zero-cost when disarmed)
 ///
 /// Persistence: saveModel writes a compiled model (graph + fusion plan +
-/// schedule + memory plan) as one versioned artifact that loadModel
+/// memory plan) as one versioned artifact that loadModel
 /// restores without re-running planning, with bit-identical execution.
 /// Setting CompileOptions::CacheDir makes compileModel do this
 /// transparently, keyed on content hash — warm process starts skip the

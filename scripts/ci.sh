@@ -5,7 +5,7 @@
 #   ./scripts/ci.sh            # both configurations
 #   ./scripts/ci.sh Debug      # one configuration
 #   ./scripts/ci.sh tsan       # ThreadSanitizer build, smoke subset only
-#                              # (guards the wavefront/serving concurrency)
+#                              # (guards the serving concurrency)
 #   ./scripts/ci.sh cache      # compilation-cache smoke: the roundtrip
 #                              # example twice against one CacheDir (the
 #                              # second process must hit), then dnnf-cache

@@ -168,7 +168,7 @@ struct BlockIo {
 };
 
 /// Per-execution runtime resources for one block: the model's prepacked
-/// constant weights, the executing lane's packing scratch, and the
+/// constant weights, the context's packing scratch, and the
 /// engine-path counters to fill. All optional — a default BlockRuntime
 /// executes correctly (kernels fall back to heap packing, counters are
 /// skipped).

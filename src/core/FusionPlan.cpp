@@ -103,7 +103,7 @@ void BlockSchedule::verify(const FusionPlan &Plan) const {
              "schedule arrays do not cover all %zu blocks", NumBlocks);
   std::vector<int> SeenAtLevel(NumBlocks, -1);
   for (size_t L = 0; L < Levels.size(); ++L) {
-    DNNF_CHECK(!Levels[L].empty(), "empty wavefront level %zu", L);
+    DNNF_CHECK(!Levels[L].empty(), "empty level %zu", L);
     for (int BI : Levels[L]) {
       DNNF_CHECK(BI >= 0 && static_cast<size_t>(BI) < NumBlocks,
                  "level %zu references block %d out of range", L, BI);

@@ -69,18 +69,19 @@ struct FusionPlan {
   void verify(const Graph &G) const;
 };
 
-/// The inter-block dependency DAG of a fusion plan and its wavefront
-/// (level) partition, computed once at compile time. Level L holds every
-/// block whose longest dependency chain from a source block has length L,
-/// so all blocks within one level are mutually independent and may execute
-/// concurrently — the dispatch unit of the wavefront executor.
+/// The inter-block dependency DAG of a fusion plan and its level
+/// partition. Level L holds every block whose longest dependency chain
+/// from a source block has length L, so all blocks within one level are
+/// mutually independent. Analysis only: execution runs the blocks in plan
+/// order and neither compilation nor the artifact computes or stores a
+/// schedule.
 struct BlockSchedule {
   /// Number of distinct predecessor blocks per block (blocks whose outputs
   /// the block consumes). Zero = source block, ready immediately.
   std::vector<int> PredecessorCount;
   /// Distinct successor block indices per block, ascending.
   std::vector<std::vector<int>> Successors;
-  /// Wavefront level per block: 0 for source blocks, otherwise
+  /// Level per block: 0 for source blocks, otherwise
   /// 1 + max(level of predecessors).
   std::vector<int> LevelOfBlock;
   /// Block indices per level, ascending within each level.
@@ -97,7 +98,9 @@ struct BlockSchedule {
 };
 
 /// Computes the dependency DAG + level partition of \p Plan over \p G.
-/// Requires a verified plan (BlockOfNode populated).
+/// Requires a verified plan (BlockOfNode populated). perfbench's
+/// compile-phase replay (LayerTrace, core.schedule_ms) is the only caller
+/// outside the tests.
 BlockSchedule computeBlockSchedule(const Graph &G, const FusionPlan &Plan);
 
 /// Latency source for yellow fusion decisions (Listing 1, step 2.3).

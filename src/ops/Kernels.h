@@ -34,14 +34,8 @@ namespace dnnfusion {
 struct PackedOperand;
 
 /// Tunable parameters of the compute-intensive kernels; the auto-tuner
-/// (Figure 9b) searches this space.
+/// (Figure 9b) searches PackMR and PackNR.
 struct KernelConfig {
-  int TileM = 32;
-  int TileN = 128;
-  int TileK = 64;
-  /// Row-block unroll factor of the matmul micro kernel (1, 2, or 4).
-  int UnrollM = 4;
-
   /// Route MatMul/Gemm/Conv through the packed register-blocked engine
   /// where the per-shape gate says it wins; false = the legacy naive
   /// kernels everywhere (bit-identical either way).
@@ -71,9 +65,8 @@ struct KernelConfig {
 
 /// Execution-engine path counters: which implementation each fused-block
 /// step and each Many-to-Many kernel call actually took, and whether the
-/// packed path found its weights prepacked. Accumulated per block, reduced
-/// deterministically into ExecutionStats, surfaced per request through
-/// SessionMetrics.
+/// packed path found its weights prepacked. Accumulated over a run's blocks
+/// into ExecutionStats, surfaced per request through SessionMetrics.
 struct EngineCounters {
   /// Expression steps evaluated by the compiled DFT program.
   int64_t ProgramSteps = 0;
@@ -123,7 +116,8 @@ struct KernelRuntime {
   /// Prepacked weight operand for this call (the step's PrepackIndex
   /// resolved against the model's prepack store), or null.
   const PackedOperand *Prepacked = nullptr;
-  /// Per-lane packing scratch (MemoryPlan::PackScratchBytes elements).
+  /// The context's packing scratch (MemoryPlan::PackScratchBytes
+  /// elements).
   float *PackScratch = nullptr;
   int64_t PackScratchElems = 0;
   /// Engine-path counters to increment, or null.
@@ -143,11 +137,6 @@ void runRefKernel(OpKind Kind, const AttrMap &Attrs,
                   const std::vector<const Tensor *> &Inputs, Tensor &Out,
                   const KernelConfig &Config = KernelConfig(),
                   const KernelRuntime &Rt = KernelRuntime());
-
-/// Tiled single-threaded matmul micro kernel used directly by the
-/// auto-tuner: C[M,N] (+)= A[M,K] * B[K,N].
-void matmulTiled(const float *A, const float *B, float *C, int64_t M,
-                 int64_t N, int64_t K, const KernelConfig &Config);
 
 namespace detail {
 // Family implementations (one translation unit each).
@@ -181,7 +170,7 @@ int64_t convPackScratchElems(const AttrMap &Attrs, const Shape &XShape,
 /// Packing-scratch elements a MatMul/Gemm/Conv step may need at run time
 /// under \p Config (0 when the call would take the naive path or its
 /// packed operand is known-constant — \p WeightIsConstant — and therefore
-/// served by the prepack store). The memory planner sizes the per-lane
+/// served by the prepack store). The memory planner sizes the context's
 /// pack scratch from the max over all steps.
 int64_t packScratchElemsForStep(OpKind Kind, const AttrMap &Attrs,
                                 const std::vector<Shape> &InputShapes,

@@ -28,7 +28,7 @@
 ///
 /// Constant weights are packed once at model-compile time (the prepack
 /// store on CompiledModel, rebuilt on loadModel); activation operands pack
-/// at run time into per-lane scratch.
+/// at run time into the execution context's packing buffer.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -129,7 +129,7 @@ inline constexpr int GemmNarrowNR = 8;
 /// The route of one [M, K] x [K, N] MatMul/Gemm problem: the panel width
 /// the packed kernel runs it at, or 0 when the naive row walk runs
 /// instead. runMatMul/runGemm execute this decision, matmulPackScratchElems
-/// sizes the per-lane pack scratch from it and buildPrepack prepacks
+/// sizes the context's pack scratch from it and buildPrepack prepacks
 /// constant B operands by it, so the three cannot disagree. \p M counts
 /// the rows that reuse one packed B (for a batched MatMul, every batch's
 /// rows over one B slice); \p Prepacked says B comes from the prepack

@@ -11,45 +11,6 @@
 
 using namespace dnnfusion;
 
-void dnnfusion::matmulTiled(const float *A, const float *B, float *C,
-                            int64_t M, int64_t N, int64_t K,
-                            const KernelConfig &Config) {
-  std::memset(C, 0, static_cast<size_t>(M * N) * sizeof(float));
-  int64_t TM = std::max(1, Config.TileM);
-  int64_t TN = std::max(1, Config.TileN);
-  int64_t TK = std::max(1, Config.TileK);
-  int64_t UM = std::clamp(Config.UnrollM, 1, 4);
-  for (int64_t M0 = 0; M0 < M; M0 += TM)
-    for (int64_t K0 = 0; K0 < K; K0 += TK)
-      for (int64_t N0 = 0; N0 < N; N0 += TN) {
-        int64_t M1 = std::min(M0 + TM, M);
-        int64_t K1 = std::min(K0 + TK, K);
-        int64_t N1 = std::min(N0 + TN, N);
-        int64_t I = M0;
-        // Row-blocked i-k-j micro kernel: the inner j loop vectorizes and
-        // UM rows of C stay live in registers.
-        for (; I + UM <= M1; I += UM) {
-          for (int64_t Kk = K0; Kk < K1; ++Kk) {
-            const float *Brow = B + Kk * N;
-            for (int64_t R = 0; R < UM; ++R) {
-              float Av = A[(I + R) * K + Kk];
-              float *Crow = C + (I + R) * N;
-              for (int64_t J = N0; J < N1; ++J)
-                Crow[J] += Av * Brow[J];
-            }
-          }
-        }
-        for (; I < M1; ++I)
-          for (int64_t Kk = K0; Kk < K1; ++Kk) {
-            float Av = A[I * K + Kk];
-            const float *Brow = B + Kk * N;
-            float *Crow = C + I * N;
-            for (int64_t J = N0; J < N1; ++J)
-              Crow[J] += Av * Brow[J];
-          }
-      }
-}
-
 namespace {
 
 /// Plain i-k-j matmul of one [M,K]x[K,N] problem, rows [RowBegin,RowEnd).

@@ -7,41 +7,35 @@
 #include "support/Timer.h"
 
 #include <cstring>
+#include <memory>
 #include <new>
 
 using namespace dnnfusion;
 
 ExecutionContext::ExecutionContext(const CompiledModel &Model,
-                                   const ExecutionOptions &Options)
-    : M(Model), Opts(Options) {
+                                   const ExecutionOptions &)
+    : M(Model) {
   // alloc.arena simulates context-construction OOM — the pool-growth path
   // InferenceSession::acquire must survive (it catches bad_alloc, restores
   // its slot accounting, and surfaces ResourceExhausted).
   if (faultShouldFail(faultpoints::AllocArena))
     throw std::bad_alloc();
   Arena.resize(static_cast<size_t>(elementsForBytes(M.Memory.ArenaBytes)));
-  // Even a sequential run needs a lane per pool thread: it may itself be
-  // executing on any worker (a batched request), and wavefront runs use
-  // every lane.
-  ScratchLanes.resize(pool().numLanes());
-  size_t ScratchElems =
-      static_cast<size_t>(elementsForBytes(M.Memory.ScratchBytes));
-  for (std::vector<float> &Lane : ScratchLanes)
-    Lane.resize(ScratchElems);
-  PackLanes.resize(pool().numLanes());
+  Scratch.resize(static_cast<size_t>(elementsForBytes(M.Memory.ScratchBytes)));
+  // The packing buffer starts on a cache line: the AVX2 GEMM kernel streams
+  // the packed panel in 32-byte rows, and a start 16 bytes into a line makes
+  // every other row straddle two lines, wherever the allocator put it.
   size_t PackElems =
       static_cast<size_t>(elementsForBytes(M.Memory.PackScratchBytes));
-  for (std::vector<float> &Lane : PackLanes)
-    Lane.resize(PackElems);
-}
-
-ThreadPool &ExecutionContext::pool() const {
-  return Opts.Pool ? *Opts.Pool : ThreadPool::global();
-}
-
-bool ExecutionContext::usesWavefront() const {
-  return Opts.Mode == ExecutionOptions::Schedule::Wavefront &&
-         M.Memory.WavefrontSafe;
+  if (PackElems > 0) {
+    constexpr size_t Line = 64;
+    Pack.resize(PackElems + Line / sizeof(float) - 1);
+    void *Start = Pack.data();
+    size_t Space = Pack.size() * sizeof(float);
+    PackStart = static_cast<float *>(
+        std::align(Line, PackElems * sizeof(float), Start, Space));
+    PackLen = static_cast<int64_t>(PackElems);
+  }
 }
 
 const float *ExecutionContext::valuePtr(NodeId Id,
@@ -60,56 +54,38 @@ const float *ExecutionContext::valuePtr(NodeId Id,
   return Arena.data() + elementIndexForByteOffset(Offset);
 }
 
-void ExecutionContext::setAbort(Status S) {
-  {
-    std::lock_guard<std::mutex> Lock(AbortMutex);
-    if (!AbortFlag.load(std::memory_order_relaxed))
-      AbortStatus = std::move(S);
-  }
-  AbortFlag.store(true, std::memory_order_release);
-}
+namespace {
 
-bool ExecutionContext::checkpointShouldStop(const RunControl &Control) {
-  if (AbortFlag.load(std::memory_order_acquire))
-    return true;
+/// Polls \p Control before a block: the abort Status once the run is
+/// cancelled or past its deadline, Ok otherwise.
+Status checkpoint(const RunControl &Control) {
   if (!Control.active())
-    return false;
-  if (Control.Cancel &&
-      Control.Cancel->load(std::memory_order_relaxed)) {
-    setAbort(Status::error(ErrorCode::FailedPrecondition,
-                           "run cancelled at block checkpoint"));
-    return true;
-  }
-  if (std::chrono::steady_clock::now() >= Control.Deadline) {
-    setAbort(Status::error(ErrorCode::DeadlineExceeded,
-                           "deadline expired at block checkpoint"));
-    return true;
-  }
-  return false;
+    return Status();
+  if (Control.Cancel && Control.Cancel->load(std::memory_order_relaxed))
+    return Status::error(ErrorCode::FailedPrecondition,
+                         "run cancelled at block checkpoint");
+  if (std::chrono::steady_clock::now() >= Control.Deadline)
+    return Status::error(ErrorCode::DeadlineExceeded,
+                         "deadline expired at block checkpoint");
+  return Status();
 }
 
-void ExecutionContext::runBlock(size_t BI, unsigned Lane,
-                                const std::vector<Tensor> &Inputs,
-                                std::vector<double> *PerBlockMs,
-                                std::vector<EngineCounters> *PerBlockCounters) {
+} // namespace
+
+Status ExecutionContext::runBlock(size_t BI, const std::vector<Tensor> &Inputs,
+                                  std::vector<double> *PerBlockMs,
+                                  EngineCounters *Counters) {
   // The per-block fault hook: a faulting block aborts the run with a typed
-  // Status at the next checkpoint instead of corrupting downstream blocks.
-  // (Siblings already dispatched in the same wavefront level finish — they
-  // write disjoint arena ranges — but no further level starts.)
-  if (faultShouldFail(faultpoints::ExecBlock)) {
-    setAbort(Status::errorf(ErrorCode::Internal,
-                            "injected fault exec.block in block %zu", BI));
-    return;
-  }
-  if (AbortFlag.load(std::memory_order_acquire))
-    return;
+  // Status instead of corrupting downstream blocks.
+  if (faultShouldFail(faultpoints::ExecBlock))
+    return Status::errorf(ErrorCode::Internal,
+                          "injected fault exec.block in block %zu", BI);
   const CompiledBlock &CB = M.Blocks[BI];
   BlockIo Io;
   Io.Externals.reserve(CB.ExternalInputs.size());
   for (NodeId In : CB.ExternalInputs)
     Io.Externals.push_back(valuePtr(In, Inputs));
   Io.LocalPtrs.reserve(CB.Locals.size());
-  std::vector<float> &Scratch = ScratchLanes[Lane];
   int64_t ScratchCursor = 0;
   for (const CompiledBlock::LocalBuffer &L : CB.Locals) {
     if (L.IsBlockOutput) {
@@ -127,11 +103,9 @@ void ExecutionContext::runBlock(size_t BI, unsigned Lane,
 
   BlockRuntime Rt;
   Rt.Prepack = &M.Prepack;
-  std::vector<float> &PackLane = PackLanes[Lane];
-  Rt.PackScratch = PackLane.empty() ? nullptr : PackLane.data();
-  Rt.PackScratchElems = static_cast<int64_t>(PackLane.size());
-  if (PerBlockCounters)
-    Rt.Counters = &(*PerBlockCounters)[BI];
+  Rt.PackScratch = PackStart;
+  Rt.PackScratchElems = PackLen;
+  Rt.Counters = Counters;
 
   if (PerBlockMs) {
     WallTimer BlockTimer;
@@ -140,6 +114,7 @@ void ExecutionContext::runBlock(size_t BI, unsigned Lane,
   } else {
     executeBlock(CB, Io, M.Codegen, Rt);
   }
+  return Status();
 }
 
 std::vector<Tensor> ExecutionContext::run(const std::vector<Tensor> &Inputs,
@@ -160,82 +135,23 @@ ExecutionContext::tryRun(const std::vector<Tensor> &Inputs,
                Inputs[I].shape().toString().c_str(),
                M.G.node(M.InputIds[I]).OutShape.toString().c_str());
 
-  AbortFlag.store(false, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> Lock(AbortMutex);
-    AbortStatus = Status();
-  }
-
   WallTimer Total;
   std::vector<double> PerBlockMs;
-  std::vector<double> *PerBlock = nullptr;
-  if (PerBlockTiming) {
+  if (PerBlockTiming)
     PerBlockMs.assign(M.Blocks.size(), 0.0);
-    PerBlock = &PerBlockMs;
-  }
-  // Engine-path counters accumulate per block (disjoint writes under
-  // wavefront dispatch) and reduce in block-index order below. The
-  // member vector is reused so a stats-collecting run allocates nothing
-  // after the first.
-  std::vector<EngineCounters> *Counters = nullptr;
-  if (Stats) {
-    CounterScratch.assign(M.Blocks.size(), EngineCounters());
-    Counters = &CounterScratch;
-  }
-
-  if (usesWavefront()) {
-    // Checkpoint between levels: a level is the wavefront analogue of a
-    // block boundary (its blocks are already in flight together), so the
-    // abort latency bound is one level's latency.
-    ThreadPool &P = pool();
-    for (const std::vector<int> &Level : M.Schedule.Levels) {
-      if (checkpointShouldStop(Control))
-        break;
-      const int *BlockIdx = Level.data();
-      P.forEach(static_cast<int64_t>(Level.size()),
-                [&](int64_t I, unsigned Lane) {
-                  runBlock(static_cast<size_t>(BlockIdx[I]), Lane, Inputs,
-                           PerBlock, Counters);
-                });
-    }
-  } else {
-    // Sequential walk on the calling thread. The lane still comes from
-    // the pool so a run() inside a pool worker (e.g. a batched request)
-    // keeps its scratch distinct from other workers'. A wavefront-safe
-    // memory plan frees buffers at level granularity, so execution must
-    // follow level order (plan order is topological but not necessarily
-    // level-monotone); only a sequential-only plan matches plan order.
-    unsigned Lane = pool().currentLane();
-    if (M.Memory.WavefrontSafe) {
-      for (const std::vector<int> &Level : M.Schedule.Levels) {
-        if (checkpointShouldStop(Control))
-          break;
-        for (int BI : Level) {
-          if (checkpointShouldStop(Control))
-            break;
-          runBlock(static_cast<size_t>(BI), Lane, Inputs, PerBlock, Counters);
-        }
-      }
-    } else {
-      for (size_t BI = 0; BI < M.Blocks.size(); ++BI) {
-        if (checkpointShouldStop(Control))
-          break;
-        runBlock(BI, Lane, Inputs, PerBlock, Counters);
-      }
-    }
-  }
-
-  if (AbortFlag.load(std::memory_order_acquire)) {
+  EngineCounters Counters;
+  for (size_t BI = 0; BI < M.Blocks.size(); ++BI) {
+    Status Abort = checkpoint(Control);
+    if (Abort.ok())
+      Abort = runBlock(BI, Inputs, PerBlockTiming ? &PerBlockMs : nullptr,
+                       Stats ? &Counters : nullptr);
     // The context is clean for reuse right away: arena/scratch contents
     // are garbage, but every run rewrites what it reads.
-    std::lock_guard<std::mutex> Lock(AbortMutex);
-    DNNF_CHECK(!AbortStatus.ok(), "abort flag raised without a status");
-    return AbortStatus;
+    if (!Abort.ok())
+      return Abort;
   }
 
   if (Stats) {
-    // Deterministic reduction in block-index order, independent of the
-    // dispatch interleaving above.
     *Stats = ExecutionStats();
     Stats->PeakArenaBytes = M.Memory.ArenaBytes;
     for (size_t BI = 0; BI < M.Blocks.size(); ++BI) {
@@ -244,8 +160,8 @@ ExecutionContext::tryRun(const std::vector<Tensor> &Inputs,
       Stats->MainBytesRead += M.BlockBytesRead[BI];
       Stats->MainBytesWritten += M.BlockBytesWritten[BI];
       Stats->ScratchBytes += M.BlockScratchBytes[BI];
-      Stats->Engine.add(CounterScratch[BI]);
     }
+    Stats->Engine = Counters;
     if (PerBlockTiming)
       Stats->PerBlockMs = std::move(PerBlockMs);
     Stats->WallMs = Total.millis();

@@ -7,17 +7,18 @@
 /// \file
 /// The mutable half of the split execution layer. A CompiledModel is an
 /// immutable program; an ExecutionContext holds everything one in-flight
-/// run mutates — the tensor arena, per-lane scratch buffers, and the
-/// instrumentation counters every experiment consumes (kernel launches,
-/// FLOPs, main-memory traffic, peak footprint, wall time). One model can
-/// therefore serve N contexts concurrently (see InferenceSession).
+/// run mutates — the tensor arena, one scratch buffer, one packing buffer,
+/// and the instrumentation counters every experiment consumes (kernel
+/// launches, FLOPs, main-memory traffic, peak footprint, wall time). One
+/// model can therefore serve N contexts concurrently (see
+/// InferenceSession).
 ///
-/// run() dispatches the model's fusion blocks either strictly sequentially
-/// or wavefront-parallel: the compile-time BlockSchedule partitions the
-/// blocks into dependency levels, and every block within a level is pushed
-/// onto the thread pool as one task. Stats accumulate per block and reduce
-/// in block-index order afterwards, so counters are identical across pool
-/// sizes and schedules.
+/// run() executes the model's fusion blocks one after another on the
+/// calling thread, in plan order — the order the memory plan's liveness
+/// assumes. Parallelism lives inside the blocks: each kernel slices its
+/// output across the global ThreadPool with deterministic slice
+/// boundaries, writing disjoint ranges of the block's buffers, so outputs
+/// and counters do not depend on the pool size.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,12 +27,10 @@
 
 #include "runtime/ModelCompiler.h"
 #include "support/Status.h"
-#include "support/ThreadPool.h"
 #include "tensor/Tensor.h"
 
 #include <atomic>
 #include <chrono>
-#include <mutex>
 #include <vector>
 
 namespace dnnfusion {
@@ -48,37 +47,28 @@ struct ExecutionStats {
   int64_t PeakArenaBytes = 0;
   double WallMs = 0.0;
   /// Execution-engine path counters (program and epilogue steps, packed vs
-  /// naive kernels, prepack hits/misses), reduced in block-index
-  /// order so they are identical across schedules and pool sizes.
+  /// naive kernels, prepack hits/misses), identical across pool sizes.
   EngineCounters Engine;
   /// Wall time per block, indexed by block (filled when PerBlockTiming is
-  /// requested). Under wavefront dispatch these overlap in real time.
+  /// requested); one entry for every block of the model.
   std::vector<double> PerBlockMs;
 };
 
-/// How an ExecutionContext walks the fusion blocks.
+/// Accepted and ignored by ExecutionContext, which has one schedule. Kept
+/// only for perfbench, its one user, which still names
+/// Schedule::Sequential.
 struct ExecutionOptions {
   enum class Schedule {
     /// Blocks run one after another on the calling thread, in plan order.
     Sequential,
-    /// Blocks run level-by-level; blocks within a level dispatch across
-    /// the thread pool. Bit-identical to Sequential (deterministic
-    /// per-element kernel slicing; disjoint arena ranges per level).
-    /// Requires a wavefront-safe memory plan — the context falls back to
-    /// Sequential when the model was compiled without one.
-    Wavefront,
   };
-  Schedule Mode = Schedule::Wavefront;
-  /// Pool used for wavefront dispatch and per-lane scratch sizing.
-  /// nullptr = ThreadPool::global().
-  ThreadPool *Pool = nullptr;
+  Schedule Mode = Schedule::Sequential;
 };
 
-/// Cooperative cancellation for one run. Execution checkpoints between
-/// fusion blocks (sequential) / between wavefront levels (parallel), so an
-/// abort takes effect within one block's latency, not the whole model's —
-/// the property that lets the serving layer stop burning compute on a
-/// request whose deadline already passed.
+/// Cooperative cancellation for one run. Execution checkpoints before
+/// every fusion block, so an abort takes effect within one block's
+/// latency, not the whole model's — the property that lets the serving
+/// layer stop burning compute on a request whose deadline already passed.
 struct RunControl {
   /// Abort with DeadlineExceeded once steady_clock passes this (max() =
   /// no deadline). Same clock as AdmissionController deadlines.
@@ -99,13 +89,17 @@ struct RunControl {
 /// All mutable state for executing one CompiledModel. Reusable across runs
 /// (buffers persist — including after an aborted run; every run rewrites
 /// what it reads), reentrant with respect to the thread pool (run() may
-/// itself be called from a pool worker), but NOT safe for two simultaneous
-/// run() calls on the same context — use one context per in-flight request
-/// (InferenceSession pools them).
+/// itself be called from a pool worker, whose kernels then run inline),
+/// but NOT safe for two simultaneous run() calls on the same context — use
+/// one context per in-flight request (InferenceSession pools them).
 class ExecutionContext {
 public:
+  /// \p Options is accepted and ignored (see ExecutionOptions).
   explicit ExecutionContext(const CompiledModel &Model,
                             const ExecutionOptions &Options = {});
+  /// Not copyable: PackStart points into this context's own buffer.
+  ExecutionContext(const ExecutionContext &) = delete;
+  ExecutionContext &operator=(const ExecutionContext &) = delete;
 
   /// Runs the model on \p Inputs (one tensor per graph input, in
   /// InputIds order). Returns the graph outputs in graph-output order, or:
@@ -126,44 +120,26 @@ public:
                           bool PerBlockTiming = false);
 
   const CompiledModel &model() const { return M; }
-  const ExecutionOptions &options() const { return Opts; }
-  /// True when run() dispatches wavefronts (mode and memory plan agree).
-  bool usesWavefront() const;
 
 private:
-  ThreadPool &pool() const;
-  /// Records the first abort Status (later calls lose) and raises the
-  /// abort flag every checkpoint polls.
-  void setAbort(Status S);
-  /// Polls \p Control (and any already-recorded abort) at a block/level
-  /// boundary; true = stop dispatching blocks.
-  bool checkpointShouldStop(const RunControl &Control);
-  /// Executes block \p BI with lane-local scratch, recording its wall time
-  /// into \p PerBlockMs and its engine counters into \p PerBlockCounters
-  /// when non-null.
-  void runBlock(size_t BI, unsigned Lane, const std::vector<Tensor> &Inputs,
-                std::vector<double> *PerBlockMs,
-                std::vector<EngineCounters> *PerBlockCounters);
+  /// Executes block \p BI, recording its wall time into \p PerBlockMs and
+  /// its engine counters into \p Counters when non-null. Returns the
+  /// injected exec.block fault, if any, without running the block.
+  Status runBlock(size_t BI, const std::vector<Tensor> &Inputs,
+                  std::vector<double> *PerBlockMs, EngineCounters *Counters);
   const float *valuePtr(NodeId Id, const std::vector<Tensor> &Inputs) const;
 
   const CompiledModel &M;
-  ExecutionOptions Opts;
   std::vector<float> Arena;
-  /// One scratch buffer per pool lane (workers + master), so concurrent
-  /// blocks never share transient staging space.
-  std::vector<std::vector<float>> ScratchLanes;
-  /// One packed-GEMM packing buffer per lane (MemoryPlan::PackScratchBytes
-  /// each): run-time B panels and im2col tiles.
-  std::vector<std::vector<float>> PackLanes;
-  /// Per-block engine counters, reused across runs (the context is
-  /// exclusive to one in-flight request, so no per-run allocation).
-  std::vector<EngineCounters> CounterScratch;
-  /// Abort machinery, reset at the top of every tryRun. The flag is
-  /// atomic because wavefront workers poll it while the master (or a
-  /// faulting sibling block) raises it.
-  std::atomic<bool> AbortFlag{false};
-  std::mutex AbortMutex;
-  Status AbortStatus;
+  /// Block-local intermediates (MemoryPlan::ScratchBytes): one block runs
+  /// at a time, so one buffer serves every block.
+  std::vector<float> Scratch;
+  /// Packed-GEMM packing buffer (MemoryPlan::PackScratchBytes): run-time B
+  /// panels and im2col tiles of the one kernel running at a time. PackLen
+  /// floats start at PackStart, the first cache-line boundary in Pack.
+  std::vector<float> Pack;
+  float *PackStart = nullptr;
+  int64_t PackLen = 0;
 };
 
 } // namespace dnnfusion

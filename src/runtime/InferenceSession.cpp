@@ -2,6 +2,7 @@
 
 #include "runtime/InferenceSession.h"
 
+#include "support/ThreadPool.h"
 #include "support/Timer.h"
 
 using namespace dnnfusion;
@@ -37,7 +38,7 @@ std::unique_ptr<ExecutionContext> InferenceSession::acquire() {
       ++Created;
       Lock.unlock(); // Context construction (buffer allocation) off-lock.
       try {
-        return std::make_unique<ExecutionContext>(M, Opts.Exec);
+        return std::make_unique<ExecutionContext>(M);
       } catch (...) {
         // Give the capacity slot back (e.g. bad_alloc sizing the arena),
         // or a capped session would livelock waiting for a context that
@@ -195,17 +196,17 @@ InferenceSession::runBatch(const std::vector<std::vector<Tensor>> &Batch,
     else
       ToRun.push_back(R);
   }
-  ThreadPool &P = Opts.Exec.Pool ? *Opts.Exec.Pool : ThreadPool::global();
-  P.forEach(static_cast<int64_t>(ToRun.size()), [&](int64_t I, unsigned) {
-    size_t R = ToRun[static_cast<size_t>(I)];
-    Expected<std::vector<Tensor>> Out =
-        runValidated(Batch[R], nullptr, Control);
-    if (Out.ok())
-      Results[R] = std::move(Out);
-    else
-      Results[R] =
-          Status::errorf(Out.status().code(), "batch request %zu: %s", R,
-                         Out.status().message().c_str());
-  });
+  ThreadPool::global().forEach(
+      static_cast<int64_t>(ToRun.size()), [&](int64_t I) {
+        size_t R = ToRun[static_cast<size_t>(I)];
+        Expected<std::vector<Tensor>> Out =
+            runValidated(Batch[R], nullptr, Control);
+        if (Out.ok())
+          Results[R] = std::move(Out);
+        else
+          Results[R] =
+              Status::errorf(Out.status().code(), "batch request %zu: %s", R,
+                             Out.status().message().c_str());
+      });
   return Results;
 }

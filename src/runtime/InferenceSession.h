@@ -41,11 +41,9 @@ namespace dnnfusion {
 
 /// Serving configuration.
 struct SessionOptions {
-  /// Schedule + pool every leased context executes with.
-  ExecutionOptions Exec;
-  /// Hard cap on live ExecutionContexts (each holds an arena + scratch
-  /// lanes). 0 = grow with demand. When the cap is reached, run() blocks
-  /// until a context is released.
+  /// Hard cap on live ExecutionContexts (each holds an arena, a scratch
+  /// buffer and a packing buffer). 0 = grow with demand. When the cap is
+  /// reached, run() blocks until a context is released.
   unsigned MaxContexts = 0;
 };
 
@@ -105,12 +103,13 @@ public:
   run(const std::map<std::string, Tensor> &Inputs,
       ExecutionStats *Stats = nullptr);
 
-  /// Runs every request of \p Batch, dispatching them across the thread
-  /// pool. Partial-failure semantics, pinned: the result always has one
-  /// entry per request, in batch order; entry R is that request's outputs
-  /// or its own Status tagged "batch request R: ..." — one malformed or
-  /// faulting request never poisons its siblings, which execute (and
-  /// succeed) independently.
+  /// Runs every request of \p Batch, dispatching them across the global
+  /// thread pool; each request's kernels then run inline on the worker
+  /// that took it. Partial-failure semantics, pinned: the result always
+  /// has one entry per request, in batch order; entry R is that request's
+  /// outputs or its own Status tagged "batch request R: ..." — one
+  /// malformed or faulting request never poisons its siblings, which
+  /// execute (and succeed) independently.
   std::vector<Expected<std::vector<Tensor>>>
   runBatch(const std::vector<std::vector<Tensor>> &Batch,
            const RunControl &Control = {});

@@ -35,10 +35,8 @@ dnnfusion::computePackScratchBytes(const Graph &G,
 
 MemoryPlan dnnfusion::planMemory(const Graph &G, const FusionPlan &Plan,
                                  const std::vector<CompiledBlock> &Blocks,
-                                 const BlockSchedule *Schedule,
                                  const KernelConfig &Kernels) {
   MemoryPlan M;
-  M.WavefrontSafe = Schedule != nullptr;
   M.PackScratchBytes = computePackScratchBytes(G, Blocks, Kernels);
   size_t N = static_cast<size_t>(G.numNodes());
   M.ArenaOffsetOfNode.assign(N, -1);
@@ -59,37 +57,26 @@ MemoryPlan dnnfusion::planMemory(const Graph &G, const FusionPlan &Plan,
     }
   }
 
-  // Allocation time per block: the block's position in sequential mode, or
-  // its wavefront level in concurrency-aware mode (which widens every
-  // lifetime to whole levels, so same-level blocks never alias).
-  size_t NumBlocks = Plan.Blocks.size();
-  std::vector<int> TimeOfBlock(NumBlocks, 0);
-  int EndTime = static_cast<int>(NumBlocks);
-  for (size_t BI = 0; BI < NumBlocks; ++BI)
-    TimeOfBlock[BI] =
-        Schedule ? Schedule->LevelOfBlock[BI] : static_cast<int>(BI);
-  if (Schedule)
-    EndTime = static_cast<int>(Schedule->numLevels());
-
-  // Liveness of block outputs: last time a block reads them (graph outputs
-  // live forever).
+  // Liveness of block outputs: the last block (by plan position) reading
+  // them; graph outputs live past the last block.
+  const int NumBlocks = static_cast<int>(Plan.Blocks.size());
   std::vector<int> LastUse(N, -1);
-  for (size_t BI = 0; BI < NumBlocks; ++BI)
-    for (NodeId Id : Plan.Blocks[BI].Members)
+  for (int BI = 0; BI < NumBlocks; ++BI)
+    for (NodeId Id : Plan.Blocks[static_cast<size_t>(BI)].Members)
       for (NodeId In : G.node(Id).Inputs)
         LastUse[static_cast<size_t>(In)] =
-            std::max(LastUse[static_cast<size_t>(In)], TimeOfBlock[BI]);
+            std::max(LastUse[static_cast<size_t>(In)], BI);
   for (NodeId Out : G.outputs())
-    LastUse[static_cast<size_t>(Out)] = EndTime;
+    LastUse[static_cast<size_t>(Out)] = NumBlocks;
 
   struct Allocation {
     int64_t Offset;
     int64_t Bytes;
-    int FreeAfterTime;
+    int FreeAfterBlock;
   };
   std::vector<Allocation> Live;
 
-  auto allocate = [&](int64_t Bytes, int FreeAfterTime) {
+  auto allocate = [&](int64_t Bytes, int FreeAfterBlock) {
     // First-fit into gaps between live allocations (kept offset-sorted).
     int64_t Offset = 0;
     size_t InsertAt = 0;
@@ -105,41 +92,35 @@ MemoryPlan dnnfusion::planMemory(const Graph &G, const FusionPlan &Plan,
       InsertAt = I + 1;
     }
     Live.insert(Live.begin() + static_cast<long>(InsertAt),
-                Allocation{Offset, Bytes, FreeAfterTime});
+                Allocation{Offset, Bytes, FreeAfterBlock});
     M.ArenaBytes = std::max(M.ArenaBytes, Offset + Bytes);
     return Offset;
   };
 
-  // Allocate in time order (plan order sequentially; level order under a
-  // schedule, where plan order need not be level-monotone).
-  std::vector<size_t> Order(NumBlocks);
-  for (size_t BI = 0; BI < NumBlocks; ++BI)
-    Order[BI] = BI;
-  std::stable_sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
-    return TimeOfBlock[A] < TimeOfBlock[B];
-  });
-
-  int CurrentTime = -1;
-  for (size_t BI : Order) {
-    if (TimeOfBlock[BI] > CurrentTime) {
-      CurrentTime = TimeOfBlock[BI];
-      // Release buffers whose last consumer time has passed.
-      Live.erase(std::remove_if(Live.begin(), Live.end(),
-                                [&](const Allocation &A) {
-                                  return A.FreeAfterTime < CurrentTime;
-                                }),
-                 Live.end());
-    }
-    for (NodeId Out : Plan.Blocks[BI].Outputs) {
+  for (int BI = 0; BI < NumBlocks; ++BI) {
+    // Release buffers whose last consumer has run.
+    Live.erase(std::remove_if(Live.begin(), Live.end(),
+                              [&](const Allocation &A) {
+                                return A.FreeAfterBlock < BI;
+                              }),
+               Live.end());
+    for (NodeId Out : Plan.Blocks[static_cast<size_t>(BI)].Outputs) {
       int Free = LastUse[static_cast<size_t>(Out)];
-      DNNF_CHECK(Free >= TimeOfBlock[BI],
+      DNNF_CHECK(Free >= BI,
                  "block output %d has no consumer and is not a graph output",
                  Out);
       M.ArenaOffsetOfNode[static_cast<size_t>(Out)] =
           allocate(G.node(Out).outBytes(), Free);
     }
-    M.ScratchBytes =
-        std::max(M.ScratchBytes, Blocks[BI].scratchBytes());
+    M.ScratchBytes = std::max(M.ScratchBytes,
+                              Blocks[static_cast<size_t>(BI)].scratchBytes());
   }
   return M;
+}
+
+MemoryPlan dnnfusion::planMemory(const Graph &G, const FusionPlan &Plan,
+                                 const std::vector<CompiledBlock> &Blocks,
+                                 const BlockSchedule *,
+                                 const KernelConfig &Kernels) {
+  return planMemory(G, Plan, Blocks, Kernels);
 }

@@ -58,41 +58,33 @@ struct MemoryPlan {
   std::vector<int64_t> WeightOffsetOfNode;
 
   int64_t ArenaBytes = 0;   ///< Peak arena footprint.
-  int64_t ScratchBytes = 0; ///< Largest per-block (= per-lane) scratch.
+  int64_t ScratchBytes = 0; ///< Largest per-block scratch.
   /// Largest per-step packing scratch (packed-GEMM B panels / im2col
   /// tiles) any RefKernel step may need at run time; the execution context
-  /// provisions one buffer of this size per lane. Constant weights are
-  /// excluded (the prepack store serves them).
+  /// provisions one buffer of this size. Constant weights are excluded (the
+  /// prepack store serves them).
   int64_t PackScratchBytes = 0;
   int64_t WeightBytes = 0;
   int64_t InputBytes = 0;
-
-  /// True when liveness was widened to wavefront granularity: buffers of
-  /// blocks in the same schedule level never alias, so the levels of
-  /// \c CompiledModel::Schedule may execute concurrently over one arena.
-  bool WavefrontSafe = false;
 };
 
-/// Plans buffers for \p Plan / \p Blocks over \p G.
-///
-/// Without \p Schedule, liveness is tracked at block granularity: a buffer
-/// is reusable as soon as the last block reading it has executed, assuming
-/// strictly sequential block execution — the tightest (Figure 8) footprint.
-///
-/// With \p Schedule, the planner runs in concurrency-aware mode: a
-/// buffer's lifetime is widened to whole wavefront levels (born at the
-/// start of its producer's level, freed after the last consumer's level),
-/// so blocks dispatched concurrently within one level can never read or
-/// write overlapping arena ranges. Scratch stays the largest per-block
-/// requirement; concurrent execution gives each worker lane its own
-/// scratch buffer of that size rather than widening it here.
-/// \p Kernels sizes the per-lane packing scratch (PackScratchBytes) for
-/// the packed-GEMM engine; the default config matches the default
-/// execution path.
+/// Plans buffers for \p Plan / \p Blocks over \p G. Liveness is tracked at
+/// block granularity in plan order, the order the execution context runs
+/// the blocks in: a buffer is reusable as soon as the last block reading
+/// it has executed — the tightest (Figure 8) footprint. \p Kernels sizes
+/// the packing scratch (PackScratchBytes) for the packed-GEMM engine; the
+/// default config matches the default execution path.
 MemoryPlan planMemory(const Graph &G, const FusionPlan &Plan,
                       const std::vector<CompiledBlock> &Blocks,
-                      const BlockSchedule *Schedule = nullptr,
                       const KernelConfig &Kernels = {});
+
+/// The planner above; \p Schedule is ignored. perfbench's compile-phase
+/// replay (LayerTrace) is the only caller, so it times the planner
+/// compileModel runs.
+MemoryPlan planMemory(const Graph &G, const FusionPlan &Plan,
+                      const std::vector<CompiledBlock> &Blocks,
+                      const BlockSchedule *Schedule,
+                      const KernelConfig &Kernels);
 
 /// Packing-scratch bytes the packed-GEMM engine may need for any single
 /// RefKernel step of \p Blocks under \p Kernels (steps whose packed

@@ -195,9 +195,8 @@ void buildPrepack(CompiledModel &M, const Graph &G) {
   }
 }
 
-/// Shared tail of compilation: schedule, codegen, memory planning, stat
-/// tables.
-void finishCompilation(CompiledModel &M, Graph &G, bool WavefrontSafe) {
+/// Shared tail of compilation: codegen, memory planning, stat tables.
+void finishCompilation(CompiledModel &M, Graph &G) {
   WallTimer Timer;
   M.Blocks.reserve(M.Plan.Blocks.size());
   for (const FusionBlock &B : M.Plan.Blocks)
@@ -205,10 +204,7 @@ void finishCompilation(CompiledModel &M, Graph &G, bool WavefrontSafe) {
   buildPrepack(M, G);
   M.CodegenMs = Timer.millis();
 
-  M.Schedule = computeBlockSchedule(G, M.Plan);
-  M.Memory = planMemory(G, M.Plan, M.Blocks,
-                        WavefrontSafe ? &M.Schedule : nullptr,
-                        M.Codegen.Kernels);
+  M.Memory = planMemory(G, M.Plan, M.Blocks, M.Codegen.Kernels);
 
   for (size_t BI = 0; BI < M.Plan.Blocks.size(); ++BI) {
     const FusionBlock &B = M.Plan.Blocks[BI];
@@ -241,7 +237,6 @@ void finishCompilation(CompiledModel &M, Graph &G, bool WavefrontSafe) {
 Expected<CompiledModel>
 dnnfusion::rebuildCompiledModel(Graph G, FusionPlan Plan,
                                 const CodegenOptions &Codegen,
-                                bool WavefrontSafeMemory,
                                 bool GraphAlreadyValidated) {
   if (!GraphAlreadyValidated)
     if (Status S = G.validate(); !S.ok())
@@ -256,7 +251,7 @@ dnnfusion::rebuildCompiledModel(Graph G, FusionPlan Plan,
   try {
     ScopedFatalErrorTrap Trap;
     M.Plan.verify(G);
-    finishCompilation(M, G, WavefrontSafeMemory);
+    finishCompilation(M, G);
   } catch (const detail::TrappedFatalError &E) {
     return Status::errorf(ErrorCode::DataLoss,
                           "persisted plan is inconsistent with its graph: %s",
@@ -273,11 +268,11 @@ dnnfusion::compileModelWithPlan(Graph G, FusionPlan Plan,
   CompiledModel M;
   M.Plan = std::move(Plan);
   M.Codegen = Codegen;
-  // External plans bypass the planner's own verification; the schedule and
-  // the concurrency-safe memory plan both assume a valid topological block
-  // order, so check it here rather than corrupting memory at run time.
+  // External plans bypass the planner's own verification; the memory plan
+  // assumes a valid topological block order, so check it here rather than
+  // corrupting memory at run time.
   M.Plan.verify(G);
-  finishCompilation(M, G, /*WavefrontSafe=*/true);
+  finishCompilation(M, G);
   return M;
 }
 
@@ -360,7 +355,7 @@ Expected<CompiledModel> dnnfusion::compileModel(Graph G,
     // shared subtrees are recomputed rather than cached.
     M.Codegen.FoldDataMovement = false;
   }
-  finishCompilation(M, G, Options.WavefrontSafeMemory);
+  finishCompilation(M, G);
   if (UseCache) {
     // Best-effort: a failed store (after its transient-retry budget,
     // counted under "cache.store") leaves the cache cold, nothing more.

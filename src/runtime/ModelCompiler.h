@@ -36,11 +36,6 @@ struct CompileOptions {
   /// Intra-block data-movement elimination + inter-block movement sinking
   /// (paper §4.4.2; "Other" in Figure 7).
   bool EnableOtherOpts = true;
-  /// Plan arena liveness at wavefront granularity so blocks in the same
-  /// schedule level never alias and may execute concurrently (see
-  /// planMemory). Off = tightest sequential-only footprint; the execution
-  /// context then refuses wavefront dispatch for the model.
-  bool WavefrontSafeMemory = true;
 
   RewriteOptions Rewrite;
   PlannerOptions Planner;
@@ -77,9 +72,6 @@ struct CompiledModel {
   /// The (possibly rewritten) graph; owns all weights.
   Graph G;
   FusionPlan Plan;
-  /// Inter-block dependency DAG + wavefront partition of Plan (always
-  /// computed; the sequential executor simply ignores it).
-  BlockSchedule Schedule;
   std::vector<CompiledBlock> Blocks;
   MemoryPlan Memory;
   CodegenOptions Codegen;
@@ -129,8 +121,7 @@ Expected<CompiledModel> compileModel(Graph G, const CompileOptions &Options = {}
 
 /// Compiles \p G under an externally produced fusion plan (the framework
 /// baselines of Tables 5/6: their pattern fusers decide the plan, this
-/// runtime executes it). No rewriting is applied. Memory is planned
-/// wavefront-safe, like compileModel's default. Graph validation errors
+/// runtime executes it). No rewriting is applied. Graph validation errors
 /// are returned like compileModel's; an inconsistent *plan* over a valid
 /// graph is an internal invariant violation and still aborts.
 Expected<CompiledModel> compileModelWithPlan(Graph G, FusionPlan Plan,
@@ -140,7 +131,7 @@ Expected<CompiledModel> compileModelWithPlan(Graph G, FusionPlan Plan,
 /// \p G, trap-verifies \p Plan against it (a bad plan over a valid graph
 /// comes back as a DataLoss Status here, not an abort — persisted plans
 /// are untrusted input), then reruns the deterministic compilation tail
-/// (per-block codegen, block schedule, memory planning, stats, signature).
+/// (per-block codegen, memory planning, stats, signature).
 /// This is the loadModel path: everything expensive — rewrite search,
 /// fusion exploration, profiling — is skipped because its result IS the
 /// plan.
@@ -151,7 +142,6 @@ Expected<CompiledModel> compileModelWithPlan(Graph G, FusionPlan Plan,
 /// model load path would otherwise validate every graph twice.
 Expected<CompiledModel> rebuildCompiledModel(Graph G, FusionPlan Plan,
                                              const CodegenOptions &Codegen,
-                                             bool WavefrontSafeMemory,
                                              bool GraphAlreadyValidated = false);
 
 /// Points every constant of \p M at the storage of a bit-identical constant

@@ -62,7 +62,6 @@ std::string serializeOptionsForKey(const CompileOptions &O) {
   W.u8(O.EnableGraphRewriting ? 1 : 0);
   W.u8(O.EnableFusion ? 1 : 0);
   W.u8(O.EnableOtherOpts ? 1 : 0);
-  W.u8(O.WavefrontSafeMemory ? 1 : 0);
   W.u8(O.Rewrite.EnableAssociative ? 1 : 0);
   W.u8(O.Rewrite.EnableDistributive ? 1 : 0);
   W.u8(O.Rewrite.EnableCommutative ? 1 : 0);
@@ -81,7 +80,7 @@ std::string serializeOptionsForKey(const CompileOptions &O) {
   // knob adopted from the caller on a hit.
   W.u8(O.Codegen.FuseAttention ? 1 : 0);
   W.u8(O.Codegen.FuseNorm ? 1 : 0);
-  // The whole KernelConfig (tiling, packing, and ForceKernelLevel) is
+  // The whole KernelConfig (packing and ForceKernelLevel) is
   // likewise excluded: kernel dispatch is a
   // per-execution property of the *loading* host — an artifact compiled
   // under forced-scalar must hit the same cache entry and re-resolve to
@@ -157,7 +156,7 @@ std::vector<CacheEntryInfo> CompilationCache::entries() const {
 
 Status CompilationCache::verifyEntry(uint64_t Key) const {
   // loadModel runs the full integrity pipeline (format version, section
-  // checksums, schedule/memory cross-checks); unlike lookup() it is not
+  // checksums, memory-plan cross-check); unlike lookup() it is not
   // followed by an mtime refresh here.
   Expected<CompiledModel> M = loadModel(pathForKey(Key));
   return M.ok() ? Status() : M.status();

@@ -14,7 +14,7 @@
 ///   key  = FNV-1a of (format version, serialized graph, compile options)
 ///   file = <CacheDir>/model-<key>.dnnf   (a saveModel artifact)
 ///
-/// A hit deserializes the artifact (schedule/memory cross-checked on
+/// A hit deserializes the artifact (memory plan cross-checked on
 /// load) and skips planning entirely. Every failure mode — missing entry,
 /// truncated or bit-flipped file, format-version drift — falls back to a
 /// clean recompile whose result overwrites the entry; a cache can make a

@@ -29,7 +29,6 @@ constexpr uint32_t fourcc(char A, char B, char C, char D) {
 constexpr uint32_t TagGraph = fourcc('G', 'R', 'P', 'H');
 constexpr uint32_t TagOptions = fourcc('O', 'P', 'T', 'S');
 constexpr uint32_t TagPlan = fourcc('P', 'L', 'A', 'N');
-constexpr uint32_t TagSchedule = fourcc('S', 'C', 'H', 'D');
 constexpr uint32_t TagMemory = fourcc('M', 'E', 'M', 'P');
 
 std::string tagName(uint32_t Tag) {
@@ -142,20 +141,13 @@ Status trailingBytes(uint32_t Tag, size_t N) {
 }
 
 /// OPTS payload: the codegen configuration the blocks must be rebuilt
-/// with, plus the memory-planning mode.
-struct DecodedOptions {
-  CodegenOptions Codegen;
-  bool WavefrontSafeMemory = true;
-};
-
-std::string serializeOptions(const CodegenOptions &Codegen,
-                             bool WavefrontSafeMemory) {
+/// with.
+std::string serializeOptions(const CodegenOptions &Codegen) {
   ByteWriter W;
   W.u8(Codegen.FoldDataMovement ? 1 : 0);
   W.u8(Codegen.MaterializeShared ? 1 : 0);
   W.u32(static_cast<uint32_t>(Codegen.ChunkSize));
-  W.u8(WavefrontSafeMemory ? 1 : 0);
-  // Plan-affecting fusion toggles (format v2): the loader must recompile
+  // Plan-affecting fusion toggles: the loader must recompile
   // the persisted plan's blocks under the same toggles, or the rebuilt
   // locals/scratch would disagree with the persisted memory plan. Engine
   // knobs (FuseGemmEpilogue, Kernels) stay out.
@@ -164,17 +156,15 @@ std::string serializeOptions(const CodegenOptions &Codegen,
   return W.take();
 }
 
-DecodedOptions readOptions(ByteReader &R) {
-  DecodedOptions O;
-  O.Codegen.FoldDataMovement = R.u8() != 0;
-  O.Codegen.MaterializeShared = R.u8() != 0;
-  O.Codegen.ChunkSize = static_cast<int>(R.u32());
-  O.WavefrontSafeMemory = R.u8() != 0;
-  O.Codegen.FuseAttention = R.u8() != 0;
-  O.Codegen.FuseNorm = R.u8() != 0;
-  if (R.ok() &&
-      (O.Codegen.ChunkSize < 1 || O.Codegen.ChunkSize > DftMaxChunk))
-    R.fail(formatString("chunk size %d outside [1, %d]", O.Codegen.ChunkSize,
+CodegenOptions readOptions(ByteReader &R) {
+  CodegenOptions O;
+  O.FoldDataMovement = R.u8() != 0;
+  O.MaterializeShared = R.u8() != 0;
+  O.ChunkSize = static_cast<int>(R.u32());
+  O.FuseAttention = R.u8() != 0;
+  O.FuseNorm = R.u8() != 0;
+  if (R.ok() && (O.ChunkSize < 1 || O.ChunkSize > DftMaxChunk))
+    R.fail(formatString("chunk size %d outside [1, %d]", O.ChunkSize,
                         DftMaxChunk));
   return O;
 }
@@ -200,17 +190,14 @@ Expected<Graph> dnnfusion::deserializeGraphArtifact(const std::string &Bytes) {
 }
 
 std::string dnnfusion::serializeCompiledModel(const CompiledModel &M) {
-  ByteWriter Plan, Schedule, Memory;
+  ByteWriter Plan, Memory;
   serializeFusionPlan(M.Plan, Plan);
-  serializeBlockSchedule(M.Schedule, Schedule);
   serializeMemoryPlan(M.Memory, Memory);
-  return buildContainer(
-      ArtifactKind::CompiledModel,
-      {{TagGraph, serializeGraph(M.G)},
-       {TagOptions, serializeOptions(M.Codegen, M.Memory.WavefrontSafe)},
-       {TagPlan, Plan.take()},
-       {TagSchedule, Schedule.take()},
-       {TagMemory, Memory.take()}});
+  return buildContainer(ArtifactKind::CompiledModel,
+                        {{TagGraph, serializeGraph(M.G)},
+                         {TagOptions, serializeOptions(M.Codegen)},
+                         {TagPlan, Plan.take()},
+                         {TagMemory, Memory.take()}});
 }
 
 Expected<CompiledModel>
@@ -218,7 +205,7 @@ dnnfusion::deserializeCompiledModel(const std::string &Bytes) {
   auto Sections = parseContainer(Bytes, ArtifactKind::CompiledModel);
   if (!Sections.ok())
     return Sections.status();
-  for (uint32_t Tag : {TagGraph, TagOptions, TagPlan, TagSchedule, TagMemory})
+  for (uint32_t Tag : {TagGraph, TagOptions, TagPlan, TagMemory})
     if (!Sections->count(Tag))
       return missingSection(Tag);
 
@@ -230,9 +217,9 @@ dnnfusion::deserializeCompiledModel(const std::string &Bytes) {
   if (!GraphR.atEnd())
     return trailingBytes(TagGraph, GraphR.remaining());
 
-  // Codegen options + memory mode.
+  // Codegen options.
   ByteReader OptsR = sectionReader(Bytes, (*Sections)[TagOptions]);
-  DecodedOptions Opts = readOptions(OptsR);
+  CodegenOptions Codegen = readOptions(OptsR);
   if (!OptsR.ok())
     return OptsR.status();
   if (!OptsR.atEnd())
@@ -257,31 +244,20 @@ dnnfusion::deserializeCompiledModel(const std::string &Bytes) {
                           E.Message.c_str());
   }
 
-  // Deterministic compilation tail: codegen, schedule, memory, stats.
-  // The graph was already validated by fromParts inside deserializeGraph,
-  // so the rebuild skips its own validate() pass.
-  Expected<CompiledModel> M = rebuildCompiledModel(
-      G.takeValue(), std::move(Plan), Opts.Codegen, Opts.WavefrontSafeMemory,
-      /*GraphAlreadyValidated=*/true);
+  // Deterministic compilation tail: codegen, memory, stats. The graph was
+  // already validated by fromParts inside deserializeGraph, so the rebuild
+  // skips its own validate() pass.
+  Expected<CompiledModel> M =
+      rebuildCompiledModel(G.takeValue(), std::move(Plan), Codegen,
+                           /*GraphAlreadyValidated=*/true);
   if (!M.ok())
     return M.status();
 
-  // Recompute-and-compare integrity: the persisted schedule and memory
-  // plan must equal what the deterministic planners derive from the
-  // decoded graph + plan. A difference means corruption the checksum
-  // missed or cross-version drift — reject rather than execute with a
-  // layout the blocks were not compiled against.
-  ByteReader SchedR = sectionReader(Bytes, (*Sections)[TagSchedule]);
-  BlockSchedule PersistedSchedule = readBlockSchedule(SchedR);
-  if (!SchedR.ok())
-    return SchedR.status();
-  if (!SchedR.atEnd())
-    return trailingBytes(TagSchedule, SchedR.remaining());
-  if (!blockSchedulesEqual(PersistedSchedule, M->Schedule))
-    return Status::error(ErrorCode::DataLoss,
-                         "persisted block schedule disagrees with the one "
-                         "recomputed from the plan");
-
+  // Recompute-and-compare integrity: the persisted memory plan must equal
+  // what the deterministic planner derives from the decoded graph + plan.
+  // A difference means corruption the checksum missed or cross-version
+  // drift — reject rather than execute with a layout the blocks were not
+  // compiled against.
   ByteReader MemR = sectionReader(Bytes, (*Sections)[TagMemory]);
   MemoryPlan PersistedMemory = readMemoryPlan(MemR);
   if (!MemR.ok())

@@ -14,8 +14,8 @@
 ///
 /// Two artifact kinds exist: a bare graph (GRPH section — model
 /// distribution before compilation) and a compiled model (GRPH + OPTS +
-/// PLAN + SCHD + MEMP — the unit the compilation cache stores, loadable
-/// without re-running rewrite search, fusion exploration, or profiling).
+/// PLAN + MEMP — the unit the compilation cache stores, loadable without
+/// re-running rewrite search, fusion exploration, or profiling).
 /// docs/FORMAT.md specifies the layout byte by byte, including the
 /// compatibility policy: readers reject any version they do not know and
 /// skip unknown sections within a known version.
@@ -41,7 +41,7 @@ namespace dnnfusion {
 /// docs/FORMAT.md for the policy). Also folded into compilation-cache
 /// keys so a version bump cold-starts the cache instead of tripping on
 /// every entry.
-inline constexpr uint32_t SerializedFormatVersion = 2;
+inline constexpr uint32_t SerializedFormatVersion = 3;
 
 /// What a container file holds.
 enum class ArtifactKind : uint32_t {
@@ -63,9 +63,9 @@ Expected<Graph> deserializeGraphArtifact(const std::string &Bytes);
 std::string serializeCompiledModel(const CompiledModel &M);
 
 /// Decodes a compiled-model artifact: validates the graph, trap-verifies
-/// the plan, reruns deterministic codegen/schedule/memory planning, and
-/// cross-checks the recomputed schedule and memory plan against the
-/// persisted sections (recompute-and-compare integrity).
+/// the plan, reruns deterministic codegen and memory planning, and
+/// cross-checks the recomputed memory plan against the persisted section
+/// (recompute-and-compare integrity).
 Expected<CompiledModel> deserializeCompiledModel(const std::string &Bytes);
 
 //===----------------------------------------------------------------------===//

@@ -6,21 +6,6 @@ using namespace dnnfusion;
 
 namespace {
 
-void writeIntVector(ByteWriter &W, const std::vector<int> &V) {
-  W.u32(static_cast<uint32_t>(V.size()));
-  for (int X : V)
-    W.i32(X);
-}
-
-std::vector<int> readIntVector(ByteReader &R) {
-  uint32_t N = R.count(/*MinBytesPerElement=*/4);
-  std::vector<int> V;
-  V.reserve(N);
-  for (uint32_t I = 0; I < N && R.ok(); ++I)
-    V.push_back(R.i32());
-  return V;
-}
-
 void writeInt64Vector(ByteWriter &W, const std::vector<int64_t> &V) {
   W.u32(static_cast<uint32_t>(V.size()));
   for (int64_t X : V)
@@ -64,32 +49,6 @@ DecodedPlanParts dnnfusion::readFusionPlanParts(ByteReader &R) {
   return Parts;
 }
 
-void dnnfusion::serializeBlockSchedule(const BlockSchedule &S, ByteWriter &W) {
-  writeIntVector(W, S.PredecessorCount);
-  W.u32(static_cast<uint32_t>(S.Successors.size()));
-  for (const std::vector<int> &Succ : S.Successors)
-    writeIntVector(W, Succ);
-  writeIntVector(W, S.LevelOfBlock);
-  W.u32(static_cast<uint32_t>(S.Levels.size()));
-  for (const std::vector<int> &Level : S.Levels)
-    writeIntVector(W, Level);
-}
-
-BlockSchedule dnnfusion::readBlockSchedule(ByteReader &R) {
-  BlockSchedule S;
-  S.PredecessorCount = readIntVector(R);
-  uint32_t NumSucc = R.count(/*MinBytesPerElement=*/4);
-  S.Successors.reserve(R.ok() ? NumSucc : 0);
-  for (uint32_t I = 0; I < NumSucc && R.ok(); ++I)
-    S.Successors.push_back(readIntVector(R));
-  S.LevelOfBlock = readIntVector(R);
-  uint32_t NumLevels = R.count(/*MinBytesPerElement=*/4);
-  S.Levels.reserve(R.ok() ? NumLevels : 0);
-  for (uint32_t I = 0; I < NumLevels && R.ok(); ++I)
-    S.Levels.push_back(readIntVector(R));
-  return S;
-}
-
 void dnnfusion::serializeMemoryPlan(const MemoryPlan &M, ByteWriter &W) {
   writeInt64Vector(W, M.ArenaOffsetOfNode);
   writeInt64Vector(W, M.InputOffsetOfNode);
@@ -98,7 +57,6 @@ void dnnfusion::serializeMemoryPlan(const MemoryPlan &M, ByteWriter &W) {
   W.i64(M.ScratchBytes);
   W.i64(M.WeightBytes);
   W.i64(M.InputBytes);
-  W.u8(M.WavefrontSafe ? 1 : 0);
 }
 
 MemoryPlan dnnfusion::readMemoryPlan(ByteReader &R) {
@@ -110,15 +68,7 @@ MemoryPlan dnnfusion::readMemoryPlan(ByteReader &R) {
   M.ScratchBytes = R.i64();
   M.WeightBytes = R.i64();
   M.InputBytes = R.i64();
-  M.WavefrontSafe = R.u8() != 0;
   return M;
-}
-
-bool dnnfusion::blockSchedulesEqual(const BlockSchedule &A,
-                                    const BlockSchedule &B) {
-  return A.PredecessorCount == B.PredecessorCount &&
-         A.Successors == B.Successors && A.LevelOfBlock == B.LevelOfBlock &&
-         A.Levels == B.Levels;
 }
 
 bool dnnfusion::memoryPlansEqual(const MemoryPlan &A, const MemoryPlan &B) {
@@ -126,6 +76,5 @@ bool dnnfusion::memoryPlansEqual(const MemoryPlan &A, const MemoryPlan &B) {
          A.InputOffsetOfNode == B.InputOffsetOfNode &&
          A.WeightOffsetOfNode == B.WeightOffsetOfNode &&
          A.ArenaBytes == B.ArenaBytes && A.ScratchBytes == B.ScratchBytes &&
-         A.WeightBytes == B.WeightBytes && A.InputBytes == B.InputBytes &&
-         A.WavefrontSafe == B.WavefrontSafe;
+         A.WeightBytes == B.WeightBytes && A.InputBytes == B.InputBytes;
 }

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// Serialization of the planning results that make a compiled artifact —
-/// FusionPlan, BlockSchedule, MemoryPlan — as the PLAN/SCHD/MEMP sections
-/// of the container format (docs/FORMAT.md).
+/// FusionPlan and MemoryPlan — as the PLAN/MEMP sections of the container
+/// format (docs/FORMAT.md).
 ///
 /// The plan encodes only what cannot be re-derived: the member groups (in
 /// block execution order) and per-block seeds. Everything else a
@@ -16,12 +16,11 @@
 /// via planFromOrderedGroups — so a tampered plan file cannot inject
 /// metadata inconsistent with its own groups.
 ///
-/// The schedule and memory plan ARE fully serialized, and the loader
-/// recomputes both from the decoded plan and requires equality: since
-/// computeBlockSchedule and planMemory are deterministic, any difference
-/// means corruption or version drift, and the artifact is rejected with a
-/// DataLoss Status. Decoders never abort; they latch errors on the
-/// ByteReader.
+/// The memory plan IS fully serialized, and the loader recomputes it from
+/// the decoded plan and requires equality: since planMemory is
+/// deterministic, any difference means corruption or version drift, and
+/// the artifact is rejected with a DataLoss Status. Decoders never abort;
+/// they latch errors on the ByteReader.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,15 +48,11 @@ void serializeFusionPlan(const FusionPlan &Plan, ByteWriter &W);
 /// set and the result is meaningless.
 DecodedPlanParts readFusionPlanParts(ByteReader &R);
 
-void serializeBlockSchedule(const BlockSchedule &S, ByteWriter &W);
-BlockSchedule readBlockSchedule(ByteReader &R);
-
 void serializeMemoryPlan(const MemoryPlan &M, ByteWriter &W);
 MemoryPlan readMemoryPlan(ByteReader &R);
 
 /// Field-wise equality (the loader's recompute-and-compare integrity
 /// check).
-bool blockSchedulesEqual(const BlockSchedule &A, const BlockSchedule &B);
 bool memoryPlansEqual(const MemoryPlan &A, const MemoryPlan &B);
 
 } // namespace dnnfusion

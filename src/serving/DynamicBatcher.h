@@ -82,7 +82,7 @@ struct BatcherOptions {
   std::vector<int64_t> BatchSizes = {1, 2, 4, 8};
   /// Bounded queue + deadline shedding (see AdmissionController).
   AdmissionOptions Admission;
-  /// Execution options for every per-bucket InferenceSession.
+  /// Session options (the context cap) for every per-bucket InferenceSession.
   SessionOptions Session;
   /// Per-bucket circuit breaker: consecutive compile/execution failures on
   /// one batch bucket before it opens. While open, dispatch decomposes

@@ -69,10 +69,12 @@ inline constexpr const char *AllocTensor = "alloc.tensor";
 inline constexpr const char *AllocArena = "alloc.arena";
 /// ThreadPool parallelFor/forEach cannot spawn onto workers; the pool
 /// degrades to inline execution on the calling thread (no error surfaces —
-/// this point exercises the degradation, not a failure path).
+/// this point exercises the degradation, not a failure path). Kernel
+/// slicing and InferenceSession::runBatch are the two callers.
 inline constexpr const char *ThreadPoolSpawn = "threadpool.spawn";
 /// ExecutionContext::runBlock: one fusion block fails mid-model; the run
-/// aborts with a typed Internal status at the block boundary.
+/// aborts with a typed Internal status before that block executes, and no
+/// later block runs.
 inline constexpr const char *ExecBlock = "exec.block";
 /// Kernel-registry SIMD dispatch fault: trips the one-way DegradeToScalar
 /// latch (ops/KernelRegistry.h) and falls back to the scalar tier.

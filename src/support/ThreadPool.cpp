@@ -10,11 +10,10 @@ using namespace dnnfusion;
 
 namespace {
 
-/// Pool the calling thread works for (null on non-worker threads) and its
-/// lane within that pool. The reentrancy checks compare against `this`, so
-/// nesting across distinct pools still dispatches normally.
+/// Pool the calling thread works for (null on non-worker threads). The
+/// reentrancy checks compare against `this`, so nesting across distinct
+/// pools still dispatches normally.
 thread_local const ThreadPool *CurrentWorkerPool = nullptr;
-thread_local unsigned CurrentWorkerLane = 0;
 
 } // namespace
 
@@ -25,7 +24,7 @@ ThreadPool::ThreadPool(unsigned NumThreads) {
   }
   Workers.reserve(NumThreads);
   for (unsigned I = 0; I < NumThreads; ++I)
-    Workers.emplace_back([this, I] { workerLoop(I); });
+    Workers.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -40,20 +39,15 @@ ThreadPool::~ThreadPool() {
 
 bool ThreadPool::onWorkerThread() const { return CurrentWorkerPool == this; }
 
-unsigned ThreadPool::currentLane() const {
-  return CurrentWorkerPool == this ? CurrentWorkerLane : 0;
-}
-
-void ThreadPool::runTask(const Task &T, unsigned Lane) {
+void ThreadPool::runTask(const Task &T) {
   if (T.Group->Range)
     (*T.Group->Range)(T.Begin, T.End);
   else
-    (*T.Group->Single)(T.Begin, Lane);
+    (*T.Group->Single)(T.Begin);
 }
 
-void ThreadPool::workerLoop(unsigned Index) {
+void ThreadPool::workerLoop() {
   CurrentWorkerPool = this;
-  CurrentWorkerLane = Index + 1; // Lane 0 is reserved for master threads.
   while (true) {
     Task T;
     {
@@ -65,7 +59,7 @@ void ThreadPool::workerLoop(unsigned Index) {
       T = PendingTasks.back();
       PendingTasks.pop_back();
     }
-    runTask(T, CurrentWorkerLane);
+    runTask(T);
     {
       std::lock_guard<std::mutex> Lock(Mutex);
       if (--T.Group->Remaining == 0)
@@ -75,7 +69,7 @@ void ThreadPool::workerLoop(unsigned Index) {
 }
 
 void ThreadPool::helpUntilDone(std::unique_lock<std::mutex> &Lock,
-                               TaskGroup &Group, unsigned Lane) {
+                               TaskGroup &Group) {
   // Execute queued tasks of this group on the calling thread instead of
   // idling; tasks of unrelated concurrent groups are left to their owners.
   while (Group.Remaining > 0) {
@@ -88,7 +82,7 @@ void ThreadPool::helpUntilDone(std::unique_lock<std::mutex> &Lock,
     Task T = *It;
     PendingTasks.erase(It);
     Lock.unlock();
-    runTask(T, Lane);
+    runTask(T);
     Lock.lock();
     if (--Group.Remaining == 0)
       return;
@@ -104,8 +98,8 @@ void ThreadPool::parallelFor(
   const int64_t MinPerSlice = 4096;
   unsigned Slices = numThreads();
   // threadpool.spawn degrades to inline execution on the calling thread —
-  // correct (same slicing semantics, lane 0 like any master thread), just
-  // serial. No error surfaces; this is the pool's graceful-degradation path.
+  // correct (same slicing semantics), just serial. No error surfaces; this
+  // is the pool's graceful-degradation path.
   if (Slices <= 1 || Count < 2 * MinPerSlice || onWorkerThread() ||
       faultShouldFail(faultpoints::ThreadPoolSpawn)) {
     Body(0, Count);
@@ -126,18 +120,17 @@ void ThreadPool::parallelFor(
     ++Group.Remaining;
   }
   WakeWorkers.notify_all();
-  helpUntilDone(Lock, Group, currentLane());
+  helpUntilDone(Lock, Group);
 }
 
 void ThreadPool::forEach(int64_t Count,
-                         const std::function<void(int64_t, unsigned)> &Body) {
+                         const std::function<void(int64_t)> &Body) {
   if (Count <= 0)
     return;
   if (Count == 1 || numThreads() <= 1 || onWorkerThread() ||
       faultShouldFail(faultpoints::ThreadPoolSpawn)) {
-    unsigned Lane = currentLane();
     for (int64_t I = 0; I < Count; ++I)
-      Body(I, Lane);
+      Body(I);
     return;
   }
   TaskGroup Group;
@@ -148,7 +141,7 @@ void ThreadPool::forEach(int64_t Count,
     ++Group.Remaining;
   }
   WakeWorkers.notify_all();
-  helpUntilDone(Lock, Group, currentLane());
+  helpUntilDone(Lock, Group);
 }
 
 ThreadPool &ThreadPool::global() {

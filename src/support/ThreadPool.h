@@ -10,17 +10,16 @@
 ///  - parallelFor: deterministic data-parallel slicing of one iteration
 ///    space. Slice boundaries depend only on Count and the pool size, so
 ///    results (and instrumentation counters) do not depend on scheduling.
-///  - forEach: coarse task dispatch (one task per index) with a lane id per
-///    executing thread, used by the wavefront block dispatcher to bind
-///    per-lane resources such as scratch buffers.
+///  - forEach: coarse task dispatch (one task per index), used by
+///    InferenceSession::runBatch to run a batch's requests side by side.
 ///
 /// Both are reentrancy-safe: when called from one of the pool's own worker
 /// threads they execute inline on that thread instead of enqueueing, so
-/// nested parallelism (a fused kernel's parallelFor inside a wavefront
-/// block task) can never deadlock the pool. Both are also safe to call from
-/// several independent master threads at once — every call waits on its own
-/// task group, which is what lets N InferenceSession clients share one
-/// pool.
+/// nested parallelism (a fused kernel's parallelFor inside a runBatch
+/// request task) can never deadlock the pool. Both are also safe to call
+/// from several independent master threads at once — every call waits on
+/// its own task group, which is what lets N InferenceSession clients share
+/// one pool.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,16 +49,8 @@ public:
 
   unsigned numThreads() const { return static_cast<unsigned>(Workers.size()); }
 
-  /// Distinct execution lanes a caller must provision resources for: one
-  /// per worker plus one for a non-worker (master) thread.
-  unsigned numLanes() const { return numThreads() + 1; }
-
   /// True when the calling thread is one of this pool's workers.
   bool onWorkerThread() const;
-
-  /// Lane of the calling thread: workers occupy lanes 1..numThreads();
-  /// every other thread reports lane 0.
-  unsigned currentLane() const;
 
   /// Runs \p Body(Begin, End) on disjoint slices covering [0, Count).
   /// Deterministic: slice boundaries depend only on Count and the pool
@@ -69,15 +60,12 @@ public:
   void parallelFor(int64_t Count,
                    const std::function<void(int64_t, int64_t)> &Body);
 
-  /// Runs \p Body(Index, Lane) once for every index in [0, Count), one
-  /// task per index, distributed across the workers; the calling thread
-  /// participates, so all numLanes() lanes may execute tasks. Blocks until
-  /// every task finishes. Called from one of this pool's own workers it
-  /// degrades to an inline loop in index order on the current lane — the
-  /// reentrancy guarantee the wavefront dispatcher and InferenceSession
-  /// rely on.
-  void forEach(int64_t Count,
-               const std::function<void(int64_t, unsigned)> &Body);
+  /// Runs \p Body(Index) once for every index in [0, Count), one task per
+  /// index, distributed across the workers; the calling thread
+  /// participates. Blocks until every task finishes. Called from one of
+  /// this pool's own workers it degrades to an inline loop in index order —
+  /// the reentrancy guarantee InferenceSession::runBatch relies on.
+  void forEach(int64_t Count, const std::function<void(int64_t)> &Body);
 
   /// Process-wide pool, created on first use.
   static ThreadPool &global();
@@ -87,7 +75,7 @@ private:
   /// caller's stack; Remaining is guarded by the pool mutex.
   struct TaskGroup {
     const std::function<void(int64_t, int64_t)> *Range = nullptr;
-    const std::function<void(int64_t, unsigned)> *Single = nullptr;
+    const std::function<void(int64_t)> *Single = nullptr;
     int64_t Remaining = 0;
     std::condition_variable Done;
   };
@@ -98,12 +86,11 @@ private:
     int64_t End = 0;
   };
 
-  void workerLoop(unsigned Index);
-  static void runTask(const Task &T, unsigned Lane);
+  void workerLoop();
+  static void runTask(const Task &T);
   /// Pops and runs queued tasks of \p Group until none remain, then waits
   /// for in-flight ones. Called by the master with \p Lock held.
-  void helpUntilDone(std::unique_lock<std::mutex> &Lock, TaskGroup &Group,
-                     unsigned Lane);
+  void helpUntilDone(std::unique_lock<std::mutex> &Lock, TaskGroup &Group);
 
   std::vector<std::thread> Workers;
   std::mutex Mutex;

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// The genetic-algorithm auto-tuner of the underlying runtime (paper
-/// §5.3/Figure 9b, inherited from PatDNN): searches tile and unroll
-/// parameters of the compute-intensive GEMM kernel against measured
+/// §5.3/Figure 9b, inherited from PatDNN): searches the blocking
+/// parameters (PackMR, PackNR) of the packed GEMM kernel against measured
 /// runtime. Its wall time is the Tuning component of compilation time.
 ///
 //===----------------------------------------------------------------------===//
@@ -38,16 +38,11 @@ struct TuneOptions {
   float MutationRate = 0.3f;
   int MeasureRepeats = 2;
   uint64_t Seed = 7;
-  /// Measure the packed register-blocked engine (PackMR/PackNR genes; the
-  /// serving hot path, weights prepacked outside the timer). False =
-  /// measure the legacy matmulTiled kernel (TileM/N/K + UnrollM genes).
-  bool TunePacked = true;
 };
 
-/// Tunes the GEMM kernel for a [M,K] x [K,N] problem: the packed engine's
-/// blocking parameters by default, the legacy tiled kernel's tile sizes
-/// when Options.TunePacked is false. The search space always spans all
-/// six genes so one tuned KernelConfig can serve both kernels.
+/// Tunes the packed GEMM kernel's blocking parameters for a [M,K] x [K,N]
+/// problem, with the weights prepacked outside the timer (the serving hot
+/// path).
 TuneResult tuneMatmul(int64_t M, int64_t N, int64_t K,
                       const TuneOptions &Options = {});
 

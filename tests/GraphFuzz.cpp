@@ -45,8 +45,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <memory>
-#include <mutex>
 
 namespace dnnfusion {
 namespace testutil {
@@ -971,17 +969,6 @@ const std::vector<DiffConfig> &defaultConfigMatrix() {
       M.push_back(C);
     }
     {
-      // Thread-count dimension: same full pipeline, wavefront pinned to a
-      // single-thread pool. Must be bit-identical to "full" (N threads).
-      DiffConfig C;
-      C.Name = "full-t1";
-      C.Threads = 1;
-      C.RelTol = 2e-3f;
-      C.AbsTol = 2e-3f;
-      C.BitIdenticalTo = "full";
-      M.push_back(C);
-    }
-    {
       // Engine dimension, packed-vs-naive: same full pipeline with the
       // Many-to-Many kernels pinned to the naive loops instead of the
       // packed register-blocked engine. Must be bit-identical to "full"
@@ -1066,27 +1053,11 @@ std::vector<Tensor> specInputs(const FuzzSpec &Spec) {
   return Inputs;
 }
 
-/// Dedicated fixed-size pools for the thread-count dimension, created once
-/// (fuzz sweeps run thousands of pipelines).
-ThreadPool &poolWithThreads(unsigned Threads) {
-  static std::map<unsigned, std::unique_ptr<ThreadPool>> Pools;
-  static std::mutex PoolsMutex;
-  std::lock_guard<std::mutex> Lock(PoolsMutex);
-  std::unique_ptr<ThreadPool> &P = Pools[Threads];
-  if (!P)
-    P = std::make_unique<ThreadPool>(Threads);
-  return *P;
-}
-
 std::vector<Tensor> runPipeline(const FuzzSpec &Spec,
                                 const CompileOptions &Options,
-                                const std::vector<Tensor> &Inputs,
-                                unsigned Threads = 0) {
+                                const std::vector<Tensor> &Inputs) {
   CompiledModel M = cantFail(compileModel(buildGraph(Spec), Options));
-  ExecutionOptions Exec;
-  if (Threads > 0)
-    Exec.Pool = &poolWithThreads(Threads);
-  ExecutionContext E(M, Exec);
+  ExecutionContext E(M);
   return E.run(Inputs);
 }
 
@@ -1122,13 +1093,12 @@ runDifferential(const FuzzSpec &Spec, const std::vector<DiffConfig> &Configs,
   // tolerance (per-config fields override the call-wide defaults — exact
   // configs stay strict, fused-path configs carry the documented
   // relaxation). Configs naming a BitIdenticalTo baseline additionally
-  // must match that earlier config's outputs bit-for-bit: thread count
-  // (deterministic slicing), kernel path (packed vs naive), epilogue
-  // folding, and kernel tier (scalar vs avx2) are all exact dimensions.
+  // must match that earlier config's outputs bit-for-bit: kernel path
+  // (packed vs naive), epilogue folding, and kernel tier (scalar vs avx2)
+  // are all exact dimensions.
   std::map<std::string, std::vector<Tensor>> ByName;
   for (const DiffConfig &Config : Configs) {
-    std::vector<Tensor> Opt =
-        runPipeline(Spec, Config.Options, Inputs, Config.Threads);
+    std::vector<Tensor> Opt = runPipeline(Spec, Config.Options, Inputs);
     float Rel = Config.RelTol >= 0.0f ? Config.RelTol : RelTol;
     float Abs = Config.AbsTol >= 0.0f ? Config.AbsTol : AbsTol;
     if (std::optional<std::string> Diff = compareOutputs(Ref, Opt, Rel, Abs))
@@ -1440,8 +1410,8 @@ std::string fuzzSerializeRoundtrip(const FuzzSpec &Spec) {
     return Fail("text graph roundtrip mismatch", Diff);
 
   // Compiled artifact roundtrip: the loaded model must execute
-  // bit-identically to the in-memory one (same plan, same schedule, same
-  // arena layout, same codegen).
+  // bit-identically to the in-memory one (same plan, same arena layout,
+  // same codegen).
   CompiledModel M = cantFail(compileModel(std::move(G)));
   std::string ModelBytes = serializeCompiledModel(M);
   Expected<CompiledModel> Loaded = deserializeCompiledModel(ModelBytes);

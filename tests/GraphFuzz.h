@@ -113,12 +113,6 @@ std::string toBuilderCode(const FuzzSpec &Spec);
 struct DiffConfig {
   std::string Name;
   CompileOptions Options;
-  /// Thread-count dimension for wavefront execution: 0 = the shared
-  /// global pool (N threads), otherwise a dedicated pool of exactly this
-  /// many threads. Deterministic kernel slicing + level scheduling must
-  /// make outputs bit-identical across pool sizes; runDifferential
-  /// enforces that between the "full" and "full-t1" entries.
-  unsigned Threads = 0;
   /// Per-config tolerances for the vs-reference comparison. Negative =
   /// inherit the matrix-wide defaults passed to runDifferential. Configs
   /// that exercise a deliberate bit-identity relaxation (the fused
@@ -128,15 +122,14 @@ struct DiffConfig {
   float AbsTol = -1.0f;
   /// When non-empty: the name of an earlier matrix config this one must
   /// match *bit-for-bit* (tolerance 0), on top of the vs-reference check.
-  /// This is how thread-count, engine-path, kernel-path, and
-  /// epilogue-fold dimensions pin their exactness guarantees.
+  /// This is how the engine-path, kernel-tier, and epilogue-fold
+  /// dimensions pin their exactness guarantees.
   std::string BitIdenticalTo;
 };
 
 /// The default configuration matrix: full pipeline, fusion without
 /// rewriting, rewriting without fusion, fusion without the §4.4.2 "other"
-/// optimizations, the full pipeline pinned to a single-thread pool
-/// (the thread-count dimension), the kernel-path dimension (naive GEMM),
+/// optimizations, the kernel-path dimension (naive GEMM),
 /// the transformer-fusion dimensions (epilogue folding off —
 /// bit-identical; fused attention/layernorm off — reference path), and
 /// the kernel-tier dimensions (forced scalar, forced avx2 — both

@@ -48,8 +48,8 @@ inline std::vector<Tensor> randomInputs(const Graph &G, uint64_t Seed,
   return Inputs;
 }
 
-/// Runs \p G unoptimized (no rewriting, no fusion) with strictly
-/// sequential block execution — the reference result.
+/// Runs \p G unoptimized (no rewriting, no fusion) — the reference
+/// result.
 inline std::vector<Tensor> runReference(const Graph &G,
                                         const std::vector<Tensor> &Inputs) {
   CompileOptions Opt;
@@ -57,9 +57,7 @@ inline std::vector<Tensor> runReference(const Graph &G,
   Opt.EnableFusion = false;
   Opt.EnableOtherOpts = false;
   CompiledModel M = cantFail(compileModel(G, Opt));
-  ExecutionOptions Exec;
-  Exec.Mode = ExecutionOptions::Schedule::Sequential;
-  ExecutionContext E(M, Exec);
+  ExecutionContext E(M);
   return E.run(Inputs);
 }
 
@@ -102,9 +100,7 @@ inline std::vector<Tensor> runPerOpWalker(const Graph &G,
   return Values;
 }
 
-/// Runs \p G through the full DNNFusion pipeline with \p Options (default
-/// wavefront dispatch, so every comparison against runReference also
-/// differentially tests the concurrent executor).
+/// Runs \p G through the full DNNFusion pipeline with \p Options.
 inline std::vector<Tensor> runOptimized(const Graph &G,
                                         const std::vector<Tensor> &Inputs,
                                         const CompileOptions &Options = {}) {

@@ -395,7 +395,7 @@ TEST(ChaosKernel, DispatchFaultLatchesScalarWithIdenticalResults) {
 }
 
 //===----------------------------------------------------------------------===//
-// Thread-pool spawn fault: wavefront degrades to inline execution
+// Thread-pool spawn fault: kernels and runBatch degrade to inline execution
 //===----------------------------------------------------------------------===//
 
 TEST(ChaosThreadPool, SpawnFaultDegradesInlineWithIdenticalResults) {
@@ -531,9 +531,7 @@ TEST(ChaosDeadline, MidRunExpiryAbortsWithinOneBlockOfTheDeadline) {
   ASSERT_TRUE(M.ok());
   ASSERT_GE(M->Blocks.size(), 8u); // Plenty of checkpoints.
   std::vector<Tensor> In = inputsFor(M->Signature, 8);
-  ExecutionOptions Exec;
-  Exec.Mode = ExecutionOptions::Schedule::Sequential;
-  ExecutionContext Ctx(M.value(), Exec);
+  ExecutionContext Ctx(M.value());
 
   using ClockT = std::chrono::steady_clock;
   auto MsBetween = [](ClockT::time_point A, ClockT::time_point B) {

@@ -544,7 +544,7 @@ TEST(PrepackStore, WeightStationaryLayersTakeNarrowPackedRoute) {
     CompiledModel M =
         cantFail(compileModel(weightStationaryModel(Batch), CompileOptions()));
     // The activation operand is the packed one: nothing to prepack, and
-    // the per-lane scratch holds the widest layer's 8-wide panel, so no
+    // the pack scratch holds the widest layer's 8-wide panel, so no
     // call packs onto the heap.
     EXPECT_TRUE(M.Prepack.empty());
     EXPECT_EQ(M.Memory.PackScratchBytes,
@@ -583,8 +583,6 @@ TEST(PrepackStore, WeightStationaryLayersTakeNarrowPackedRoute) {
 TEST(EngineZooSweep, PackedAndNaivePathsAreBitIdenticalZooWide) {
   // For every zoo model, the default engine (packed kernels) must produce
   // exactly the bytes the naive Many-to-Many loops produce.
-  ExecutionOptions Seq;
-  Seq.Mode = ExecutionOptions::Schedule::Sequential;
   for (const ModelZooEntry &Entry : modelZoo()) {
     Graph G = Entry.Build();
     std::vector<Tensor> Inputs = randomInputs(G, 42);
@@ -592,11 +590,11 @@ TEST(EngineZooSweep, PackedAndNaivePathsAreBitIdenticalZooWide) {
     CompileOptions Legacy;
     Legacy.Codegen.Kernels.UsePackedGemm = false;
     CompiledModel MLegacy = cantFail(compileModel(Entry.Build(), Legacy));
-    ExecutionContext ELegacy(MLegacy, Seq);
+    ExecutionContext ELegacy(MLegacy);
     std::vector<Tensor> Want = ELegacy.run(Inputs);
 
     CompiledModel MDefault = cantFail(compileModel(std::move(G)));
-    ExecutionContext EDefault(MDefault, Seq);
+    ExecutionContext EDefault(MDefault);
     ExecutionStats Stats;
     std::vector<Tensor> Got = EDefault.run(Inputs, &Stats);
 

@@ -282,11 +282,10 @@ TEST(ModelArtifact, ZooWideSaveLoadRunBitIdentity) {
     ASSERT_TRUE(Loaded.ok()) << Loaded.status().toString();
 
     // The restored model must be the same *program*: identical plan
-    // shape, schedule, memory layout — and bit-identical outputs.
+    // shape, memory layout — and bit-identical outputs.
     EXPECT_EQ(Loaded->Plan.Blocks.size(), M.Plan.Blocks.size());
-    EXPECT_EQ(Loaded->Schedule.numLevels(), M.Schedule.numLevels());
     EXPECT_EQ(Loaded->Memory.ArenaBytes, M.Memory.ArenaBytes);
-    EXPECT_EQ(Loaded->Memory.WavefrontSafe, M.Memory.WavefrontSafe);
+    EXPECT_EQ(Loaded->Memory.ArenaOffsetOfNode, M.Memory.ArenaOffsetOfNode);
     EXPECT_EQ(Loaded->Signature.toString(), M.Signature.toString());
 
     ExecutionContext Original(M);
@@ -378,6 +377,20 @@ TEST_F(ArtifactCorruption, VersionDriftRejectsWithClearDiagnostic) {
   ASSERT_FALSE(M.ok());
   EXPECT_EQ(M.status().code(), ErrorCode::DataLoss);
   EXPECT_NE(M.status().message().find("version"), std::string::npos);
+}
+
+TEST_F(ArtifactCorruption, MemoryPlanDriftRejects) {
+  // A well-formed artifact (valid checksum) whose MEMP section disagrees
+  // with the plan the loader recomputes: the recompute-and-compare check
+  // must reject it rather than run blocks over a foreign arena layout.
+  CompiledModel M =
+      cantFail(compileModel(buildModel("TinyBERT"), CompileOptions()));
+  M.Memory.ArenaBytes += 64;
+  Expected<CompiledModel> Loaded =
+      deserializeCompiledModel(serializeCompiledModel(M));
+  ASSERT_FALSE(Loaded.ok());
+  EXPECT_EQ(Loaded.status().code(), ErrorCode::DataLoss);
+  EXPECT_NE(Loaded.status().message().find("memory plan"), std::string::npos);
 }
 
 TEST_F(ArtifactCorruption, WrongKindRejects) {

@@ -271,21 +271,15 @@ TEST(ThreadPool, GlobalPoolIsASingleton) {
   EXPECT_LE(ThreadPool::global().numThreads(), 8u);
 }
 
-TEST(ThreadPool, ForEachVisitsEveryIndexOnceWithValidLanes) {
+TEST(ThreadPool, ForEachVisitsEveryIndexOnce) {
   ThreadPool Pool(4);
   const int64_t Count = 64;
   std::vector<std::atomic<int>> Visits(Count);
   for (auto &V : Visits)
     V = 0;
-  std::atomic<bool> LaneOutOfRange{false};
-  Pool.forEach(Count, [&](int64_t I, unsigned Lane) {
-    ++Visits[static_cast<size_t>(I)];
-    if (Lane >= Pool.numLanes())
-      LaneOutOfRange = true;
-  });
+  Pool.forEach(Count, [&](int64_t I) { ++Visits[static_cast<size_t>(I)]; });
   for (int64_t I = 0; I < Count; ++I)
     EXPECT_EQ(Visits[static_cast<size_t>(I)].load(), 1) << "index " << I;
-  EXPECT_FALSE(LaneOutOfRange.load());
 }
 
 /// Blocks each caller until \p Expected callers have arrived. Used with
@@ -311,11 +305,11 @@ private:
 };
 
 TEST(ThreadPool, ParallelForInsideWorkerRunsInlineWithoutDeadlock) {
-  // The wavefront dispatcher runs fusion blocks as forEach tasks; the
-  // fused kernels inside then call parallelFor on the same pool. That
-  // nested call must execute inline on the worker — enqueueing and
-  // blocking would deadlock a fully busy pool. Regression gate for the
-  // reentrancy guarantee.
+  // InferenceSession::runBatch runs requests as forEach tasks; the fused
+  // kernels inside then call parallelFor on the same pool. That nested
+  // call must execute inline on the worker — enqueueing and blocking would
+  // deadlock a fully busy pool. Regression gate for the reentrancy
+  // guarantee.
   ThreadPool Pool(2);
   const int64_t Outer = 2, Inner = 1 << 15; // Inner > 2 * MinPerSlice.
   std::vector<std::atomic<int64_t>> Sums(Outer);
@@ -323,7 +317,7 @@ TEST(ThreadPool, ParallelForInsideWorkerRunsInlineWithoutDeadlock) {
     S = 0;
   Rendezvous AllInFlight(Outer);
   std::atomic<int> WorkerDispatches{0};
-  Pool.forEach(Outer, [&](int64_t I, unsigned) {
+  Pool.forEach(Outer, [&](int64_t I) {
     AllInFlight.arriveAndWait();
     bool OnWorker = Pool.onWorkerThread();
     std::thread::id Caller = std::this_thread::get_id();
@@ -359,15 +353,14 @@ TEST(ThreadPool, ForEachInsideWorkerRunsInline) {
     V = 0;
   Rendezvous AllInFlight(Outer);
   std::atomic<int> WorkerDispatches{0};
-  Pool.forEach(Outer, [&](int64_t I, unsigned OuterLane) {
+  Pool.forEach(Outer, [&](int64_t I) {
     AllInFlight.arriveAndWait();
     bool OnWorker = Pool.onWorkerThread();
     std::thread::id Caller = std::this_thread::get_id();
-    Pool.forEach(Inner, [&](int64_t J, unsigned InnerLane) {
+    Pool.forEach(Inner, [&](int64_t J) {
       if (OnWorker) {
-        // Nested dispatch degrades to an inline loop on the same lane.
+        // Nested dispatch degrades to an inline loop on the same thread.
         EXPECT_EQ(std::this_thread::get_id(), Caller);
-        EXPECT_EQ(InnerLane, OuterLane);
       }
       ++Visits[static_cast<size_t>(I * Inner + J)];
     });
@@ -379,25 +372,14 @@ TEST(ThreadPool, ForEachInsideWorkerRunsInline) {
     EXPECT_EQ(Visits[K].load(), 1) << "index " << K;
 }
 
-TEST(ThreadPool, LaneIdentification) {
+TEST(ThreadPool, WorkerIdentification) {
   ThreadPool Pool(3);
   EXPECT_FALSE(Pool.onWorkerThread());
-  EXPECT_EQ(Pool.currentLane(), 0u);
-  EXPECT_EQ(Pool.numLanes(), 4u);
-  // Worker lanes are 1..numThreads; lanes of another pool do not leak.
+  // A worker of one pool is not a worker of another.
   ThreadPool Other(2);
-  std::mutex M;
-  std::vector<unsigned> WorkerLanes;
-  Pool.forEach(16, [&](int64_t, unsigned Lane) {
+  Pool.forEach(16, [&](int64_t) {
     if (Pool.onWorkerThread()) {
       EXPECT_FALSE(Other.onWorkerThread());
-      EXPECT_EQ(Other.currentLane(), 0u);
-      EXPECT_GE(Lane, 1u);
-      EXPECT_LE(Lane, Pool.numThreads());
-      std::lock_guard<std::mutex> Lock(M);
-      WorkerLanes.push_back(Lane);
-    } else {
-      EXPECT_EQ(Lane, 0u);
     }
   });
 }
