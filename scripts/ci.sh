@@ -6,6 +6,10 @@
 #   ./scripts/ci.sh Debug      # one configuration
 #   ./scripts/ci.sh tsan       # ThreadSanitizer build, smoke subset only
 #                              # (guards the serving concurrency)
+#   ./scripts/ci.sh asan       # AddressSanitizer + UBSan build: the smoke
+#                              # subset plus test_dft_program and
+#                              # test_serialize (the artifact corruption
+#                              # sweeps); any report fails the run
 #   ./scripts/ci.sh cache      # compilation-cache smoke: the roundtrip
 #                              # example twice against one CacheDir (the
 #                              # second process must hit), then dnnf-cache
@@ -58,6 +62,24 @@ for CONFIG in "${CONFIGS[@]}"; do
     cmake --build "$BUILD_DIR" -j "$JOBS"
     echo "=== [tsan] smoke tests under ThreadSanitizer ==="
     ctest --test-dir "$BUILD_DIR" -L smoke --output-on-failure -j "$JOBS"
+    continue
+  fi
+  if [ "$CONFIG" = "asan" ]; then
+    BUILD_DIR="build-ci-asan"
+    echo "=== [asan] configure ==="
+    # The sanitizer flags ride on CMAKE_CXX_FLAGS, so every target — the
+    # library, the tests and the examples — is instrumented. UBSan findings
+    # abort (-fno-sanitize-recover) instead of only printing.
+    cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+          -DDNNFUSION_BUILD_BENCH=OFF -DDNNFUSION_BUILD_EXAMPLES=ON \
+          -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS"
+    echo "=== [asan] build ==="
+    cmake --build "$BUILD_DIR" -j "$JOBS"
+    echo "=== [asan] smoke tests + artifact corruption sweeps under ASan/UBSan ==="
+    ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
+          -L smoke
+    ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
+          -R '^(test_dft_program|test_serialize)$'
     continue
   fi
   if [ "$CONFIG" = "bench" ]; then

@@ -47,13 +47,6 @@ struct CodegenOptions {
   bool MaterializeShared = true;
   /// Elements per evaluation chunk (<= DftMaxChunk).
   int ChunkSize = 256;
-  /// Run elementwise expression steps that follow a MatMul/Gemm step and
-  /// read it row-contiguously as epilogues inside the GEMM's parallel row
-  /// loop (no extra memory pass over the intermediate). Bit-identical to
-  /// the unfused step sequence — chunk partitioning never changes values —
-  /// so this is an engine knob, flippable per execution without
-  /// recompiling (compileBlock always annotates the foldable runs).
-  bool FuseGemmEpilogue = true;
   /// Compile fusion blocks that exactly cover a matched attention
   /// subgraph (QK^T -> scale -> mask -> Softmax -> V) into one
   /// single-pass online-softmax step (ops/KernelsAttention). The online
@@ -98,15 +91,8 @@ struct CompiledStep {
   std::vector<int> InputSlots;
   std::vector<Shape> InputShapes;
 
-  /// RefKernel MatMul/Gemm only: the next EpilogueSteps Expression steps
-  /// of the block are elementwise epilogues of this GEMM — same output
-  /// domain, reading the GEMM result (and each other) only through
-  /// identity-chain leaves — and may execute inside the kernel's row loop
-  /// when CodegenOptions::FuseGemmEpilogue is on.
-  int EpilogueSteps = 0;
-
   // Expression.
-  /// The expression tree (epilogue annotation, CodeEmitter source).
+  /// The expression tree (CodeEmitter source).
   DftTree Tree;
   /// The tree lowered to a flat instruction tape — what executeBlock runs.
   DftProgram Program;

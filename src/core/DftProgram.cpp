@@ -399,24 +399,6 @@ void DftProgram::execute(const std::vector<const float *> &Slots, float *Out,
   });
 }
 
-void DftProgram::executeRange(const std::vector<const float *> &Slots,
-                              float *Out, int64_t Begin, int64_t End,
-                              int ChunkSize, KernelLevel Level) const {
-  DNNF_CHECK(ChunkSize > 0 && ChunkSize <= DftMaxChunk,
-             "chunk size %d out of range", ChunkSize);
-  DNNF_CHECK(Begin >= 0 && End <= OutElems && Begin <= End,
-             "range [%lld, %lld) outside [0, %lld)",
-             static_cast<long long>(Begin), static_cast<long long>(End),
-             static_cast<long long>(OutElems));
-  EltwiseChunkFn Simd = resolveEltwiseChunk(Level);
-  ChunkState State(*this);
-  for (int64_t Base = Begin; Base < End; Base += ChunkSize) {
-    int Count =
-        static_cast<int>(Base + ChunkSize <= End ? ChunkSize : End - Base);
-    runChunk(*this, Slots, Base, Count, Out + Base, State, Simd);
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Introspection
 //===----------------------------------------------------------------------===//

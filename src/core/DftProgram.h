@@ -144,18 +144,6 @@ public:
   void execute(const std::vector<const float *> &Slots, float *Out,
                int ChunkSize, KernelLevel Level = KernelLevel::Scalar) const;
 
-  /// Evaluates output flat indices [Begin, End) only, on the calling
-  /// thread (no internal parallelism). \p Out is the full output base
-  /// pointer — element i lands at Out[i], exactly as under execute().
-  /// Chunk partitioning never changes values (every instruction is
-  /// per-element within its chunk), so covering [0, OutElems) with any
-  /// disjoint set of executeRange calls is bit-identical to execute().
-  /// This is the GEMM-epilogue entry point: the producing kernel calls it
-  /// per completed row range from inside its own parallel loop.
-  void executeRange(const std::vector<const float *> &Slots, float *Out,
-                    int64_t Begin, int64_t End, int ChunkSize,
-                    KernelLevel Level = KernelLevel::Scalar) const;
-
   /// One line per instruction (CodeEmitter's tape audit).
   std::string describe() const;
 };

@@ -26,7 +26,6 @@
 #include "ops/OpKind.h"
 #include "tensor/Tensor.h"
 
-#include <functional>
 #include <vector>
 
 namespace dnnfusion {
@@ -50,9 +49,6 @@ struct KernelConfig {
   /// N <= 8 (a weight-stationary layer at a serving batch of 8 or less)
   /// always pack into one 8-wide panel instead.
   int PackNR = 32;
-  /// Column-tile width of the conv im2col pass: output pixels packed and
-  /// multiplied per tile, bounding the packing scratch.
-  int PackColTile = 1024;
 
   /// Forced kernel dispatch tier: -1 (ForceKernelAuto) resolves
   /// automatically (env hook, then avx2 where the host supports it);
@@ -80,8 +76,8 @@ struct EngineCounters {
   /// run time (into scratch).
   int64_t PrepackHits = 0;
   int64_t PrepackMisses = 0;
-  /// Expression steps executed as GEMM epilogues (inside the producing
-  /// MatMul/Gemm kernel's row loop) instead of as separate passes.
+  /// Always 0: GEMM epilogue folding, which it counted, is gone. Kept so
+  /// perfbench's ops.epilogue_steps metric, which reads it, still builds.
   int64_t GemmEpilogueSteps = 0;
   /// Fused-attention / fused-layernorm steps executed (one per carved
   /// attention or layernorm subgraph per inference).
@@ -122,12 +118,6 @@ struct KernelRuntime {
   int64_t PackScratchElems = 0;
   /// Engine-path counters to increment, or null.
   EngineCounters *Counters = nullptr;
-  /// Fused epilogue hook (MatMul/Gemm only): when non-null, the kernel
-  /// invokes it once per completed output row range with the flat element
-  /// range [Begin, End) it just wrote, from the same worker that produced
-  /// those rows — the epilogue runs while the rows are still cache-hot.
-  /// Every output element is covered exactly once across all invocations.
-  const std::function<void(int64_t, int64_t)> *Epilogue = nullptr;
 };
 
 /// Executes \p Kind on \p Inputs, writing \p Out (pre-allocated with the

@@ -24,6 +24,10 @@ std::vector<int64_t> spatialAttr(const AttrMap &Attrs, const char *Name,
 // im2col + packed GEMM path
 //===----------------------------------------------------------------------===//
 
+/// Column-tile width of the im2col pass: output pixels packed and
+/// multiplied per tile, bounding the packing scratch.
+constexpr int64_t ConvColTile = 1024;
+
 /// Geometry of a Conv lowered to column-tiled im2col GEMM:
 /// Y[n, g*Fg + f, o] = bias[f] + sum_k W[f, k] * col[k, o] with
 /// k = ci * kernelN + kflat — exactly the direct kernels' accumulation
@@ -86,8 +90,7 @@ ConvPackGeom convPackGeom(const AttrMap &Attrs, const Shape &XShape,
   // columns. Depthwise (Fg == 1) and tiny problems stay direct.
   if (G.Fg < 4 || G.K < 8 || G.OutSpatial < 8)
     return G;
-  G.Tile = std::min<int64_t>(G.OutSpatial,
-                             std::max(Config.PackColTile, 64));
+  G.Tile = std::min(G.OutSpatial, ConvColTile);
   G.Eligible = true;
   return G;
 }

@@ -37,8 +37,11 @@
 
 #include "ops/KernelRegistry.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 namespace dnnfusion {
@@ -62,10 +65,57 @@ int64_t packedPanelElems(int64_t K, int64_t N, int NR);
 void packBPanels(const float *B, int64_t KStride, int64_t NStride, int64_t K,
                  int64_t N, int NR, float *Packed);
 
+/// Zero-filled float storage whose first element starts on a 64-byte
+/// cache line, wherever the heap put the block: the AVX2 tile reads a
+/// packed panel in 32-byte rows, and a panel that starts 16 bytes into a
+/// line makes every other row straddle two lines. Holds every packed
+/// panel: the prepacked weights and the execution context's packing
+/// buffer. The block is an ordinary heap allocation with 15 floats of
+/// slack (an over-aligned operator new raised the zoo's peak memory).
+/// Start points into the object's own block, so copies realign and moves
+/// hand it over.
+class AlignedFloats {
+public:
+  AlignedFloats() = default;
+  AlignedFloats(const AlignedFloats &O) { *this = O; }
+  AlignedFloats(AlignedFloats &&O) noexcept { *this = std::move(O); }
+  AlignedFloats &operator=(const AlignedFloats &O) {
+    if (this != &O) {
+      resize(O.Len);
+      std::copy_n(O.Start, O.Len, Start);
+    }
+    return *this;
+  }
+  AlignedFloats &operator=(AlignedFloats &&O) noexcept {
+    Storage = std::move(O.Storage);
+    Start = std::exchange(O.Start, nullptr);
+    Len = std::exchange(O.Len, 0);
+    return *this;
+  }
+
+  /// Reallocates to \p N zeros; the old contents are dropped.
+  void resize(size_t N) {
+    constexpr size_t Line = 64;
+    Storage.assign(N + Line / sizeof(float) - 1, 0.0f);
+    void *P = Storage.data();
+    size_t Space = Storage.size() * sizeof(float);
+    Start = static_cast<float *>(std::align(Line, N * sizeof(float), P, Space));
+    Len = N;
+  }
+  float *data() { return Start; }
+  const float *data() const { return Start; }
+  size_t size() const { return Len; }
+
+private:
+  std::vector<float> Storage;
+  float *Start = nullptr;
+  size_t Len = 0;
+};
+
 /// One operand packed by packBPanels, optionally batched: slice s (of a
 /// batched MatMul B) starts at Data[s * packedPanelElems(K, N, NR)].
 struct PackedOperand {
-  std::vector<float> Data;
+  AlignedFloats Data;
   int64_t K = 0;
   int64_t N = 0;
   int NR = 8;

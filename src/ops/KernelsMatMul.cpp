@@ -120,8 +120,6 @@ void runMatMul(const std::vector<const Tensor *> &Inputs, Tensor &Out,
                        RowInBatch + RowsHere, N, K, MR, NR, nullptr, Level);
         Row += RowsHere;
       }
-      if (Rt.Epilogue)
-        (*Rt.Epilogue)(Begin * N, End * N);
     });
     return;
   }
@@ -139,8 +137,6 @@ void runMatMul(const std::vector<const Tensor *> &Inputs, Tensor &Out,
                  K);
       Row += RowsHere;
     }
-    if (Rt.Epilogue)
-      (*Rt.Epilogue)(Begin * N, End * N);
   });
 }
 
@@ -232,8 +228,6 @@ void runGemm(const AttrMap &Attrs, const std::vector<const Tensor *> &Inputs,
       if (Bias)
         for (int64_t I = Begin; I < End; ++I)
           addBiasRow(Out.data() + I * N, Bias, I, N, BiasS0, BiasS1);
-      if (Rt.Epilogue)
-        (*Rt.Epilogue)(Begin * N, End * N);
     });
     return;
   }
@@ -259,8 +253,6 @@ void runGemm(const AttrMap &Attrs, const std::vector<const Tensor *> &Inputs,
     if (Bias)
       for (int64_t I = Begin; I < End; ++I)
         addBiasRow(Out.data() + I * N, Bias, I, N, BiasS0, BiasS1);
-    if (Rt.Epilogue)
-      (*Rt.Epilogue)(Begin * N, End * N);
   };
   parallelFor(M, RunRows);
 }

@@ -7,7 +7,6 @@
 #include "support/Timer.h"
 
 #include <cstring>
-#include <memory>
 #include <new>
 
 using namespace dnnfusion;
@@ -22,20 +21,7 @@ ExecutionContext::ExecutionContext(const CompiledModel &Model,
     throw std::bad_alloc();
   Arena.resize(static_cast<size_t>(elementsForBytes(M.Memory.ArenaBytes)));
   Scratch.resize(static_cast<size_t>(elementsForBytes(M.Memory.ScratchBytes)));
-  // The packing buffer starts on a cache line: the AVX2 GEMM kernel streams
-  // the packed panel in 32-byte rows, and a start 16 bytes into a line makes
-  // every other row straddle two lines, wherever the allocator put it.
-  size_t PackElems =
-      static_cast<size_t>(elementsForBytes(M.Memory.PackScratchBytes));
-  if (PackElems > 0) {
-    constexpr size_t Line = 64;
-    Pack.resize(PackElems + Line / sizeof(float) - 1);
-    void *Start = Pack.data();
-    size_t Space = Pack.size() * sizeof(float);
-    PackStart = static_cast<float *>(
-        std::align(Line, PackElems * sizeof(float), Start, Space));
-    PackLen = static_cast<int64_t>(PackElems);
-  }
+  Pack.resize(static_cast<size_t>(elementsForBytes(M.Memory.PackScratchBytes)));
 }
 
 const float *ExecutionContext::valuePtr(NodeId Id,
@@ -103,8 +89,8 @@ Status ExecutionContext::runBlock(size_t BI, const std::vector<Tensor> &Inputs,
 
   BlockRuntime Rt;
   Rt.Prepack = &M.Prepack;
-  Rt.PackScratch = PackStart;
-  Rt.PackScratchElems = PackLen;
+  Rt.PackScratch = Pack.data();
+  Rt.PackScratchElems = static_cast<int64_t>(Pack.size());
   Rt.Counters = Counters;
 
   if (PerBlockMs) {

@@ -46,8 +46,8 @@ struct ExecutionStats {
   int64_t ScratchBytes = 0;
   int64_t PeakArenaBytes = 0;
   double WallMs = 0.0;
-  /// Execution-engine path counters (program and epilogue steps, packed vs
-  /// naive kernels, prepack hits/misses), identical across pool sizes.
+  /// Execution-engine path counters (program steps, packed vs naive
+  /// kernels, prepack hits/misses), identical across pool sizes.
   EngineCounters Engine;
   /// Wall time per block, indexed by block (filled when PerBlockTiming is
   /// requested); one entry for every block of the model.
@@ -97,9 +97,6 @@ public:
   /// \p Options is accepted and ignored (see ExecutionOptions).
   explicit ExecutionContext(const CompiledModel &Model,
                             const ExecutionOptions &Options = {});
-  /// Not copyable: PackStart points into this context's own buffer.
-  ExecutionContext(const ExecutionContext &) = delete;
-  ExecutionContext &operator=(const ExecutionContext &) = delete;
 
   /// Runs the model on \p Inputs (one tensor per graph input, in
   /// InputIds order). Returns the graph outputs in graph-output order, or:
@@ -135,11 +132,8 @@ private:
   /// at a time, so one buffer serves every block.
   std::vector<float> Scratch;
   /// Packed-GEMM packing buffer (MemoryPlan::PackScratchBytes): run-time B
-  /// panels and im2col tiles of the one kernel running at a time. PackLen
-  /// floats start at PackStart, the first cache-line boundary in Pack.
-  std::vector<float> Pack;
-  float *PackStart = nullptr;
-  int64_t PackLen = 0;
+  /// panels and im2col tiles of the one kernel running at a time.
+  AlignedFloats Pack;
 };
 
 } // namespace dnnfusion

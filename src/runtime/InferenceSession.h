@@ -64,7 +64,7 @@ struct SessionMetrics {
   /// Under concurrent clients, the sum over requests (not elapsed time).
   double CumulativeWallMs = 0.0;
   /// Execution-engine path counters summed over served requests:
-  /// program and epilogue steps, packed vs naive Many-to-Many kernel
+  /// program steps, packed vs naive Many-to-Many kernel
   /// calls, and prepack hits/misses — serving-side
   /// observability of which paths requests actually took.
   EngineCounters Engine;

@@ -307,14 +307,12 @@ Expected<CompiledModel> dnnfusion::compileModel(Graph G,
       // adopt the caller's, and rebuild the derived prepack/scratch state
       // only when they differ from the knobs the loader already built
       // under (the defaults — engine knobs are not in the OPTS section).
-      Cached->Codegen.FuseGemmEpilogue = Options.Codegen.FuseGemmEpilogue;
       const KernelConfig &Want = Options.Codegen.Kernels;
       const KernelConfig Loaded = Cached->Codegen.Kernels;
       Cached->Codegen.Kernels = Want;
       if (Want.UsePackedGemm != Loaded.UsePackedGemm ||
           clampPackNR(Want.PackNR) != clampPackNR(Loaded.PackNR) ||
-          clampPackMR(Want.PackMR) != clampPackMR(Loaded.PackMR) ||
-          Want.PackColTile != Loaded.PackColTile) {
+          clampPackMR(Want.PackMR) != clampPackMR(Loaded.PackMR)) {
         buildPrepack(*Cached, Cached->G);
         Cached->Memory.PackScratchBytes =
             computePackScratchBytes(Cached->G, Cached->Blocks, Want);

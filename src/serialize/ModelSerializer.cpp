@@ -149,8 +149,8 @@ std::string serializeOptions(const CodegenOptions &Codegen) {
   W.u32(static_cast<uint32_t>(Codegen.ChunkSize));
   // Plan-affecting fusion toggles: the loader must recompile
   // the persisted plan's blocks under the same toggles, or the rebuilt
-  // locals/scratch would disagree with the persisted memory plan. Engine
-  // knobs (FuseGemmEpilogue, Kernels) stay out.
+  // locals/scratch would disagree with the persisted memory plan. The
+  // engine knobs (Kernels) stay out.
   W.u8(Codegen.FuseAttention ? 1 : 0);
   W.u8(Codegen.FuseNorm ? 1 : 0);
   return W.take();

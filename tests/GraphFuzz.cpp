@@ -982,18 +982,6 @@ const std::vector<DiffConfig> &defaultConfigMatrix() {
       M.push_back(C);
     }
     {
-      // Epilogue dimension: same plan and artifact, elementwise steps run
-      // standalone instead of folding into the producing GEMM's row loop.
-      // Folding never reorders math, so this is bit-identical to "full".
-      DiffConfig C;
-      C.Name = "no-epilogue";
-      C.Options.Codegen.FuseGemmEpilogue = false;
-      C.RelTol = 2e-3f;
-      C.AbsTol = 2e-3f;
-      C.BitIdenticalTo = "full";
-      M.push_back(C);
-    }
-    {
       // Transformer-fusion dimension: attention/layernorm carving off, so
       // matched subgraphs run through the ordinary decomposed steps. This
       // is the retained reference path for the fused kernels; it carries
@@ -1094,8 +1082,8 @@ runDifferential(const FuzzSpec &Spec, const std::vector<DiffConfig> &Configs,
   // configs stay strict, fused-path configs carry the documented
   // relaxation). Configs naming a BitIdenticalTo baseline additionally
   // must match that earlier config's outputs bit-for-bit: kernel path
-  // (packed vs naive), epilogue folding, and kernel tier (scalar vs avx2)
-  // are all exact dimensions.
+  // (packed vs naive) and kernel tier (scalar vs avx2) are exact
+  // dimensions.
   std::map<std::string, std::vector<Tensor>> ByName;
   for (const DiffConfig &Config : Configs) {
     std::vector<Tensor> Opt = runPipeline(Spec, Config.Options, Inputs);

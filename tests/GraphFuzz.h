@@ -122,18 +122,17 @@ struct DiffConfig {
   float AbsTol = -1.0f;
   /// When non-empty: the name of an earlier matrix config this one must
   /// match *bit-for-bit* (tolerance 0), on top of the vs-reference check.
-  /// This is how the engine-path, kernel-tier, and epilogue-fold
-  /// dimensions pin their exactness guarantees.
+  /// This is how the engine-path and kernel-tier dimensions pin their
+  /// exactness guarantees.
   std::string BitIdenticalTo;
 };
 
 /// The default configuration matrix: full pipeline, fusion without
 /// rewriting, rewriting without fusion, fusion without the §4.4.2 "other"
-/// optimizations, the kernel-path dimension (naive GEMM),
-/// the transformer-fusion dimensions (epilogue folding off —
-/// bit-identical; fused attention/layernorm off — reference path), and
-/// the kernel-tier dimensions (forced scalar, forced avx2 — both
-/// bit-identical to "full").
+/// optimizations, the kernel-path dimension (naive GEMM, bit-identical
+/// to "full"), the transformer-fusion dimension (fused attention/layernorm
+/// off — reference path), and the kernel-tier dimensions (forced scalar,
+/// forced avx2 — both bit-identical to "full").
 const std::vector<DiffConfig> &defaultConfigMatrix();
 
 /// A reference-vs-optimized divergence.

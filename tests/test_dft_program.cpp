@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 
@@ -451,27 +452,12 @@ TEST(PrepackStore, ConstantWeightsPackOnceAndHitAtRunTime) {
   EXPECT_EQ(Stats.Engine.PrepackMisses, 0);
   EXPECT_EQ(Stats.Engine.PackedKernelCalls, 2);
   EXPECT_EQ(Stats.Engine.DirectKernelCalls, 0);
-  // The relu between the two GEMMs runs as a fused epilogue inside the
-  // first GEMM's row loop, not as a standalone program step.
-  EXPECT_EQ(Stats.Engine.ProgramSteps, 0);
-  EXPECT_EQ(Stats.Engine.GemmEpilogueSteps, 1);
-}
-
-TEST(PrepackStore, EpilogueToggleRestoresStandaloneProgramSteps) {
-  CompileOptions Opt;
-  Opt.Codegen.FuseGemmEpilogue = false;
-  CompiledModel M = cantFail(compileModel(constantWeightModel(11), Opt));
-  ExecutionContext E(M);
-  std::vector<Tensor> Inputs = randomInputs(M.G, 5);
-  ExecutionStats Stats;
-  E.run(Inputs, &Stats);
-  EXPECT_GT(Stats.Engine.ProgramSteps, 0);
-  EXPECT_EQ(Stats.Engine.GemmEpilogueSteps, 0);
+  // The relu between the two GEMMs runs as one program step of its own.
+  EXPECT_EQ(Stats.Engine.ProgramSteps, 1);
 }
 
 TEST(PrepackStore, DisabledEngineReportsLegacyPaths) {
   CompileOptions Opt;
-  Opt.Codegen.FuseGemmEpilogue = false;
   Opt.Codegen.Kernels.UsePackedGemm = false;
   CompiledModel M = cantFail(compileModel(constantWeightModel(11), Opt));
   EXPECT_TRUE(M.Prepack.empty());
@@ -495,7 +481,7 @@ TEST(PrepackStore, SessionMetricsAccumulateEngineCounters) {
   EXPECT_EQ(Metrics.RequestsServed, 3u);
   EXPECT_EQ(Metrics.Engine.PrepackHits, 6);
   EXPECT_EQ(Metrics.Engine.PackedKernelCalls, 6);
-  EXPECT_EQ(Metrics.Engine.GemmEpilogueSteps, 3);
+  EXPECT_EQ(Metrics.Engine.ProgramSteps, 3);
 }
 
 TEST(PrepackStore, SaveLoadRebuildsPrepackAndExecutesBitIdentically) {
@@ -525,7 +511,7 @@ TEST(PrepackStore, SaveLoadRebuildsPrepackAndExecutesBitIdentically) {
 /// class: request rows {Batch, 32} are transposed into columns, so every
 /// MatMul is W[Out,In] x X[In,Batch], a narrow-N (N = Batch) problem
 /// whose activation operand packs at run time. Only the first layer
-/// carries a bias + relu, the one epilogue the plan folds.
+/// carries a bias + relu.
 Graph weightStationaryModel(int64_t Batch) {
   GraphBuilder B(19);
   NodeId X = B.transpose(B.input(Shape({Batch, 32})), {1, 0});
@@ -558,7 +544,8 @@ TEST(PrepackStore, WeightStationaryLayersTakeNarrowPackedRoute) {
     EXPECT_EQ(Stats.Engine.PackedKernelCalls, 3);
     EXPECT_EQ(Stats.Engine.DirectKernelCalls, 0);
     EXPECT_EQ(Stats.Engine.PrepackMisses, 3);
-    EXPECT_EQ(Stats.Engine.GemmEpilogueSteps, 1);
+    // Three expression steps, the first layer's bias + relu among them.
+    EXPECT_EQ(Stats.Engine.ProgramSteps, 3);
 
     CompileOptions Naive;
     Naive.Codegen.Kernels.UsePackedGemm = false;
@@ -603,8 +590,23 @@ TEST(EngineZooSweep, PackedAndNaivePathsAreBitIdenticalZooWide) {
       for (int64_t J = 0; J < Want[I].numElements(); ++J)
         ASSERT_EQ(Want[I].at(J), Got[I].at(J))
             << Entry.Info.Name << " output " << I << " elem " << J;
-    // The default engine must actually run compiled programs.
+    // The default engine must actually run compiled programs, and every
+    // expression step, a GEMM's elementwise tail included, runs as one.
     EXPECT_GT(Stats.Engine.ProgramSteps, 0) << Entry.Info.Name;
+    EXPECT_EQ(Stats.Engine.GemmEpilogueSteps, 0) << Entry.Info.Name;
+    EXPECT_EQ(Stats.Engine.TreeWalkSteps, 0) << Entry.Info.Name;
+  }
+}
+
+TEST(EngineZooSweep, PrepackedOperandsStartOnACacheLine) {
+  // The AVX2 tile reads packed panels in 32-byte rows; a prepacked weight
+  // that starts mid-line splits every other row across two lines.
+  for (const ModelZooEntry &Entry : modelZoo()) {
+    CompiledModel M = cantFail(compileModel(Entry.Build()));
+    for (size_t I = 0; I < M.Prepack.size(); ++I)
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(M.Prepack[I].Data.data()) % 64,
+                0u)
+          << Entry.Info.Name << " prepack " << I;
   }
 }
 

@@ -6,9 +6,9 @@
 //    OpKind coverage across the sweep's seed range),
 //  * self-tests of the shrinker against synthetic failure predicates, and
 //  * the main sweep: >= 200 seeded random graphs, each run through the
-//    reference pipeline and the full CompileOptions matrix (4
-//    configurations); any divergence is shrunk and reported as compilable
-//    GraphBuilder code.
+//    reference pipeline and the full CompileOptions matrix (the 8
+//    configurations of defaultConfigMatrix); any divergence is shrunk and
+//    reported as compilable GraphBuilder code.
 //
 //===----------------------------------------------------------------------===//
 

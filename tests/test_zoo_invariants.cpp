@@ -95,7 +95,7 @@ TEST_P(ZooInvariants, TransformerModelsCompileToFusedAttentionBlocks) {
 
 TEST_P(ZooInvariants, DifferentialMatrixHoldsWithFusedKernels) {
   // Zoo-wide enforcement of the fused configurations: every matrix config
-  // (fused attention/epilogues on, each dimension toggled off, the
+  // (fused attention/layernorm on, each dimension toggled off, the
   // bit-identity pairings) must reproduce the unoptimized reference at
   // its own tolerance on the real models, not just on fuzzed graphs. The
   // transformer family is where the fused kernels actually fire; the rest
