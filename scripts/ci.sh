@@ -4,8 +4,11 @@
 #
 #   ./scripts/ci.sh            # both configurations
 #   ./scripts/ci.sh Debug      # one configuration
-#   ./scripts/ci.sh tsan       # ThreadSanitizer build, smoke subset only
-#                              # (guards the serving concurrency)
+#   ./scripts/ci.sh tsan       # ThreadSanitizer build: the smoke subset
+#                              # (guards the serving concurrency) plus
+#                              # test_dft_program's EngineZooSweep tests,
+#                              # which run every zoo model's kernels,
+#                              # pool-split GEMM row loops included
 #   ./scripts/ci.sh asan       # AddressSanitizer + UBSan build: the smoke
 #                              # subset plus test_dft_program and
 #                              # test_serialize (the artifact corruption
@@ -62,6 +65,8 @@ for CONFIG in "${CONFIGS[@]}"; do
     cmake --build "$BUILD_DIR" -j "$JOBS"
     echo "=== [tsan] smoke tests under ThreadSanitizer ==="
     ctest --test-dir "$BUILD_DIR" -L smoke --output-on-failure -j "$JOBS"
+    echo "=== [tsan] zoo-wide packed-vs-naive sweep under ThreadSanitizer ==="
+    "$BUILD_DIR/test_dft_program" --gtest_filter='EngineZooSweep.*'
     continue
   fi
   if [ "$CONFIG" = "asan" ]; then

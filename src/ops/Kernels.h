@@ -157,6 +157,21 @@ int64_t convPackScratchElems(const AttrMap &Attrs, const Shape &XShape,
                              const Shape &WShape, const Shape &OutShape,
                              const KernelConfig &Config);
 
+/// Multiply-adds one slice of a MatMul/Gemm row loop must hold before the
+/// loop is worth splitting across the thread pool. Chosen by a sweep on a
+/// 4-vCPU AVX2 host: 2^16 to 2^20 all split the serving MLP's 1024-row
+/// layers equally well; 2^18 and below also split the zoo transformers'
+/// 40- and 48-row GEMMs, which then run up to 5% slower.
+inline constexpr int64_t GemmMacsPerSlice = int64_t(1) << 19;
+
+/// The parallelFor grain of a MatMul/Gemm row loop: the rows whose
+/// multiply-adds reach GemmMacsPerSlice, at least one. A row costs
+/// PaddedN * K multiply-adds, where PaddedN is \p N rounded up to the
+/// panel width \p NR the packed kernel computes in whole (NR = 0: the
+/// naive loops, which pad nothing). The grain depends only on the shape,
+/// so slice boundaries depend only on the shape and the pool size.
+int64_t gemmRowGrain(int64_t N, int64_t K, int NR);
+
 /// Packing-scratch elements a MatMul/Gemm/Conv step may need at run time
 /// under \p Config (0 when the call would take the naive path or its
 /// packed operand is known-constant — \p WeightIsConstant — and therefore

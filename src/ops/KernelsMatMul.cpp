@@ -120,7 +120,7 @@ void runMatMul(const std::vector<const Tensor *> &Inputs, Tensor &Out,
                        RowInBatch + RowsHere, N, K, MR, NR, nullptr, Level);
         Row += RowsHere;
       }
-    });
+    }, detail::gemmRowGrain(N, K, NR));
     return;
   }
 
@@ -137,13 +137,14 @@ void runMatMul(const std::vector<const Tensor *> &Inputs, Tensor &Out,
                  K);
       Row += RowsHere;
     }
-  });
+  }, detail::gemmRowGrain(N, K, /*NR=*/0));
 }
 
 /// Adds one broadcast bias row into \p Crow: bias element (I, J) lives at
 /// Bias[I * S0 + J * S1] with S0/S1 the broadcast strides over the [M, N]
-/// output. A single post-accumulation add per element, exactly like the
-/// old whole-output epilogue — now fused into the parallel row loop.
+/// output. One add per element once the row's products are summed (the
+/// order of a MatMul followed by an Add), inside the row slice that
+/// computed the row.
 void addBiasRow(float *Crow, const float *Bias, int64_t I, int64_t N,
                 int64_t S0, int64_t S1) {
   const float *Brow = Bias + I * S0;
@@ -228,7 +229,7 @@ void runGemm(const AttrMap &Attrs, const std::vector<const Tensor *> &Inputs,
       if (Bias)
         for (int64_t I = Begin; I < End; ++I)
           addBiasRow(Out.data() + I * N, Bias, I, N, BiasS0, BiasS1);
-    });
+    }, detail::gemmRowGrain(N, K, NR));
     return;
   }
 
@@ -254,10 +255,16 @@ void runGemm(const AttrMap &Attrs, const std::vector<const Tensor *> &Inputs,
       for (int64_t I = Begin; I < End; ++I)
         addBiasRow(Out.data() + I * N, Bias, I, N, BiasS0, BiasS1);
   };
-  parallelFor(M, RunRows);
+  parallelFor(M, RunRows, detail::gemmRowGrain(N, K, /*NR=*/0));
 }
 
 } // namespace
+
+int64_t dnnfusion::detail::gemmRowGrain(int64_t N, int64_t K, int NR) {
+  int64_t PaddedN = NR > 0 ? (N + NR - 1) / NR * NR : N;
+  int64_t RowMacs = std::max<int64_t>(PaddedN * K, 1);
+  return std::max<int64_t>((GemmMacsPerSlice + RowMacs - 1) / RowMacs, 1);
+}
 
 int64_t dnnfusion::detail::matmulPackScratchElems(
     OpKind Kind, const AttrMap &Attrs, const Shape &AShape,

@@ -18,7 +18,11 @@
 /// assumes. Parallelism lives inside the blocks: each kernel slices its
 /// output across the global ThreadPool with deterministic slice
 /// boundaries, writing disjoint ranges of the block's buffers, so outputs
-/// and counters do not depend on the pool size.
+/// and counters do not depend on the pool size. Tapes, conv, pooling,
+/// attention and layernorm slice by iteration count and run inline below
+/// 8192 iterations; MatMul/Gemm slice rows by multiply-adds
+/// (detail::gemmRowGrain), so a GEMM of a few hundred long rows splits
+/// too.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -90,23 +90,25 @@ void ThreadPool::helpUntilDone(std::unique_lock<std::mutex> &Lock,
 }
 
 void ThreadPool::parallelFor(
-    int64_t Count, const std::function<void(int64_t, int64_t)> &Body) {
+    int64_t Count, const std::function<void(int64_t, int64_t)> &Body,
+    int64_t Grain) {
   if (Count <= 0)
     return;
-  // Small trip counts are not worth the synchronization overhead; calls
-  // from one of our own workers must not block on the queue (deadlock).
-  const int64_t MinPerSlice = 4096;
+  // Loops under two grains of work are not worth the synchronization
+  // overhead; calls from one of our own workers must not block on the
+  // queue (deadlock).
+  Grain = std::max<int64_t>(Grain, 1);
   unsigned Slices = numThreads();
   // threadpool.spawn degrades to inline execution on the calling thread —
   // correct (same slicing semantics), just serial. No error surfaces; this
   // is the pool's graceful-degradation path.
-  if (Slices <= 1 || Count < 2 * MinPerSlice || onWorkerThread() ||
+  if (Slices <= 1 || Count < 2 * Grain || onWorkerThread() ||
       faultShouldFail(faultpoints::ThreadPoolSpawn)) {
     Body(0, Count);
     return;
   }
   Slices = static_cast<unsigned>(
-      std::min<int64_t>(Slices, (Count + MinPerSlice - 1) / MinPerSlice));
+      std::min<int64_t>(Slices, (Count + Grain - 1) / Grain));
   int64_t Chunk = (Count + Slices - 1) / Slices;
   TaskGroup Group;
   Group.Range = &Body;
@@ -150,6 +152,7 @@ ThreadPool &ThreadPool::global() {
 }
 
 void dnnfusion::parallelFor(
-    int64_t Count, const std::function<void(int64_t, int64_t)> &Body) {
-  ThreadPool::global().parallelFor(Count, Body);
+    int64_t Count, const std::function<void(int64_t, int64_t)> &Body,
+    int64_t Grain) {
+  ThreadPool::global().parallelFor(Count, Body, Grain);
 }

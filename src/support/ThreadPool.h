@@ -8,8 +8,12 @@
 /// A small persistent thread pool with two entry points:
 ///
 ///  - parallelFor: deterministic data-parallel slicing of one iteration
-///    space. Slice boundaries depend only on Count and the pool size, so
-///    results (and instrumentation counters) do not depend on scheduling.
+///    space. Slice boundaries depend only on Count, the caller's grain and
+///    the pool size, so results (and instrumentation counters) do not
+///    depend on scheduling. The default grain suits loops whose iteration
+///    costs about one element's work; the MatMul/Gemm row loops pass a
+///    grain sized by each row's multiply-adds, so a GEMM of a few hundred
+///    heavy rows still splits.
 ///  - forEach: coarse task dispatch (one task per index), used by
 ///    InferenceSession::runBatch to run a batch's requests side by side.
 ///
@@ -52,13 +56,21 @@ public:
   /// True when the calling thread is one of this pool's workers.
   bool onWorkerThread() const;
 
+  /// parallelFor's default grain: iterations per slice for loops whose
+  /// body costs about one element's work.
+  static constexpr int64_t DefaultGrain = 4096;
+
   /// Runs \p Body(Begin, End) on disjoint slices covering [0, Count).
-  /// Deterministic: slice boundaries depend only on Count and the pool
-  /// size. Blocks until all slices finish. Calls Body inline when Count is
-  /// small, the pool has a single worker, or the caller is already one of
-  /// this pool's workers (reentrant case).
+  /// \p Grain sets the split: Count < 2 * Grain runs as one inline
+  /// Body(0, Count) call, a longer loop as min(numThreads(), ceil(Count /
+  /// Grain)) slices of equal size (the last one shorter). Deterministic:
+  /// slice boundaries depend only on Count, Grain and the pool size. Blocks until all slices finish. Also calls
+  /// Body inline when the pool has a single worker, the caller is already
+  /// one of this pool's workers (reentrant case), or the threadpool.spawn
+  /// fault point fires.
   void parallelFor(int64_t Count,
-                   const std::function<void(int64_t, int64_t)> &Body);
+                   const std::function<void(int64_t, int64_t)> &Body,
+                   int64_t Grain = DefaultGrain);
 
   /// Runs \p Body(Index) once for every index in [0, Count), one task per
   /// index, distributed across the workers; the calling thread
@@ -101,7 +113,8 @@ private:
 
 /// Convenience wrapper over ThreadPool::global().parallelFor.
 void parallelFor(int64_t Count,
-                 const std::function<void(int64_t, int64_t)> &Body);
+                 const std::function<void(int64_t, int64_t)> &Body,
+                 int64_t Grain = ThreadPool::DefaultGrain);
 
 } // namespace dnnfusion
 

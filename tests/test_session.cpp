@@ -1,20 +1,27 @@
 //===- tests/test_session.cpp - contexts and multi-client serving --------===//
 //
-// BlockSchedule invariants, ExecutionContext reuse and per-block stats,
-// and InferenceSession multi-client serving (concurrent clients, runBatch,
-// the context cap).
+// BlockSchedule invariants, ExecutionContext reuse, per-block stats and
+// bit-identity of pool-split kernels, and InferenceSession multi-client
+// serving (concurrent clients, runBatch, the context cap).
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestUtils.h"
 
 #include "models/ModelZoo.h"
+#include "ops/Kernels.h"
+#include "ops/KernelsGemmPacked.h"
+#include "support/FaultInjection.h"
+#include "support/ThreadPool.h"
 
 #include <dnnfusion/dnnfusion.h>
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstring>
+#include <mutex>
 #include <thread>
 
 using namespace dnnfusion;
@@ -31,6 +38,28 @@ Graph diamondGraph(uint64_t Seed) {
   B.markOutput(B.binary(OpKind::Add, L, R));
   return B.take();
 }
+
+/// A weight-stationary MLP: requests arrive as rows {Batch, 256} and every
+/// dense layer is W[1024, K] @ x[K, Batch], a 1024-row narrow GEMM (the
+/// shape of the serving MLP's hidden layers).
+Graph wideGemvMlp(int64_t Batch) {
+  GraphBuilder B(47);
+  NodeId H = B.transpose(B.input(Shape({Batch, 256})), {1, 0});
+  for (int64_t InF : {256, 1024}) {
+    float Scale = 1.0f / std::sqrt(static_cast<float>(InF));
+    NodeId W = B.weight(Shape({1024, InF}), Scale);
+    NodeId Bias = B.weight(Shape({1024, 1}), Scale);
+    H = B.relu(B.add(B.binary(OpKind::MatMul, W, H), Bias));
+  }
+  B.markOutput(B.transpose(H, {1, 0}));
+  return B.take();
+}
+
+/// Disarms every fault point when the scope ends, also after a failed
+/// assertion.
+struct FaultReset {
+  ~FaultReset() { FaultInjection::instance().reset(); }
+};
 
 //===----------------------------------------------------------------------===//
 // BlockSchedule
@@ -114,6 +143,65 @@ TEST(ExecutionContext, ContextIsReusableAcrossRuns) {
   std::vector<Tensor> B = Ctx.run(Inputs);
   for (size_t I = 0; I < A.size(); ++I)
     EXPECT_EQ(maxAbsDiff(A[I], B[I]), 0.0f);
+}
+
+TEST(ExecutionContext, PoolSplitGemmsMatchInlineRunsBitForBit) {
+  // The 1024-row layers' work grain splits them on any pool of two or more
+  // threads. Without this, both runs below could be inline.
+  ThreadPool Two(2);
+  for (int64_t Batch : {1, 8})
+    for (int64_t K : {256, 1024}) {
+      int NR = packedGemmPanelWidth(KernelConfig(), 1024, Batch, K,
+                                    /*Prepacked=*/false);
+      std::mutex Mu;
+      int Slices = 0;
+      Two.parallelFor(
+          1024,
+          [&](int64_t, int64_t) {
+            std::lock_guard<std::mutex> Lock(Mu);
+            ++Slices;
+          },
+          detail::gemmRowGrain(Batch, K, NR));
+      EXPECT_EQ(Slices, 2) << "batch " << Batch << ", K " << K;
+    }
+
+  // The MLP at both ends of the narrow route, and a transformer whose
+  // feed-forward GEMMs (40 rows x 128 x 256) split.
+  std::vector<std::pair<std::string, Graph>> Models;
+  Models.emplace_back("mlp batch 1", wideGemvMlp(1));
+  Models.emplace_back("mlp batch 8", wideGemvMlp(8));
+  Models.emplace_back("BERT-base", buildBertBase());
+  bool PoolSplits = ThreadPool::global().numThreads() >= 2;
+  for (auto &[Name, G] : Models) {
+    SCOPED_TRACE(Name);
+    CompiledModel M = cantFail(compileModel(std::move(G), CompileOptions()));
+    ExecutionContext Ctx(M);
+    std::vector<Tensor> Inputs = randomInputs(M.G, 53);
+    std::vector<Tensor> Pooled = Ctx.run(Inputs);
+
+    // threadpool.spawn sends every parallelFor that would split inline.
+    FaultReset Reset;
+    FaultInjection::instance().arm(faultpoints::ThreadPoolSpawn);
+    std::vector<Tensor> Inline = Ctx.run(Inputs);
+    int64_t Triggers =
+        FaultInjection::instance().pointStats(faultpoints::ThreadPoolSpawn)
+            .Triggers;
+    // Only calls that would split check the point: at least two per
+    // model (the MLP's 1024-row layers).
+    if (PoolSplits) {
+      EXPECT_GE(Triggers, 2);
+    }
+
+    ASSERT_EQ(Pooled.size(), Inline.size());
+    for (size_t I = 0; I < Pooled.size(); ++I) {
+      ASSERT_EQ(Pooled[I].numElements(), Inline[I].numElements());
+      EXPECT_EQ(std::memcmp(Pooled[I].data(), Inline[I].data(),
+                            static_cast<size_t>(Pooled[I].numElements()) *
+                                sizeof(float)),
+                0)
+          << "output " << I;
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

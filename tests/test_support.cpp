@@ -1,5 +1,7 @@
 //===- tests/test_support.cpp - support/ unit tests ----------------------------===//
 
+#include "ops/Kernels.h"
+#include "ops/KernelsGemmPacked.h"
 #include "support/Error.h"
 #include "support/KeyValueFile.h"
 #include "support/Rng.h"
@@ -13,8 +15,10 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <mutex>
 #include <set>
 #include <thread>
 
@@ -251,6 +255,86 @@ TEST(ThreadPool, SliceBoundariesAreDeterministic) {
   EXPECT_GT(A.size(), 1u);
 }
 
+using SliceList = std::vector<std::pair<int64_t, int64_t>>;
+
+/// The [Begin, End) slices one parallelFor call on \p Pool runs, sorted.
+SliceList slicesOf(ThreadPool &Pool, int64_t Count, int64_t Grain) {
+  std::mutex M;
+  SliceList Slices;
+  Pool.parallelFor(
+      Count,
+      [&](int64_t Begin, int64_t End) {
+        std::lock_guard<std::mutex> Lock(M);
+        Slices.emplace_back(Begin, End);
+      },
+      Grain);
+  std::sort(Slices.begin(), Slices.end());
+  return Slices;
+}
+
+TEST(ThreadPool, BelowTwoGrainsRunsOnceInline) {
+  ThreadPool Pool(4);
+  std::thread::id Caller = std::this_thread::get_id();
+  std::vector<std::pair<int64_t, int64_t>> CountsAndGrains = {
+      {1, 1}, {63, 32}, {1000, 600}, {8191, ThreadPool::DefaultGrain}};
+  for (const auto &CG : CountsAndGrains) {
+    const int64_t Count = CG.first, Grain = CG.second;
+    std::atomic<int> Calls{0};
+    std::thread::id Seen;
+    Pool.parallelFor(
+        Count,
+        [&](int64_t Begin, int64_t End) {
+          ++Calls;
+          Seen = std::this_thread::get_id();
+          EXPECT_EQ(Begin, 0);
+          EXPECT_EQ(End, Count);
+        },
+        Grain);
+    EXPECT_EQ(Calls.load(), 1) << Count << " at grain " << Grain;
+    EXPECT_EQ(Seen, Caller);
+  }
+}
+
+TEST(ThreadPool, GrainSetsSliceBoundaries) {
+  // min(numThreads, ceil(Count / Grain)) equal slices, the last shorter.
+  ThreadPool Pool(4);
+  EXPECT_EQ(slicesOf(Pool, 64, 32), (SliceList{{0, 32}, {32, 64}}));
+  EXPECT_EQ(slicesOf(Pool, 100, 40),
+            (SliceList{{0, 34}, {34, 68}, {68, 100}}));
+  EXPECT_EQ(slicesOf(Pool, 10, 1),
+            (SliceList{{0, 3}, {3, 6}, {6, 9}, {9, 10}}));
+  EXPECT_EQ(slicesOf(Pool, 8192, ThreadPool::DefaultGrain),
+            (SliceList{{0, 4096}, {4096, 8192}}));
+  // The serving MLP's 1024-row batch-1 layer, W[1024, 1024] @ x[1024, 1],
+  // at its work grain: one 256-row slice per thread.
+  EXPECT_EQ(slicesOf(Pool, 1024, detail::gemmRowGrain(1, 1024, GemmNarrowNR)),
+            (SliceList{{0, 256}, {256, 512}, {512, 768}, {768, 1024}}));
+}
+
+TEST(GemmRowGrain, SmallGemmsStayInlineAndWideGemvsSplit) {
+  KernelConfig Config;
+  // A row costs N padded to the panel width, times K, multiply-adds.
+  EXPECT_EQ(detail::gemmRowGrain(1, 1024, GemmNarrowNR),
+            detail::gemmRowGrain(GemmNarrowNR, 1024, GemmNarrowNR));
+  EXPECT_EQ(detail::gemmRowGrain(1, 1024, /*NR=*/0),
+            GemmNarrowNR * detail::gemmRowGrain(1, 1024, GemmNarrowNR));
+  EXPECT_EQ(detail::gemmRowGrain(1 << 12, 1 << 12, 0), 1);
+  EXPECT_EQ(detail::gemmRowGrain(0, 0, 0), detail::GemmMacsPerSlice);
+
+  ThreadPool Pool(4);
+  // 16x16x16, on the route it takes unpacked and prepacked: one slice.
+  for (bool Prepacked : {false, true}) {
+    int NR = packedGemmPanelWidth(Config, 16, 16, 16, Prepacked);
+    EXPECT_EQ(slicesOf(Pool, 16, detail::gemmRowGrain(16, 16, NR)).size(), 1u)
+        << "prepacked " << Prepacked;
+  }
+  // The 1024x1024 batch-1 layer: every thread gets a slice.
+  int NR = packedGemmPanelWidth(Config, 1024, 1, 1024, /*Prepacked=*/false);
+  ASSERT_EQ(NR, GemmNarrowNR);
+  EXPECT_EQ(slicesOf(Pool, 1024, detail::gemmRowGrain(1, 1024, NR)).size(),
+            static_cast<size_t>(Pool.numThreads()));
+}
+
 TEST(ThreadPool, ReusableAcrossManyCalls) {
   ThreadPool Pool(3);
   for (int Round = 0; Round < 50; ++Round) {
@@ -311,7 +395,7 @@ TEST(ThreadPool, ParallelForInsideWorkerRunsInlineWithoutDeadlock) {
   // deadlock a fully busy pool. Regression gate for the reentrancy
   // guarantee.
   ThreadPool Pool(2);
-  const int64_t Outer = 2, Inner = 1 << 15; // Inner > 2 * MinPerSlice.
+  const int64_t Outer = 2, Inner = 1 << 15; // Inner > 2 * DefaultGrain.
   std::vector<std::atomic<int64_t>> Sums(Outer);
   for (auto &S : Sums)
     S = 0;
