@@ -31,24 +31,66 @@ int CompiledBlock::fusedExpressionOps() const {
 
 namespace {
 
-/// Incremental builder for one CompiledBlock.
+/// Incremental builder for one CompiledBlock. It reads only the block's
+/// members and their inputs, and sizes its tables by them, so a block
+/// compiles in time independent of the size of the graph around it.
 struct Builder {
   const Graph &G;
   const FusionBlock &Block;
   const CodegenOptions &Opt;
   CompiledBlock Out;
 
-  /// Membership and materialization decisions.
-  std::vector<bool> InBlock;
-  std::vector<bool> Materialized;
-  /// Slot of each node whose value lives in a buffer; -1 = not yet.
-  std::vector<int> SlotOf;
+  /// What codegen tracks for one node the block touches.
+  struct NodeState {
+    bool InBlock = false;
+    bool IsOutput = false;
+    bool Materialized = false;
+    /// Members that read this value (its in-block consumer count).
+    int Uses = 0;
+    /// Slot holding the value; -1 = not yet.
+    int Slot = -1;
+  };
+  /// The members and their inputs, ascending; Touched[I]'s state is
+  /// State[I].
+  std::vector<NodeId> Touched;
+  std::vector<NodeState> State;
 
   Builder(const Graph &G, const FusionBlock &Block, const CodegenOptions &Opt)
-      : G(G), Block(Block), Opt(Opt),
-        InBlock(static_cast<size_t>(G.numNodes()), false),
-        Materialized(static_cast<size_t>(G.numNodes()), false),
-        SlotOf(static_cast<size_t>(G.numNodes()), -1) {}
+      : G(G), Block(Block), Opt(Opt) {
+    for (NodeId Id : Block.Members) {
+      const std::vector<NodeId> &Ins = G.node(Id).Inputs;
+      Touched.push_back(Id);
+      Touched.insert(Touched.end(), Ins.begin(), Ins.end());
+    }
+    std::sort(Touched.begin(), Touched.end());
+    Touched.erase(std::unique(Touched.begin(), Touched.end()), Touched.end());
+    State.resize(Touched.size());
+    for (NodeId Id : Block.Members) {
+      state(Id).InBlock = true;
+      // A member reading one value twice is one use, as in
+      // Graph::computeConsumers().
+      const std::vector<NodeId> &Ins = G.node(Id).Inputs;
+      for (auto It = Ins.begin(); It != Ins.end(); ++It)
+        if (std::find(Ins.begin(), It, *It) == It)
+          ++state(*It).Uses;
+    }
+    for (NodeId Id : Block.Outputs)
+      state(Id).IsOutput = true;
+  }
+
+  /// State of \p Id, or null when the block does not touch it.
+  NodeState *find(NodeId Id) {
+    auto It = std::lower_bound(Touched.begin(), Touched.end(), Id);
+    if (It == Touched.end() || *It != Id)
+      return nullptr;
+    return &State[static_cast<size_t>(It - Touched.begin())];
+  }
+  NodeState &state(NodeId Id) {
+    NodeState *S = find(Id);
+    DNNF_CHECK(S, "node %d is neither a block member nor a member's input",
+               Id);
+    return *S;
+  }
 
   bool isHeavy(NodeId Id) const {
     const Node &N = G.node(Id);
@@ -57,11 +99,11 @@ struct Builder {
   }
 
   int externalSlot(NodeId Id) {
-    if (SlotOf[static_cast<size_t>(Id)] >= 0)
-      return SlotOf[static_cast<size_t>(Id)];
-    int Slot = static_cast<int>(Out.ExternalInputs.size());
-    Out.ExternalInputs.push_back(Id);
-    SlotOf[static_cast<size_t>(Id)] = Slot;
+    int &Slot = state(Id).Slot;
+    if (Slot < 0) {
+      Slot = static_cast<int>(Out.ExternalInputs.size());
+      Out.ExternalInputs.push_back(Id);
+    }
     return Slot;
   }
 
@@ -72,12 +114,12 @@ struct Builder {
     int Slot = PendingLocalBase + static_cast<int>(Out.Locals.size());
     Out.Locals.push_back(
         CompiledBlock::LocalBuffer{Id, G.node(Id).OutShape, IsBlockOutput});
-    SlotOf[static_cast<size_t>(Id)] = Slot;
+    state(Id).Slot = Slot;
     return Slot;
   }
   int stagingSlot(NodeId Id) {
-    // Staging buffers are keyed by node but never registered in SlotOf
-    // permanently (a staged value is specific to one consumer step).
+    // Staging buffers are keyed by node but never registered as the node's
+    // slot (a staged value is specific to one consumer step).
     int Slot = PendingLocalBase + static_cast<int>(Out.Locals.size());
     Out.Locals.push_back(
         CompiledBlock::LocalBuffer{Id, G.node(Id).OutShape, false});
@@ -88,12 +130,13 @@ struct Builder {
   /// required: external inputs bind directly; materialized members compute
   /// on first use; everything else is staged into a fresh scratch buffer.
   int resolveValueSlot(NodeId Id) {
-    if (!InBlock[static_cast<size_t>(Id)])
+    const NodeState &S = state(Id);
+    if (!S.InBlock)
       return externalSlot(Id);
-    if (Materialized[static_cast<size_t>(Id)]) {
-      DNNF_CHECK(SlotOf[static_cast<size_t>(Id)] >= 0,
+    if (S.Materialized) {
+      DNNF_CHECK(S.Slot >= 0,
                  "materialized member %d used before being computed", Id);
-      return SlotOf[static_cast<size_t>(Id)];
+      return S.Slot;
     }
     // Stage a fused-but-unmaterialized producer for a kernel consumer.
     int Slot = stagingSlot(Id);
@@ -104,9 +147,8 @@ struct Builder {
   /// Builds the DFT expression for \p Id. Returns the node index plus the
   /// index chain the parent must apply before handing indices to it.
   std::pair<int, IndexChain> buildExpr(DftTree &T, NodeId Id, NodeId Root) {
-    bool IsLeafValue =
-        !InBlock[static_cast<size_t>(Id)] ||
-        (Materialized[static_cast<size_t>(Id)] && Id != Root);
+    const NodeState &S = state(Id);
+    bool IsLeafValue = !S.InBlock || (S.Materialized && Id != Root);
     const Node &N = G.node(Id);
 
     if (IsLeafValue) {
@@ -237,16 +279,24 @@ struct Builder {
   void bindRemainingExternals() {
     for (NodeId Id : Block.Members)
       for (NodeId In : G.node(Id).Inputs)
-        if (!InBlock[static_cast<size_t>(In)])
+        if (!state(In).InBlock)
           externalSlot(In);
   }
 
-  bool tryEmitFusedBlock(const std::vector<std::vector<NodeId>> &Consumers) {
+  bool tryEmitFusedBlock() {
     if (Block.Outputs.size() != 1)
       return false;
+    // The matchers check that a pattern's interior values have exactly the
+    // uses the pattern gives them. In a single-output block that covers a
+    // pattern, every interior value is read only inside the block, so the
+    // in-block counts are the graph's counts.
+    UseCount Uses = [this](NodeId Id) {
+      const NodeState *S = find(Id);
+      return S ? S->Uses : 0;
+    };
     if (Opt.FuseAttention) {
       if (std::optional<AttentionMatch> M =
-              matchAttentionBlock(G, Consumers, Block.Members)) {
+              matchAttentionBlock(G, Uses, Block.Members)) {
         if (M->Root != Block.Outputs[0])
           return false;
         CompiledStep Step;
@@ -272,7 +322,7 @@ struct Builder {
     }
     if (Opt.FuseNorm) {
       if (std::optional<LayerNormMatch> M =
-              matchLayerNormBlock(G, Consumers, Block.Members)) {
+              matchLayerNormBlock(G, Uses, Block.Members)) {
         if (M->Root != Block.Outputs[0])
           return false;
         CompiledStep Step;
@@ -312,39 +362,27 @@ struct Builder {
   }
 
   CompiledBlock run() {
-    for (NodeId Id : Block.Members)
-      InBlock[static_cast<size_t>(Id)] = true;
-
-    // Internal-consumer counts drive CSE materialization.
-    std::vector<std::vector<NodeId>> Consumers = G.computeConsumers();
-
     // Whole-block transformer patterns compile to one fused step.
-    if ((Opt.FuseAttention || Opt.FuseNorm) && tryEmitFusedBlock(Consumers)) {
+    if ((Opt.FuseAttention || Opt.FuseNorm) && tryEmitFusedBlock()) {
       bindRemainingExternals();
       finalizeSlots();
       return std::move(Out);
     }
+    // In-block use counts drive CSE materialization.
     for (NodeId Id : Block.Members) {
-      int InternalUses = 0;
-      for (NodeId User : Consumers[static_cast<size_t>(Id)])
-        if (InBlock[static_cast<size_t>(User)])
-          ++InternalUses;
-      bool IsOutput = std::find(Block.Outputs.begin(), Block.Outputs.end(),
-                                Id) != Block.Outputs.end();
+      NodeState &S = state(Id);
       bool Heavy = isHeavy(Id);
-      bool SharedCse = Opt.MaterializeShared && InternalUses > 1;
+      bool SharedCse = Opt.MaterializeShared && S.Uses > 1;
       bool ForcedCopy = !Opt.FoldDataMovement && isDataMovement(G.node(Id).Kind);
-      Materialized[static_cast<size_t>(Id)] =
-          IsOutput || Heavy || SharedCse || ForcedCopy;
+      S.Materialized = S.IsOutput || Heavy || SharedCse || ForcedCopy;
     }
 
     // Members arrive topologically sorted from the planner; walk them in
     // order and emit a step per materialized member.
     for (NodeId Id : Block.Members) {
-      if (!Materialized[static_cast<size_t>(Id)])
+      const NodeState &S = state(Id);
+      if (!S.Materialized)
         continue;
-      bool IsOutput = std::find(Block.Outputs.begin(), Block.Outputs.end(),
-                                Id) != Block.Outputs.end();
       const Node &N = G.node(Id);
       bool NeedsKernel =
           isHeavy(Id) || (!Opt.FoldDataMovement && isDataMovement(N.Kind) &&
@@ -353,13 +391,13 @@ struct Builder {
         // Resolve inputs (possibly staging) before claiming the output
         // slot so the step order stays producer-before-consumer.
         emitKernelStep(Id, /*OutputSlot placeholder*/ -1);
-        int Slot = localSlot(Id, IsOutput);
+        int Slot = localSlot(Id, S.IsOutput);
         Out.Steps.back().OutputSlot = Slot;
       } else {
         // Expression root; staging inside buildExpr emits producer steps
         // first, so claim the slot afterwards as well.
         emitExpressionStep(Id, -1);
-        int Slot = localSlot(Id, IsOutput);
+        int Slot = localSlot(Id, S.IsOutput);
         Out.Steps.back().OutputSlot = Slot;
       }
     }

@@ -141,7 +141,11 @@ struct CompiledBlock {
   int fusedExpressionOps() const;
 };
 
-/// Compiles \p Block of \p G.
+/// Compiles \p Block of \p G. Reads only the block's members and their
+/// inputs, and sizes its working state by them, so a block costs the same
+/// to compile in any graph. \p Block must come from a verified plan: the
+/// fused attention/layernorm match trusts its Outputs and counts uses
+/// among its members only.
 CompiledBlock compileBlock(const Graph &G, const FusionBlock &Block,
                            const CodegenOptions &Options = {});
 

@@ -8,7 +8,9 @@
 #include "support/Error.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
+#include <queue>
 
 using namespace dnnfusion;
 
@@ -36,6 +38,10 @@ struct Planner {
   std::vector<int> Pos;
   /// Position span of each block's members, maintained on assignment.
   std::vector<int> BlockMinPos, BlockMaxPos;
+  /// The current seed round's eligible operators, best first, and the
+  /// index before which all of them are assigned (see beginSeedRound).
+  std::vector<NodeId> SeedOrder;
+  size_t NextSeed = 0;
 
   Planner(const Graph &G, const Ecg &E, LatencyOracle &Oracle,
           const PlannerOptions &Opt, PlannerStats &Stats)
@@ -252,41 +258,43 @@ struct Planner {
   /// secondary round seeds on broadcast elementwise operators (classified
   /// One-to-Many by Table 2 solely because one operand broadcasts) so
   /// MatMul+bias-Add style chains — ubiquitous in transformer exports —
-  /// still anchor a block.
-  NodeId pickSeed(bool AllowBroadcastElementwise) const {
-    NodeId Best = InvalidNodeId;
-    int64_t BestKey = 0;
+  /// still anchor a block. A round orders its eligible operators once, by
+  /// the policy's key (intermediate-result size) and then by id; each seed
+  /// is the first of them not yet assigned to a block.
+  void beginSeedRound(bool AllowBroadcastElementwise) {
+    SeedOrder.clear();
+    NextSeed = 0;
     for (int Id = 0; Id < G.numNodes(); ++Id) {
       if (!isOperator(Id) || Assigned[static_cast<size_t>(Id)] >= 0)
         continue;
       MappingType MT = E.mappingType(Id);
-      bool Eligible =
-          MT == MappingType::OneToOne ||
+      if (MT == MappingType::OneToOne ||
           (AllowBroadcastElementwise && MT == MappingType::OneToMany &&
-           isElementwise(G.node(Id).Kind));
-      if (!Eligible)
-        continue;
-      int64_t Irs = E.info(Id).IrsBytes;
-      switch (Opt.Seeds) {
-      case PlannerOptions::SeedPolicy::MinIntermediateResult:
-        if (Best == InvalidNodeId || Irs < BestKey) {
-          Best = Id;
-          BestKey = Irs;
-        }
-        break;
-      case PlannerOptions::SeedPolicy::MaxIntermediateResult:
-        if (Best == InvalidNodeId || Irs > BestKey) {
-          Best = Id;
-          BestKey = Irs;
-        }
-        break;
-      case PlannerOptions::SeedPolicy::FirstTopological:
-        if (Best == InvalidNodeId)
-          Best = Id;
-        break;
-      }
+           isElementwise(G.node(Id).Kind)))
+        SeedOrder.push_back(Id);
     }
-    return Best;
+    auto Irs = [&](NodeId Id) { return E.info(Id).IrsBytes; };
+    switch (Opt.Seeds) {
+    case PlannerOptions::SeedPolicy::MinIntermediateResult:
+      std::stable_sort(SeedOrder.begin(), SeedOrder.end(),
+                       [&](NodeId A, NodeId B) { return Irs(A) < Irs(B); });
+      break;
+    case PlannerOptions::SeedPolicy::MaxIntermediateResult:
+      std::stable_sort(SeedOrder.begin(), SeedOrder.end(),
+                       [&](NodeId A, NodeId B) { return Irs(A) > Irs(B); });
+      break;
+    case PlannerOptions::SeedPolicy::FirstTopological:
+      break;
+    }
+  }
+
+  /// The next seed of the current round, or InvalidNodeId when every
+  /// eligible operator is assigned.
+  NodeId pickSeed() {
+    while (NextSeed < SeedOrder.size() &&
+           Assigned[static_cast<size_t>(SeedOrder[NextSeed])] >= 0)
+      ++NextSeed;
+    return NextSeed < SeedOrder.size() ? SeedOrder[NextSeed] : InvalidNodeId;
   }
 };
 
@@ -383,19 +391,19 @@ FusionPlan finalizePlan(const Graph &G,
         BlockUsers[static_cast<size_t>(PB)].push_back(static_cast<int>(BI));
         ++Pending[BI];
       }
-  std::vector<int> Ready, BlockOrder;
+  // The smallest ready block index goes next.
+  std::priority_queue<int, std::vector<int>, std::greater<int>> Ready;
+  std::vector<int> BlockOrder;
   for (size_t BI = 0; BI < NumBlocks; ++BI)
     if (Pending[BI] == 0)
-      Ready.push_back(static_cast<int>(BI));
-  std::sort(Ready.begin(), Ready.end(), std::greater<int>());
+      Ready.push(static_cast<int>(BI));
   while (!Ready.empty()) {
-    int BI = Ready.back();
-    Ready.pop_back();
+    int BI = Ready.top();
+    Ready.pop();
     BlockOrder.push_back(BI);
     for (int User : BlockUsers[static_cast<size_t>(BI)])
       if (--Pending[static_cast<size_t>(User)] == 0)
-        Ready.push_back(User);
-    std::sort(Ready.begin(), Ready.end(), std::greater<int>());
+        Ready.push(User);
   }
   DNNF_CHECK(BlockOrder.size() == NumBlocks,
              "fusion blocks form a cycle (%zu of %zu ordered)",
@@ -428,31 +436,27 @@ FusionPlan dnnfusion::planFusion(const Graph &G, LatencyOracle *Oracle,
   std::vector<NodeId> Seeds;
 
   // Listing 1 main loop: seed, grow through predecessors and successors.
-  bool AllowBroadcastSeeds = false;
-  while (true) {
-    NodeId Seed = P.pickSeed(AllowBroadcastSeeds);
-    if (Seed == InvalidNodeId) {
-      if (AllowBroadcastSeeds)
-        break;
-      AllowBroadcastSeeds = true;
-      continue;
+  for (bool AllowBroadcastSeeds : {false, true}) {
+    P.beginSeedRound(AllowBroadcastSeeds);
+    for (NodeId Seed = P.pickSeed(); Seed != InvalidNodeId;
+         Seed = P.pickSeed()) {
+      int Block = static_cast<int>(Groups.size());
+      std::vector<NodeId> Members = {Seed};
+      P.assign(Seed, Block);
+      MappingType Type = E.mappingType(Seed);
+      ++Stats.SeedsUsed;
+      // Listing 1 presents successors first but notes Steps II and III
+      // "can be swapped"; predecessor-first keeps a seed from absorbing the
+      // *next* Many-to-Many operator downstream and thereby stranding its
+      // own producer (the Figure 3 GEMM situation), which measurably
+      // improves fusion rates on transformer attention.
+      for (NodeId Pred : G.node(Seed).Inputs)
+        P.fusePredecessor(Block, Members, Type, Pred);
+      for (NodeId Succ : P.Consumers[static_cast<size_t>(Seed)])
+        P.fuseSuccessor(Block, Members, Type, Succ);
+      Groups.push_back(std::move(Members));
+      Seeds.push_back(Seed);
     }
-    int Block = static_cast<int>(Groups.size());
-    std::vector<NodeId> Members = {Seed};
-    P.assign(Seed, Block);
-    MappingType Type = E.mappingType(Seed);
-    ++Stats.SeedsUsed;
-    // Listing 1 presents successors first but notes Steps II and III "can
-    // be swapped"; predecessor-first keeps a seed from absorbing the *next*
-    // Many-to-Many operator downstream and thereby stranding its own
-    // producer (the Figure 3 GEMM situation), which measurably improves
-    // fusion rates on transformer attention.
-    for (NodeId Pred : G.node(Seed).Inputs)
-      P.fusePredecessor(Block, Members, Type, Pred);
-    for (NodeId Succ : P.Consumers[static_cast<size_t>(Seed)])
-      P.fuseSuccessor(Block, Members, Type, Succ);
-    Groups.push_back(std::move(Members));
-    Seeds.push_back(Seed);
   }
 
   // Remaining operators (no One-to-One seed reached them) run unfused.

@@ -25,6 +25,7 @@ namespace dnnfusion {
 /// benches (seed policy, yellow handling, constraint threshold).
 struct PlannerOptions {
   /// How fusion seeds are chosen among unassigned One-to-One operators.
+  /// Ties go to the smaller node id.
   enum class SeedPolicy {
     MinIntermediateResult, ///< The paper's policy (Listing 1).
     MaxIntermediateResult, ///< Ablation: largest intermediate first.
@@ -58,7 +59,10 @@ struct PlannerStats {
 
 /// Explores fusion plans for \p G. \p Oracle resolves yellow decisions;
 /// when null a CostModelOracle is used. Returns a verified plan whose
-/// blocks are in execution order.
+/// blocks are in execution order. Seeds come in two rounds (One-to-One
+/// operators, then broadcast elementwise ones); each round sorts its
+/// eligible operators once, by the seed policy's key and then by id, and
+/// every seed is the first of them not yet absorbed into a block.
 FusionPlan planFusion(const Graph &G, LatencyOracle *Oracle = nullptr,
                       const PlannerOptions &Options = {},
                       PlannerStats *Stats = nullptr);

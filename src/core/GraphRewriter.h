@@ -48,7 +48,11 @@ struct RewriteStats {
 };
 
 /// Applies the rewrite rule registry to \p G until fixpoint. \p G is
-/// verified before returning.
+/// verified before returning. One consumer table serves every match; each
+/// application updates it, and removes dead code, from the nodes it
+/// touched, so an application costs the size of its neighbourhood rather
+/// than of the graph. The first application also drops whatever the input
+/// graph left unreachable (Graph::eraseDeadNodes).
 RewriteStats rewriteGraph(Graph &G, const RewriteOptions &Options = {});
 
 /// Counts the algebraic regions of \p G: connected components of operators

@@ -50,8 +50,9 @@ struct RuleApplication {
   NodeId Root = InvalidNodeId;
   /// Estimated #FLOPs removed from the graph (>= 0 by construction).
   int64_t FlopsSaved = 0;
-  /// Builds the replacement expression and returns its result node. The
-  /// caller performs replaceAllUses(Root, result) and dead-code removal.
+  /// Builds the replacement expression and returns its result node, which
+  /// is never Root itself. The caller moves Root's uses to the result and
+  /// removes dead code.
   std::function<NodeId(Graph &)> Build;
 };
 

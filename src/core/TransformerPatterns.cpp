@@ -14,9 +14,7 @@ using namespace dnnfusion;
 
 namespace {
 
-bool oneUse(const std::vector<std::vector<NodeId>> &Consumers, NodeId Id) {
-  return Consumers[static_cast<size_t>(Id)].size() == 1;
-}
+bool oneUse(const UseCount &Uses, NodeId Id) { return Uses(Id) == 1; }
 
 bool scalarConst(const Graph &G, NodeId Id, float &V) {
   const Node &N = G.node(Id);
@@ -60,9 +58,7 @@ bool leadingDimsAreOnes(const Shape &Sh, int Keep) {
 } // namespace
 
 std::optional<AttentionMatch>
-dnnfusion::matchAttention(const Graph &G,
-                          const std::vector<std::vector<NodeId>> &Consumers,
-                          NodeId Root) {
+dnnfusion::matchAttention(const Graph &G, const UseCount &Uses, NodeId Root) {
   const Node &CtxN = G.node(Root);
   if (CtxN.Dead || CtxN.Kind != OpKind::MatMul)
     return std::nullopt;
@@ -72,7 +68,7 @@ dnnfusion::matchAttention(const Graph &G,
   NodeId P = CtxN.Inputs[0];
   M.VNode = CtxN.Inputs[1];
   const Node &PN = G.node(P);
-  if (PN.Kind != OpKind::Softmax || !oneUse(Consumers, P))
+  if (PN.Kind != OpKind::Softmax || !oneUse(Uses, P))
     return std::nullopt;
   int64_t Axis = PN.Attrs.getInt("axis", -1);
   if (Axis != -1 && Axis != PN.OutShape.rank() - 1)
@@ -94,7 +90,7 @@ dnnfusion::matchAttention(const Graph &G,
       MaskOp = CurN->Inputs[0];
       Other = CurN->Inputs[1];
     }
-    if (MaskOp != InvalidNodeId && oneUse(Consumers, Cur)) {
+    if (MaskOp != InvalidNodeId && oneUse(Uses, Cur)) {
       M.MaskNode = MaskOp;
       Middle.push_back(Cur);
       Cur = Other;
@@ -108,7 +104,7 @@ dnnfusion::matchAttention(const Graph &G,
       Other = CurN->Inputs[0];
     else if (scalarConst(G, CurN->Inputs[0], V))
       Other = CurN->Inputs[1];
-    if (Other != InvalidNodeId && oneUse(Consumers, Cur) &&
+    if (Other != InvalidNodeId && oneUse(Uses, Cur) &&
         (M.MaskNode == InvalidNodeId || G.node(Other).Kind == OpKind::MatMul)) {
       // With a mask already consumed, the scale must sit directly on the
       // scores MatMul (the (QK + mask) * scale order is not this kernel).
@@ -118,7 +114,7 @@ dnnfusion::matchAttention(const Graph &G,
       CurN = &G.node(Cur);
     }
   }
-  if (CurN->Kind != OpKind::MatMul || !oneUse(Consumers, Cur))
+  if (CurN->Kind != OpKind::MatMul || !oneUse(Uses, Cur))
     return std::nullopt;
   M.QNode = CurN->Inputs[0];
   M.KtNode = CurN->Inputs[1];
@@ -166,9 +162,7 @@ dnnfusion::matchAttention(const Graph &G,
 }
 
 std::optional<LayerNormMatch>
-dnnfusion::matchLayerNorm(const Graph &G,
-                          const std::vector<std::vector<NodeId>> &Consumers,
-                          NodeId Root) {
+dnnfusion::matchLayerNorm(const Graph &G, const UseCount &Uses, NodeId Root) {
   const Node &RootN = G.node(Root);
   if (RootN.Dead || RootN.Kind != OpKind::Add)
     return std::nullopt;
@@ -194,22 +188,22 @@ dnnfusion::matchLayerNorm(const Graph &G,
   M.Root = Root;
   NodeId M2, Norm, StdN, E, Var, Sq, D, Mean;
   if (!AsKind(RootN.Inputs[0], RootN.Inputs[1], OpKind::Mul, M2, M.BetaNode) ||
-      !oneUse(Consumers, M2))
+      !oneUse(Uses, M2))
     return std::nullopt;
   const Node &M2N = G.node(M2);
   if (!AsKind(M2N.Inputs[0], M2N.Inputs[1], OpKind::Div, Norm, M.GammaNode) ||
-      !oneUse(Consumers, Norm))
+      !oneUse(Uses, Norm))
     return std::nullopt;
   const Node &NormN = G.node(Norm);
   D = NormN.Inputs[0];
   StdN = NormN.Inputs[1];
   const Node &StdNN = G.node(StdN);
-  if (StdNN.Kind != OpKind::Sqrt || !oneUse(Consumers, StdN))
+  if (StdNN.Kind != OpKind::Sqrt || !oneUse(Uses, StdN))
     return std::nullopt;
   E = StdNN.Inputs[0];
   const Node &EN = G.node(E);
   float Eps;
-  if (EN.Kind != OpKind::Add || !oneUse(Consumers, E))
+  if (EN.Kind != OpKind::Add || !oneUse(Uses, E))
     return std::nullopt;
   if (scalarConst(G, EN.Inputs[1], Eps))
     Var = EN.Inputs[0];
@@ -220,7 +214,7 @@ dnnfusion::matchLayerNorm(const Graph &G,
   M.Eps = Eps;
   const Node &VarN = G.node(Var);
   if (VarN.Kind != OpKind::ReduceMean || !reducesLastAxisKeepdim(VarN) ||
-      !oneUse(Consumers, Var))
+      !oneUse(Uses, Var))
     return std::nullopt;
   Sq = VarN.Inputs[0];
   const Node &SqN = G.node(Sq);
@@ -228,17 +222,16 @@ dnnfusion::matchLayerNorm(const Graph &G,
   bool IsSquare =
       (SqN.Kind == OpKind::Square && SqN.Inputs[0] == D) ||
       (SqN.Kind == OpKind::Mul && SqN.Inputs[0] == D && SqN.Inputs[1] == D);
-  if (!IsSquare || !oneUse(Consumers, Sq))
+  if (!IsSquare || !oneUse(Uses, Sq))
     return std::nullopt;
   const Node &DN = G.node(D);
-  if (DN.Kind != OpKind::Sub ||
-      Consumers[static_cast<size_t>(D)].size() != 2)
+  if (DN.Kind != OpKind::Sub || Uses(D) != 2)
     return std::nullopt;
   M.XNode = DN.Inputs[0];
   Mean = DN.Inputs[1];
   const Node &MeanN = G.node(Mean);
   if (MeanN.Kind != OpKind::ReduceMean || !reducesLastAxisKeepdim(MeanN) ||
-      MeanN.Inputs[0] != M.XNode || !oneUse(Consumers, Mean))
+      MeanN.Inputs[0] != M.XNode || !oneUse(Uses, Mean))
     return std::nullopt;
 
   const Shape &XS = G.node(M.XNode).OutShape;
@@ -276,26 +269,26 @@ bool coversExactly(const MatchT &M, const std::vector<NodeId> &Members) {
 
 } // namespace
 
-std::optional<AttentionMatch> dnnfusion::matchAttentionBlock(
-    const Graph &G, const std::vector<std::vector<NodeId>> &Consumers,
-    const std::vector<NodeId> &Members) {
+std::optional<AttentionMatch>
+dnnfusion::matchAttentionBlock(const Graph &G, const UseCount &Uses,
+                               const std::vector<NodeId> &Members) {
   for (NodeId Id : Members) {
     if (G.node(Id).Kind != OpKind::MatMul)
       continue;
-    if (std::optional<AttentionMatch> M = matchAttention(G, Consumers, Id))
+    if (std::optional<AttentionMatch> M = matchAttention(G, Uses, Id))
       if (coversExactly(*M, Members))
         return M;
   }
   return std::nullopt;
 }
 
-std::optional<LayerNormMatch> dnnfusion::matchLayerNormBlock(
-    const Graph &G, const std::vector<std::vector<NodeId>> &Consumers,
-    const std::vector<NodeId> &Members) {
+std::optional<LayerNormMatch>
+dnnfusion::matchLayerNormBlock(const Graph &G, const UseCount &Uses,
+                               const std::vector<NodeId> &Members) {
   for (NodeId Id : Members) {
     if (G.node(Id).Kind != OpKind::Add)
       continue;
-    if (std::optional<LayerNormMatch> M = matchLayerNorm(G, Consumers, Id))
+    if (std::optional<LayerNormMatch> M = matchLayerNorm(G, Uses, Id))
       if (coversExactly(*M, Members))
         return M;
   }
@@ -346,6 +339,9 @@ int dnnfusion::carveTransformerGroups(const Graph &G, FusionPlan &Plan,
   if (!Attention && !Norm)
     return 0;
   std::vector<std::vector<NodeId>> Consumers = G.computeConsumers();
+  UseCount Uses = [&](NodeId Id) {
+    return static_cast<int>(Consumers[static_cast<size_t>(Id)].size());
+  };
 
   std::vector<char> Claimed(static_cast<size_t>(G.numNodes()), 0);
   std::vector<std::vector<NodeId>> Claims;
@@ -362,10 +358,10 @@ int dnnfusion::carveTransformerGroups(const Graph &G, FusionPlan &Plan,
     if (N.Dead)
       continue;
     if (Attention && N.Kind == OpKind::MatMul)
-      if (std::optional<AttentionMatch> M = matchAttention(G, Consumers, Id))
+      if (std::optional<AttentionMatch> M = matchAttention(G, Uses, Id))
         TryClaim(M->Members);
     if (Norm && N.Kind == OpKind::Add)
-      if (std::optional<LayerNormMatch> M = matchLayerNorm(G, Consumers, Id))
+      if (std::optional<LayerNormMatch> M = matchLayerNorm(G, Uses, Id))
         TryClaim(M->Members);
   }
   if (Claims.empty())
@@ -373,8 +369,10 @@ int dnnfusion::carveTransformerGroups(const Graph &G, FusionPlan &Plan,
 
   // Residues of broken-up blocks, split into weakly-connected components
   // so unrelated halves of a block do not stay artificially glued (glue
-  // through a claimed member is gone).
+  // through a claimed member is gone). IndexOf maps a node to its position
+  // in the current residue; it is reset after each block.
   std::vector<std::vector<NodeId>> Groups;
+  std::vector<int> IndexOf(static_cast<size_t>(G.numNodes()), -1);
   for (const FusionBlock &B : Plan.Blocks) {
     std::vector<NodeId> Residual;
     for (NodeId Id : B.Members)
@@ -391,7 +389,6 @@ int dnnfusion::carveTransformerGroups(const Graph &G, FusionPlan &Plan,
             Parent[static_cast<size_t>(Parent[static_cast<size_t>(X)])];
       return X;
     };
-    std::vector<int> IndexOf(static_cast<size_t>(G.numNodes()), -1);
     for (size_t I = 0; I < Residual.size(); ++I)
       IndexOf[static_cast<size_t>(Residual[I])] = static_cast<int>(I);
     for (size_t I = 0; I < Residual.size(); ++I)
@@ -400,6 +397,8 @@ int dnnfusion::carveTransformerGroups(const Graph &G, FusionPlan &Plan,
         if (J >= 0)
           Parent[static_cast<size_t>(Find(static_cast<int>(I)))] = Find(J);
       }
+    for (NodeId Id : Residual)
+      IndexOf[static_cast<size_t>(Id)] = -1;
     std::map<int, std::vector<NodeId>> Components;
     for (size_t I = 0; I < Residual.size(); ++I)
       Components[Find(static_cast<int>(I))].push_back(Residual[I]);

@@ -27,6 +27,7 @@
 
 #include "graph/Graph.h"
 
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -65,26 +66,30 @@ struct LayerNormMatch {
   int64_t Rows = 0, H = 0;
 };
 
-/// Matches an attention core whose context MatMul is \p Root. \p Consumers
-/// is G.computeConsumers() (interior values must not escape).
-std::optional<AttentionMatch>
-matchAttention(const Graph &G, const std::vector<std::vector<NodeId>> &Consumers,
-               NodeId Root);
+/// Number of distinct live nodes reading a value, as a matcher sees it.
+/// A pattern's interior values must have exactly the uses the pattern
+/// gives them (they must not escape), and that count is all the matchers
+/// ask. carveTransformerGroups counts over the whole graph; compileBlock
+/// counts over the block's members.
+using UseCount = std::function<int(NodeId)>;
+
+/// Matches an attention core whose context MatMul is \p Root.
+std::optional<AttentionMatch> matchAttention(const Graph &G,
+                                             const UseCount &Uses,
+                                             NodeId Root);
 
 /// Matches a decomposed LayerNorm whose final Add is \p Root.
-std::optional<LayerNormMatch>
-matchLayerNorm(const Graph &G, const std::vector<std::vector<NodeId>> &Consumers,
-               NodeId Root);
+std::optional<LayerNormMatch> matchLayerNorm(const Graph &G,
+                                             const UseCount &Uses,
+                                             NodeId Root);
 
 /// Re-matches a fusion block's exact member set: succeeds only when the
 /// match's interior nodes are precisely \p Members (any order).
 std::optional<AttentionMatch>
-matchAttentionBlock(const Graph &G,
-                    const std::vector<std::vector<NodeId>> &Consumers,
+matchAttentionBlock(const Graph &G, const UseCount &Uses,
                     const std::vector<NodeId> &Members);
 std::optional<LayerNormMatch>
-matchLayerNormBlock(const Graph &G,
-                    const std::vector<std::vector<NodeId>> &Consumers,
+matchLayerNormBlock(const Graph &G, const UseCount &Uses,
                     const std::vector<NodeId> &Members);
 
 /// Re-partitions \p Plan so every matched attention (\p Attention) and

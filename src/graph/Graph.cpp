@@ -7,6 +7,8 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
+#include <functional>
+#include <queue>
 
 using namespace dnnfusion;
 
@@ -83,11 +85,13 @@ Node &Graph::node(NodeId Id) {
 }
 
 std::vector<NodeId> Graph::topologicalOrder() const {
-  // Kahn's algorithm over live nodes; ids act as tie-breakers so the order
-  // is deterministic.
+  // Kahn's algorithm over live nodes, popping the smallest ready id from a
+  // min-heap.
   std::vector<int> PendingInputs(Nodes.size(), 0);
   std::vector<std::vector<NodeId>> Consumers = computeConsumers();
-  std::vector<NodeId> Ready, Order;
+  std::priority_queue<NodeId, std::vector<NodeId>, std::greater<NodeId>>
+      Ready;
+  std::vector<NodeId> Order;
   for (const Node &N : Nodes) {
     if (N.Dead)
       continue;
@@ -97,12 +101,11 @@ std::vector<NodeId> Graph::topologicalOrder() const {
         ++Live;
     PendingInputs[static_cast<size_t>(N.Id)] = Live;
     if (Live == 0)
-      Ready.push_back(N.Id);
+      Ready.push(N.Id);
   }
-  std::sort(Ready.begin(), Ready.end(), std::greater<NodeId>());
   while (!Ready.empty()) {
-    NodeId Id = Ready.back();
-    Ready.pop_back();
+    NodeId Id = Ready.top();
+    Ready.pop();
     Order.push_back(Id);
     for (NodeId User : Consumers[static_cast<size_t>(Id)]) {
       // A node may consume the same value twice; decrement once per edge.
@@ -112,9 +115,8 @@ std::vector<NodeId> Graph::topologicalOrder() const {
       int &Pending = PendingInputs[static_cast<size_t>(User)];
       Pending -= Edges;
       if (Pending == 0)
-        Ready.push_back(User);
+        Ready.push(User);
     }
-    std::sort(Ready.begin(), Ready.end(), std::greater<NodeId>());
   }
   return Order;
 }
@@ -134,17 +136,24 @@ std::vector<std::vector<NodeId>> Graph::computeConsumers() const {
 }
 
 void Graph::replaceAllUses(NodeId Old, NodeId New) {
+  std::vector<NodeId> Users;
+  for (const Node &N : Nodes)
+    if (!N.Dead &&
+        std::find(N.Inputs.begin(), N.Inputs.end(), Old) != N.Inputs.end())
+      Users.push_back(N.Id);
+  replaceUses(Old, New, Users);
+}
+
+void Graph::replaceUses(NodeId Old, NodeId New,
+                        const std::vector<NodeId> &Users) {
   DNNF_CHECK(node(Old).OutShape == node(New).OutShape,
              "replaceAllUses shape mismatch: %s vs %s",
              node(Old).OutShape.toString().c_str(),
              node(New).OutShape.toString().c_str());
-  for (Node &N : Nodes) {
-    if (N.Dead)
-      continue;
-    for (NodeId &In : N.Inputs)
+  for (NodeId User : Users)
+    for (NodeId &In : node(User).Inputs)
       if (In == Old)
         In = New;
-  }
   for (NodeId &Out : OutputIds)
     if (Out == Old)
       Out = New;

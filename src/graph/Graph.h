@@ -73,7 +73,10 @@ public:
 
   const std::vector<NodeId> &outputs() const { return OutputIds; }
 
-  /// Live node ids in a valid topological order.
+  /// Live node ids in topological order. The order is fixed: of the nodes
+  /// whose live inputs are all placed, the smallest id comes next
+  /// (persisted plans and toString() depend on it). Kahn's algorithm over a
+  /// min-heap of ready ids, O(E log V).
   std::vector<NodeId> topologicalOrder() const;
 
   /// Ids of consumers of each node (indexed by producer id; live only).
@@ -81,6 +84,11 @@ public:
 
   /// Rewrites every use of \p Old (including the output list) to \p New.
   void replaceAllUses(NodeId Old, NodeId New);
+
+  /// replaceAllUses() for a caller that keeps its own consumer index:
+  /// \p Users must list every live node that reads \p Old (as
+  /// computeConsumers()[Old] does); only they and the output list change.
+  void replaceUses(NodeId Old, NodeId New, const std::vector<NodeId> &Users);
 
   /// Marks nodes unreachable from the outputs dead.
   void eraseDeadNodes();

@@ -1,14 +1,85 @@
 //===- tests/test_graph.cpp - graph IR unit tests --------------------------------===//
 
+#include "GraphFuzz.h"
 #include "graph/GraphBuilder.h"
+#include "models/ModelZoo.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 
 using namespace dnnfusion;
 
 namespace {
+
+/// The order topologicalOrder() is pinned to, computed the slow way:
+/// Kahn's algorithm re-sorting the whole ready list after every pop and
+/// taking the smallest id.
+std::vector<NodeId> sortedReadyOrder(const Graph &G) {
+  std::vector<int> Pending(static_cast<size_t>(G.numNodes()), 0);
+  std::vector<std::vector<NodeId>> Consumers = G.computeConsumers();
+  std::vector<NodeId> Ready, Order;
+  for (NodeId Id = 0; Id < G.numNodes(); ++Id) {
+    const Node &N = G.node(Id);
+    if (N.Dead)
+      continue;
+    for (NodeId In : N.Inputs)
+      Pending[static_cast<size_t>(Id)] += G.node(In).Dead ? 0 : 1;
+    if (Pending[static_cast<size_t>(Id)] == 0)
+      Ready.push_back(Id);
+  }
+  std::sort(Ready.begin(), Ready.end(), std::greater<NodeId>());
+  while (!Ready.empty()) {
+    NodeId Id = Ready.back();
+    Ready.pop_back();
+    Order.push_back(Id);
+    for (NodeId User : Consumers[static_cast<size_t>(Id)]) {
+      const std::vector<NodeId> &Ins = G.node(User).Inputs;
+      int &P = Pending[static_cast<size_t>(User)];
+      P -= static_cast<int>(std::count(Ins.begin(), Ins.end(), Id));
+      if (P == 0)
+        Ready.push_back(User);
+    }
+    std::sort(Ready.begin(), Ready.end(), std::greater<NodeId>());
+  }
+  return Order;
+}
+
+TEST(GraphTopologicalOrder, MatchesSortedReadyReferenceOnEveryZooModel) {
+  for (const ModelZooEntry &E : modelZoo()) {
+    Graph G = E.Build();
+    EXPECT_EQ(G.topologicalOrder(), sortedReadyOrder(G)) << E.Info.Name;
+  }
+}
+
+TEST(GraphTopologicalOrder, MatchesSortedReadyReferenceOnFuzzGraphs) {
+  for (uint64_t Seed : {0u, 1u, 7u, 42u, 1234u}) {
+    Graph G = testutil::buildGraph(testutil::generateSpec(Seed));
+    EXPECT_EQ(G.topologicalOrder(), sortedReadyOrder(G)) << "seed " << Seed;
+  }
+}
+
+TEST(GraphTopologicalOrder, MatchesSortedReadyReferenceOnEdgeCases) {
+  GraphBuilder B(10);
+  NodeId X = B.input(Shape({4}));
+  // A wide constant fan-in: every constant is ready at the start, and the
+  // chain consumes them from the highest id down.
+  std::vector<NodeId> Weights;
+  for (int I = 0; I < 48; ++I)
+    Weights.push_back(B.weight(Shape({4})));
+  NodeId Acc = B.mul(X, X); // Consumes one value twice.
+  NodeId Dropped = B.relu(Acc);
+  for (auto It = Weights.rbegin(); It != Weights.rend(); ++It)
+    Acc = B.add(Acc, *It);
+  B.sigmoid(Dropped);
+  NodeId Late = B.weight(Shape({4}));
+  B.markOutput(B.add(B.add(Acc, Acc), Late));
+  Graph &G = B.graph();
+  G.eraseDeadNodes();
+  ASSERT_TRUE(G.node(Dropped).Dead);
+  EXPECT_EQ(G.topologicalOrder(), sortedReadyOrder(G));
+}
 
 TEST(Graph, BuildAndInferShapes) {
   GraphBuilder B(1);

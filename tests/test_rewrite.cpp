@@ -4,6 +4,7 @@
 
 #include "core/GraphRewriter.h"
 #include "graph/GraphBuilder.h"
+#include "models/ModelZoo.h"
 
 #include <gtest/gtest.h>
 
@@ -25,6 +26,66 @@ RewriteStats rewriteAndCheckSemantics(Graph &G, uint64_t Seed,
         << "rewriting changed output " << I << " (max diff "
         << maxAbsDiff(After[I], Before[I]) << ")";
   return Stats;
+}
+
+std::vector<bool> deadFlags(const Graph &G) {
+  std::vector<bool> Flags;
+  for (NodeId Id = 0; Id < G.numNodes(); ++Id)
+    Flags.push_back(G.node(Id).Dead);
+  return Flags;
+}
+
+/// The rewriter's dead-code removal must leave nothing for a full
+/// reachability sweep to find.
+void expectNoUnreachableNodes(const Graph &G, const std::string &What) {
+  Graph Swept = G;
+  Swept.eraseDeadNodes();
+  EXPECT_EQ(deadFlags(Swept), deadFlags(G)) << What;
+}
+
+TEST(RewriteDeadCode, NothingUnreachableSurvivesOnTheZoo) {
+  for (const ModelZooEntry &E : modelZoo()) {
+    Graph G = E.Build();
+    rewriteGraph(G);
+    expectNoUnreachableNodes(G, E.Info.Name);
+  }
+}
+
+TEST(RewriteDeadCode, NothingUnreachableSurvivesOnFuzzGraphs) {
+  int Rewritten = 0;
+  for (uint64_t Seed = 0; Seed < 200; ++Seed) {
+    Graph G = buildGraph(generateSpec(Seed));
+    std::vector<bool> Before = deadFlags(G);
+    RewriteStats S = rewriteGraph(G);
+    std::string What = "seed " + std::to_string(Seed);
+    if (S.Applications == 0) {
+      // Dead-code removal rides on rule applications: a graph no rule
+      // touches comes back as given, unreachable nodes and all.
+      EXPECT_EQ(deadFlags(G), Before) << What;
+      continue;
+    }
+    ++Rewritten;
+    expectNoUnreachableNodes(G, What);
+  }
+  EXPECT_GT(Rewritten, 50);
+}
+
+TEST(RewriteDeadCode, FirstApplicationDropsWhatTheInputLeftUnreachable) {
+  // The unreachable Relu is a second consumer of the Square, so the first
+  // scan sees two uses and sqrt-square (which needs a one-use Square)
+  // cannot fire. Eliminating the Identity drops the Relu; the next scan
+  // turns Sqrt(Square(x)) into Abs(x).
+  GraphBuilder B(1);
+  NodeId X = B.input(Shape({4}));
+  NodeId Sq = B.unary(OpKind::Square, X);
+  NodeId Rt = B.unary(OpKind::Sqrt, Sq);
+  B.relu(Sq);
+  B.markOutput(B.unary(OpKind::Identity, Rt));
+  Graph G = B.take();
+  RewriteStats S = rewriteGraph(G);
+  EXPECT_EQ(S.Applications, 2);
+  EXPECT_EQ(G.toString(), "%0 = Input() : 4\n"
+                          "%5 = Abs(%0) : 4  // output\n");
 }
 
 TEST(RewriteRegistry, HasThePaperFamilies) {
