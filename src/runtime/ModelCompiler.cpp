@@ -321,6 +321,11 @@ Expected<CompiledModel> dnnfusion::compileModel(Graph G,
     }
   }
 
+  // Nodes no output reaches are not planned, compiled or run, whether or
+  // not a rewrite rule applies. The cache key above covers the graph as
+  // given.
+  G.eraseDeadNodes();
+
   CompiledModel M;
   WallTimer Timer;
 

@@ -29,13 +29,6 @@ void ByteWriter::raw(const void *Data, size_t Size) {
   Buf.append(static_cast<const char *>(Data), Size);
 }
 
-void ByteWriter::patchU32(size_t Offset, uint32_t V) {
-  DNNF_CHECK(Offset + 4 <= Buf.size(), "patchU32 past end");
-  for (int I = 0; I < 4; ++I)
-    Buf[Offset + static_cast<size_t>(I)] =
-        static_cast<char>((V >> (8 * I)) & 0xff);
-}
-
 void ByteWriter::patchU64(size_t Offset, uint64_t V) {
   DNNF_CHECK(Offset + 8 <= Buf.size(), "patchU64 past end");
   for (int I = 0; I < 8; ++I)

@@ -46,10 +46,13 @@ public:
   /// Raw bytes, no length prefix.
   void raw(const void *Data, size_t Size);
 
-  /// Patches 4 bytes at \p Offset (already written) with \p V — used to
-  /// backfill section lengths.
-  void patchU32(size_t Offset, uint32_t V);
+  /// Overwrites the 8 bytes at \p Offset (already written) with \p V —
+  /// how a container backfills its section lengths and checksum.
   void patchU64(size_t Offset, uint64_t V);
+
+  /// Makes room for \p Bytes in total, so a writer sized up front fills
+  /// one allocation.
+  void reserve(size_t Bytes) { Buf.reserve(Bytes); }
 
   size_t size() const { return Buf.size(); }
   const std::string &buffer() const { return Buf; }

@@ -54,11 +54,10 @@ std::vector<ArtifactInfo> listArtifacts(const std::string &Dir) {
   return Out;
 }
 
-/// Every option that changes the compiled artifact, in one stable
-/// encoding. New fields append here (and implicitly cold-start caches,
-/// which is the safe direction).
-std::string serializeOptionsForKey(const CompileOptions &O) {
-  ByteWriter W;
+/// Appends every option that changes the compiled artifact, in one
+/// stable encoding. New fields append here (and implicitly cold-start
+/// caches, which is the safe direction).
+void writeOptionsForKey(const CompileOptions &O, ByteWriter &W) {
   W.u8(O.EnableGraphRewriting ? 1 : 0);
   W.u8(O.EnableFusion ? 1 : 0);
   W.u8(O.EnableOtherOpts ? 1 : 0);
@@ -86,18 +85,20 @@ std::string serializeOptionsForKey(const CompileOptions &O) {
   // the loader's best tier (blocks are never serialized; compileBlock on
   // load re-stamps them). Keying on it would both fragment the cache and
   // freeze a host's feature set into a portable artifact.
-  return W.take();
 }
 
 } // namespace
 
 uint64_t CompilationCache::fingerprint(const Graph &G,
                                        const CompileOptions &Options) {
-  uint32_t Version = SerializedFormatVersion;
-  uint64_t H = fnv1a64(&Version, sizeof(Version));
-  H = fnv1a64(serializeGraph(G), H);
-  H = fnv1a64(serializeOptionsForKey(Options), H);
-  return H;
+  // One buffer, hashed once: version, graph, then the key options (the
+  // options take under 64 bytes).
+  ByteWriter W;
+  W.reserve(4 + graphEncodingReserve(G) + 64);
+  W.u32(SerializedFormatVersion);
+  serializeGraph(G, W);
+  writeOptionsForKey(Options, W);
+  return hash64(W.buffer());
 }
 
 std::string CompilationCache::pathForKey(uint64_t Key) const {

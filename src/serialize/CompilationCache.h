@@ -11,7 +11,7 @@
 /// content, not once per process start). compileModel consults it
 /// transparently when CompileOptions::CacheDir is set:
 ///
-///   key  = FNV-1a of (format version, serialized graph, compile options)
+///   key  = hash64 of (format version, serialized graph, compile options)
 ///   file = <CacheDir>/model-<key>.dnnf   (a saveModel artifact)
 ///
 /// A hit deserializes the artifact (memory plan cross-checked on
@@ -65,11 +65,12 @@ class CompilationCache {
 public:
   explicit CompilationCache(std::string Dir) : Dir(std::move(Dir)) {}
 
-  /// Content key of one compilation: format version + serialized graph +
-  /// every compile option that influences the artifact (CacheDir itself
-  /// excluded). Collision-resistant only in the accidental sense (64-bit
-  /// FNV), which matches the cache's trust model: artifacts are
-  /// integrity-checked on load anyway.
+  /// Content key of one compilation: the content hash (support/Hash.h)
+  /// of format version + serialized graph + every compile option that
+  /// influences the artifact (CacheDir itself excluded), written into one
+  /// buffer and hashed once. Collision-resistant only in the accidental
+  /// sense (64 bits, not cryptographic), which matches the cache's trust
+  /// model: artifacts are integrity-checked on load anyway.
   static uint64_t fingerprint(const Graph &G, const CompileOptions &Options);
 
   /// The artifact path for \p Key inside this cache directory.

@@ -29,6 +29,10 @@ constexpr uint8_t AttrString = 3;
 constexpr int64_t MaxDecodedElements = int64_t(1) << 34;
 constexpr int MaxDecodedRank = 32;
 
+/// graphEncodingReserve's allowance for one node record besides its
+/// constant payload (name, inputs, shape, attributes).
+constexpr size_t NodeRecordAllowance = 128;
+
 void writeShape(ByteWriter &W, const Shape &S) {
   W.u8(static_cast<uint8_t>(S.rank()));
   for (int64_t D : S.dims())
@@ -144,10 +148,15 @@ void dnnfusion::serializeGraph(const Graph &G, ByteWriter &W) {
   }
 }
 
-std::string dnnfusion::serializeGraph(const Graph &G) {
-  ByteWriter W;
-  serializeGraph(G, W);
-  return W.take();
+size_t dnnfusion::graphEncodingReserve(const Graph &G) {
+  size_t Bytes = 8 + 4 * G.outputs().size();
+  for (NodeId Id = 0; Id < G.numNodes(); ++Id) {
+    const Node &N = G.node(Id);
+    Bytes += NodeRecordAllowance;
+    if (!N.Dead && N.Kind == OpKind::Constant)
+      Bytes += N.ConstValue.byteSize();
+  }
+  return Bytes;
 }
 
 Expected<Graph> dnnfusion::deserializeGraph(ByteReader &R) {

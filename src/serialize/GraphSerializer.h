@@ -39,8 +39,10 @@ namespace dnnfusion {
 /// Appends the binary encoding of \p G to \p W.
 void serializeGraph(const Graph &G, ByteWriter &W);
 
-/// The binary encoding of \p G as a standalone byte string.
-std::string serializeGraph(const Graph &G);
+/// Bytes to reserve for \p G's binary encoding: every live constant's
+/// payload plus an allowance per node slot for its record, so a writer
+/// reserved with it takes the encoding in one allocation.
+size_t graphEncodingReserve(const Graph &G);
 
 /// Decodes a graph from \p R (positioned at the start of a graph
 /// encoding). On success the graph has passed Graph::validate().

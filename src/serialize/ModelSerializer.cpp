@@ -11,6 +11,8 @@
 #include "support/Hash.h"
 #include "support/StringUtils.h"
 
+#include <functional>
+#include <initializer_list>
 #include <map>
 
 using namespace dnnfusion;
@@ -18,6 +20,7 @@ using namespace dnnfusion;
 namespace {
 
 constexpr size_t HeaderBytes = 20; // magic + version + kind + checksum.
+constexpr size_t ChecksumOffset = 12;
 
 constexpr uint32_t fourcc(char A, char B, char C, char D) {
   return static_cast<uint32_t>(static_cast<unsigned char>(A)) |
@@ -39,22 +42,35 @@ std::string tagName(uint32_t Tag) {
   return Name;
 }
 
-std::string buildContainer(
-    ArtifactKind Kind,
-    const std::vector<std::pair<uint32_t, std::string>> &Sections) {
-  ByteWriter Payload;
-  Payload.u32(static_cast<uint32_t>(Sections.size()));
-  for (const auto &[Tag, Bytes] : Sections) {
-    Payload.u32(Tag);
-    Payload.u64(Bytes.size());
-    Payload.raw(Bytes.data(), Bytes.size());
-  }
+/// One section of a container being built: its tag and the serializer
+/// that appends its payload.
+struct SectionWriter {
+  uint32_t Tag;
+  std::function<void(ByteWriter &)> Write;
+};
+
+/// Writes a whole container into one buffer, reserved up front for
+/// \p PayloadBytes of section payload: the header with a zero checksum,
+/// then each section's tag, a placeholder length and its payload. Each
+/// length, and last the checksum, is backfilled in place.
+std::string buildContainer(ArtifactKind Kind, size_t PayloadBytes,
+                           std::initializer_list<SectionWriter> Sections) {
   ByteWriter W;
+  W.reserve(HeaderBytes + 4 + 12 * Sections.size() + PayloadBytes);
   W.raw("DNNF", 4);
   W.u32(SerializedFormatVersion);
   W.u32(static_cast<uint32_t>(Kind));
-  W.u64(fnv1a64(Payload.buffer()));
-  W.raw(Payload.buffer().data(), Payload.size());
+  W.u64(0); // Checksum.
+  W.u32(static_cast<uint32_t>(Sections.size()));
+  for (const SectionWriter &S : Sections) {
+    W.u32(S.Tag);
+    size_t LengthAt = W.size();
+    W.u64(0); // Payload length.
+    S.Write(W);
+    W.patchU64(LengthAt, W.size() - LengthAt - 8);
+  }
+  W.patchU64(ChecksumOffset, hash64(W.buffer().data() + HeaderBytes,
+                                    W.size() - HeaderBytes));
   return W.take();
 }
 
@@ -87,7 +103,7 @@ parseContainer(const std::string &Bytes, ArtifactKind ExpectedKind) {
                               ? "a graph"
                               : "a compiled model");
   uint64_t Actual =
-      fnv1a64(Bytes.data() + HeaderBytes, Bytes.size() - HeaderBytes);
+      hash64(Bytes.data() + HeaderBytes, Bytes.size() - HeaderBytes);
   if (Actual != Checksum)
     return Status::error(ErrorCode::DataLoss,
                          "artifact checksum mismatch (corrupted or "
@@ -140,10 +156,9 @@ Status trailingBytes(uint32_t Tag, size_t N) {
                         tagName(Tag).c_str());
 }
 
-/// OPTS payload: the codegen configuration the blocks must be rebuilt
-/// with.
-std::string serializeOptions(const CodegenOptions &Codegen) {
-  ByteWriter W;
+/// Appends the OPTS payload: the codegen configuration the blocks must be
+/// rebuilt with.
+void writeOptions(const CodegenOptions &Codegen, ByteWriter &W) {
   W.u8(Codegen.FoldDataMovement ? 1 : 0);
   W.u8(Codegen.MaterializeShared ? 1 : 0);
   W.u32(static_cast<uint32_t>(Codegen.ChunkSize));
@@ -153,7 +168,6 @@ std::string serializeOptions(const CodegenOptions &Codegen) {
   // engine knobs (Kernels) stay out.
   W.u8(Codegen.FuseAttention ? 1 : 0);
   W.u8(Codegen.FuseNorm ? 1 : 0);
-  return W.take();
 }
 
 CodegenOptions readOptions(ByteReader &R) {
@@ -172,7 +186,9 @@ CodegenOptions readOptions(ByteReader &R) {
 } // namespace
 
 std::string dnnfusion::serializeGraphArtifact(const Graph &G) {
-  return buildContainer(ArtifactKind::Graph, {{TagGraph, serializeGraph(G)}});
+  return buildContainer(
+      ArtifactKind::Graph, graphEncodingReserve(G),
+      {{TagGraph, [&](ByteWriter &W) { serializeGraph(G, W); }}});
 }
 
 Expected<Graph> dnnfusion::deserializeGraphArtifact(const std::string &Bytes) {
@@ -190,14 +206,15 @@ Expected<Graph> dnnfusion::deserializeGraphArtifact(const std::string &Bytes) {
 }
 
 std::string dnnfusion::serializeCompiledModel(const CompiledModel &M) {
-  ByteWriter Plan, Memory;
-  serializeFusionPlan(M.Plan, Plan);
-  serializeMemoryPlan(M.Memory, Memory);
-  return buildContainer(ArtifactKind::CompiledModel,
-                        {{TagGraph, serializeGraph(M.G)},
-                         {TagOptions, serializeOptions(M.Codegen)},
-                         {TagPlan, Plan.take()},
-                         {TagMemory, Memory.take()}});
+  // PLAN and MEMP take at most 40 bytes per node slot (block members and
+  // seeds; three i64 offsets) plus their counts and totals.
+  size_t PlanAndMemory = 64 + 40 * static_cast<size_t>(M.G.numNodes());
+  return buildContainer(
+      ArtifactKind::CompiledModel, graphEncodingReserve(M.G) + PlanAndMemory,
+      {{TagGraph, [&](ByteWriter &W) { serializeGraph(M.G, W); }},
+       {TagOptions, [&](ByteWriter &W) { writeOptions(M.Codegen, W); }},
+       {TagPlan, [&](ByteWriter &W) { serializeFusionPlan(M.Plan, W); }},
+       {TagMemory, [&](ByteWriter &W) { serializeMemoryPlan(M.Memory, W); }}});
 }
 
 Expected<CompiledModel>

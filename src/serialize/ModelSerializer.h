@@ -9,7 +9,7 @@
 /// save/load entry points. A file is:
 ///
 ///   magic "DNNF" | u32 format version | u32 artifact kind |
-///   u64 FNV-1a checksum of everything after this field |
+///   u64 checksum (support/Hash.h) of everything after this field |
 ///   u32 section count | sections: { u32 tag, u64 byte length, payload }
 ///
 /// Two artifact kinds exist: a bare graph (GRPH section — model
@@ -41,7 +41,7 @@ namespace dnnfusion {
 /// docs/FORMAT.md for the policy). Also folded into compilation-cache
 /// keys so a version bump cold-starts the cache instead of tripping on
 /// every entry.
-inline constexpr uint32_t SerializedFormatVersion = 3;
+inline constexpr uint32_t SerializedFormatVersion = 4;
 
 /// What a container file holds.
 enum class ArtifactKind : uint32_t {

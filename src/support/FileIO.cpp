@@ -26,7 +26,12 @@ Expected<std::string> dnnfusion::readFileBytes(const std::string &Path) {
     return Status::errorf(Code, "cannot open '%s' for reading: %s",
                           Path.c_str(), std::strerror(errno));
   }
+  // One allocation: reserve the size the file has now. The loop still
+  // reads to EOF, so a file that changes size meanwhile reads whole.
   std::string Bytes;
+  struct stat St;
+  if (::fstat(fileno(F), &St) == 0 && St.st_size > 0)
+    Bytes.reserve(static_cast<size_t>(St.st_size));
   char Chunk[1 << 16];
   size_t N;
   while ((N = std::fread(Chunk, 1, sizeof(Chunk), F)) > 0)

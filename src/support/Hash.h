@@ -5,11 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// FNV-1a content hashing. Used by the persistence layer both as the
-/// integrity checksum of serialized artifacts and as the content key of the
-/// on-disk compilation cache (hash of serialized graph + compile options +
-/// format version). Not cryptographic: it detects corruption and drift, it
-/// does not defend against deliberate collisions.
+/// The 64-bit content hash of the persistence layer: the integrity
+/// checksum of serialized artifacts and the content key of the on-disk
+/// compilation cache (hash of format version + serialized graph + compile
+/// options). docs/FORMAT.md specifies it exactly, with known-answer
+/// vectors.
+///
+/// It reads the input eight bytes at a time, as little-endian words on
+/// every host, into four independent lanes over 32-byte stripes, so the
+/// value is host-independent and the multiplies pipeline. Every step that
+/// folds a word or byte into the result is a bijection of that input, so
+/// two inputs of equal length that differ in one byte never hash alike.
+/// Not cryptographic: it detects corruption and drift, it does not defend
+/// against deliberate collisions.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,25 +30,12 @@
 
 namespace dnnfusion {
 
-inline constexpr uint64_t Fnv1a64OffsetBasis = 0xcbf29ce484222325ull;
-inline constexpr uint64_t Fnv1a64Prime = 0x100000001b3ull;
+/// The content hash of \p Size bytes at \p Data (any alignment).
+uint64_t hash64(const void *Data, size_t Size);
 
-/// FNV-1a over \p Size bytes, continuing from \p State (chainable: feed the
-/// previous result back in to hash discontiguous pieces as one stream).
-inline uint64_t fnv1a64(const void *Data, size_t Size,
-                        uint64_t State = Fnv1a64OffsetBasis) {
-  const unsigned char *Bytes = static_cast<const unsigned char *>(Data);
-  for (size_t I = 0; I < Size; ++I) {
-    State ^= Bytes[I];
-    State *= Fnv1a64Prime;
-  }
-  return State;
-}
-
-/// FNV-1a of a string's contents.
-inline uint64_t fnv1a64(const std::string &S,
-                        uint64_t State = Fnv1a64OffsetBasis) {
-  return fnv1a64(S.data(), S.size(), State);
+/// The content hash of a string's bytes.
+inline uint64_t hash64(const std::string &S) {
+  return hash64(S.data(), S.size());
 }
 
 } // namespace dnnfusion

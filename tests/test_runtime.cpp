@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace dnnfusion;
 using namespace dnnfusion::testutil;
 
@@ -226,6 +228,78 @@ TEST(ModelCompiler, OptionTogglesChangeThePlan) {
   EXPECT_LT(A.kernelLaunches(), B.kernelLaunches());
   // Rewriting folds Conv+BatchNorm, shrinking the layer count.
   EXPECT_LT(A.G.countLayers(), C.G.countLayers());
+}
+
+/// Live non-input nodes of \p G that no output reaches.
+std::vector<NodeId> unreachableNodes(const Graph &G) {
+  std::vector<bool> Reached(static_cast<size_t>(G.numNodes()), false);
+  std::vector<NodeId> Stack = G.outputs();
+  while (!Stack.empty()) {
+    NodeId Id = Stack.back();
+    Stack.pop_back();
+    if (Reached[static_cast<size_t>(Id)])
+      continue;
+    Reached[static_cast<size_t>(Id)] = true;
+    for (NodeId In : G.node(Id).Inputs)
+      Stack.push_back(In);
+  }
+  std::vector<NodeId> Out;
+  for (NodeId Id = 0; Id < G.numNodes(); ++Id)
+    if (!G.node(Id).Dead && !Reached[static_cast<size_t>(Id)] &&
+        G.node(Id).Kind != OpKind::Input)
+      Out.push_back(Id);
+  return Out;
+}
+
+/// Compiles \p G, which holds unreachable chains, under \p Options: no
+/// plan block may hold an unreachable node, and the outputs must match
+/// the per-op reference walk of \p G as given.
+void expectUnreachableNodesDropped(const Graph &G,
+                                   const CompileOptions &Options) {
+  std::vector<NodeId> Unreachable = unreachableNodes(G);
+  ASSERT_FALSE(Unreachable.empty());
+  CompiledModel M = cantFail(compileModel(G, Options));
+  for (const FusionBlock &B : M.Plan.Blocks)
+    for (NodeId Id : B.Members)
+      EXPECT_EQ(std::count(Unreachable.begin(), Unreachable.end(), Id), 0)
+          << "a plan block holds unreachable node " << Id;
+  for (NodeId Id : Unreachable)
+    EXPECT_TRUE(M.G.node(Id).Dead) << "node " << Id;
+
+  std::vector<Tensor> Inputs = randomInputs(G, 5);
+  std::vector<Tensor> Values = runPerOpWalker(G, Inputs);
+  std::vector<Tensor> Want;
+  for (NodeId Out : G.outputs())
+    Want.push_back(Values[static_cast<size_t>(Out)]);
+  ExecutionContext E(M);
+  std::optional<std::string> Diff = compareOutputs(Want, E.run(Inputs));
+  EXPECT_FALSE(Diff.has_value()) << *Diff;
+}
+
+TEST(ModelCompiler, UnreachableNodesAreDroppedWithRewritingOff) {
+  // smallCnn plus a conv branch and a sigmoid no output reaches.
+  GraphBuilder B(12);
+  NodeId X = B.input(Shape({1, 3, 16, 16}));
+  NodeId H = B.relu(B.batchNorm(B.conv(X, 8, {3, 3}, {1, 1}, {1, 1})));
+  B.relu(B.conv(X, 4, {3, 3}, {1, 1}, {1, 1}));
+  B.sigmoid(H);
+  B.markOutput(B.maxPool(H, {2, 2}, {2, 2}));
+  CompileOptions NoRewrite;
+  NoRewrite.EnableGraphRewriting = false;
+  expectUnreachableNodesDropped(B.take(), NoRewrite);
+}
+
+TEST(ModelCompiler, UnreachableNodesAreDroppedWhenNoRuleApplies) {
+  GraphBuilder B(13);
+  NodeId X = B.input(Shape({4, 16}));
+  NodeId H = B.relu(B.op(OpKind::MatMul, {X, B.weight(Shape({16, 8}))}));
+  B.tanhOp(B.sigmoid(X));
+  B.op(OpKind::MatMul, {H, B.weight(Shape({8, 4}))});
+  B.markOutput(H);
+  Graph G = B.take();
+  ASSERT_EQ(cantFail(compileModel(G)).RewriteInfo.Applications, 0)
+      << "a rewrite rule applies, so this no longer tests the no-rule path";
+  expectUnreachableNodesDropped(G, CompileOptions());
 }
 
 } // namespace

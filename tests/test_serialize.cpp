@@ -17,13 +17,16 @@
 #include "serialize/CompilationCache.h"
 #include "serialize/GraphSerializer.h"
 #include "serialize/ModelSerializer.h"
+#include "serialize/PlanSerializer.h"
 #include "support/FileIO.h"
+#include "support/Hash.h"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <ctime>
 #include <limits>
+#include <map>
 #include <sys/stat.h>
 #include <unistd.h>
 #include <utime.h>
@@ -323,6 +326,66 @@ TEST(ModelArtifact, GraphFileRoundtripCompilesEquivalently) {
   ExecutionContext E1(M1), E2(M2);
   expectBitIdentical(E1.run(Inputs), E2.run(Inputs));
   removeFileIfExists(Path);
+}
+
+/// \p G's binary encoding, written by itself.
+std::string graphBytes(const Graph &G) {
+  ByteWriter W;
+  serializeGraph(G, W);
+  return W.take();
+}
+
+/// Checks \p Blob's header (version, \p Kind, and a checksum over byte 20
+/// to EOF) and that its sections hold exactly the payloads \p Want maps
+/// their tags to.
+void expectContainer(const std::string &Blob, ArtifactKind Kind,
+                     const std::map<std::string, std::string> &Want) {
+  ASSERT_GE(Blob.size(), 24u);
+  EXPECT_EQ(Blob.compare(0, 4, "DNNF"), 0);
+  ByteReader Header(Blob.data() + 4, 16);
+  EXPECT_EQ(Header.u32(), SerializedFormatVersion);
+  EXPECT_EQ(Header.u32(), static_cast<uint32_t>(Kind));
+  EXPECT_EQ(Header.u64(), hash64(Blob.data() + 20, Blob.size() - 20));
+
+  ByteReader R(Blob.data() + 20, Blob.size() - 20);
+  ASSERT_EQ(R.u32(), Want.size());
+  for (size_t I = 0; I < Want.size(); ++I) {
+    std::string Tag(4, '\0');
+    R.raw(&Tag[0], 4);
+    uint64_t Size = R.u64();
+    ASSERT_TRUE(R.ok());
+    ASSERT_LE(Size, R.remaining()) << Tag;
+    auto It = Want.find(Tag);
+    ASSERT_NE(It, Want.end()) << "unexpected section " << Tag;
+    // Compared as a bool: a failure must not print megabytes.
+    EXPECT_TRUE(Blob.compare(20 + R.position(), Size, It->second) == 0)
+        << "section " << Tag << " differs from its serializer's bytes";
+    R.skip(static_cast<size_t>(Size));
+  }
+  EXPECT_TRUE(R.atEnd());
+}
+
+TEST(ModelArtifact, SectionsHoldTheirSerializersBytesUnderOneChecksum) {
+  CompiledModel M =
+      cantFail(compileModel(buildModel("TinyBERT"), CompileOptions()));
+  ByteWriter Options, Plan, Memory;
+  // OPTS as docs/FORMAT.md lays it out.
+  Options.u8(M.Codegen.FoldDataMovement ? 1 : 0);
+  Options.u8(M.Codegen.MaterializeShared ? 1 : 0);
+  Options.u32(static_cast<uint32_t>(M.Codegen.ChunkSize));
+  Options.u8(M.Codegen.FuseAttention ? 1 : 0);
+  Options.u8(M.Codegen.FuseNorm ? 1 : 0);
+  serializeFusionPlan(M.Plan, Plan);
+  serializeMemoryPlan(M.Memory, Memory);
+  expectContainer(serializeCompiledModel(M), ArtifactKind::CompiledModel,
+                  {{"GRPH", graphBytes(M.G)},
+                   {"OPTS", Options.take()},
+                   {"PLAN", Plan.take()},
+                   {"MEMP", Memory.take()}});
+
+  Graph G = buildModel("EfficientNet-B0");
+  expectContainer(serializeGraphArtifact(G), ArtifactKind::Graph,
+                  {{"GRPH", graphBytes(G)}});
 }
 
 TEST(ModelArtifact, MissingFileIsNotFound) {

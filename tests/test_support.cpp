@@ -3,6 +3,7 @@
 #include "ops/Kernels.h"
 #include "ops/KernelsGemmPacked.h"
 #include "support/Error.h"
+#include "support/Hash.h"
 #include "support/KeyValueFile.h"
 #include "support/Rng.h"
 #include "support/Status.h"
@@ -88,6 +89,72 @@ TEST(Rng, RangeInclusive) {
     Seen.insert(V);
   }
   EXPECT_EQ(Seen.size(), 4u); // All four values appear.
+}
+
+/// The known-answer input of docs/FORMAT.md: byte i is i mod 251.
+std::vector<unsigned char> hashInput(size_t Size) {
+  std::vector<unsigned char> In(Size);
+  for (size_t I = 0; I < Size; ++I)
+    In[I] = static_cast<unsigned char>(I % 251);
+  return In;
+}
+
+TEST(Hash64, MatchesTheFormatsKnownAnswers) {
+  // The values docs/FORMAT.md lists. Lengths 0-71 take every path: no
+  // stripe, one and two 32-byte stripes, 0-3 trailing words and 0-7 tail
+  // bytes.
+  static const uint64_t Want[72] = {
+      0xc1620d0a2dcaa9d2ull, 0x2ccc2711faa975c3ull, 0x0faeb18127339f00ull,
+      0x04081c8bee187416ull, 0x9a94ade17859c97bull, 0x3fe340116952f356ull,
+      0x8979946bb882f979ull, 0xe01a887d9c9682d8ull, 0x97e8139805bd0e52ull,
+      0xf045c0505ed8e68dull, 0xad060b8c19082b57ull, 0x59a4ce056f96f1cfull,
+      0x9985f90344e93c8dull, 0x8efb88c0d9ba29f2ull, 0x767e0b2de53e7f73ull,
+      0xa0437f9b5bcd383eull, 0xd3090daef13e9768ull, 0xd6526353c325c166ull,
+      0x49fb19d524534deaull, 0x57eea31462e2178cull, 0x87af020ec23a1319ull,
+      0x7f96dad8b77a882eull, 0x3e6f1e1b96d3265full, 0x9823203acceadc12ull,
+      0x81a7ce0c21ac1244ull, 0x14875fcf6844f0b6ull, 0x7e70462ea8f075f9ull,
+      0x1004f3cf1a2a0c5dull, 0x070d531c7b9bf46cull, 0x1b7d08bd1f2ec28aull,
+      0xcb502bcfabe1eba4ull, 0xd666696570230db0ull, 0x92b1da728fa08d6aull,
+      0xd64d7f59704417a8ull, 0xb3ed575fc2ebc893ull, 0x4edb3f53f2cc40d2ull,
+      0x92f6d949112216a5ull, 0x1c9a1368a23759f1ull, 0x72de546c9e38741eull,
+      0x88bfac38ccb589e5ull, 0xfa600f1d20a74c39ull, 0x5671ecce1812b13aull,
+      0xb9c0f710558c9b7eull, 0x1a28fc50da849014ull, 0x679faa3dde6f6516ull,
+      0x3938725c6f0a128eull, 0x418366b817ae5dc7ull, 0x4a03eeaee114c499ull,
+      0xb5eaf27f42307db7ull, 0x7bbd583dd425d693ull, 0xfd51fb16f5b8e486ull,
+      0x0fe584bdd0ad264cull, 0x0aa3db7de79c08efull, 0x9b730db341d3706aull,
+      0x00c90a3d73dcb0b7ull, 0x729e1c914a205244ull, 0x0d138ee01e22d4baull,
+      0x74642df59cb7ef2dull, 0x632d50c54a07afcfull, 0x3b0a5ead3368b51dull,
+      0x5dd1f41adf183528ull, 0xcd96c0d1f4ac9259ull, 0x4fa0decd5fed92d0ull,
+      0x6c1139bda320cdd1ull, 0x3e31561c284edf11ull, 0xa7777fbcc6142e9bull,
+      0x687b534c60a40847ull, 0x259055762534e06eull, 0x9a7352f93af159f5ull,
+      0xcac232c79c4858f5ull, 0xf93a5883a038fd6bull, 0xc140172549299274ull,
+  };
+  std::vector<unsigned char> In = hashInput(size_t(1) << 20);
+  for (size_t N = 0; N < 72; ++N)
+    EXPECT_EQ(hash64(In.data(), N), Want[N]) << "length " << N;
+  EXPECT_EQ(hash64(In.data(), In.size()), 0xc91146372cc64abaull);
+  EXPECT_EQ(hash64(std::string(In.begin(), In.begin() + 71)), Want[71]);
+}
+
+TEST(Hash64, EveryBitFlipChangesTheHash) {
+  std::vector<unsigned char> In = hashInput(129);
+  const uint64_t Base = hash64(In.data(), In.size());
+  for (size_t Bit = 0; Bit < 8 * In.size(); ++Bit) {
+    In[Bit / 8] ^= static_cast<unsigned char>(1u << (Bit % 8));
+    EXPECT_NE(hash64(In.data(), In.size()), Base) << "bit " << Bit;
+    In[Bit / 8] ^= static_cast<unsigned char>(1u << (Bit % 8));
+  }
+}
+
+TEST(Hash64, SameBytesHashAlikeAtAnUnalignedStart) {
+  std::vector<unsigned char> In = hashInput(200);
+  for (size_t Offset = 1; Offset < 8; ++Offset) {
+    std::vector<unsigned char> Shifted(Offset, 0xee);
+    Shifted.insert(Shifted.end(), In.begin(), In.end());
+    for (size_t N : {0, 7, 8, 31, 32, 33, 71, 200})
+      EXPECT_EQ(hash64(Shifted.data() + Offset, N), hash64(In.data(), N))
+          << "offset " << Offset << ", length " << N;
+  }
 }
 
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
