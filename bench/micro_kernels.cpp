@@ -4,7 +4,7 @@
 // end-to-end results: fused vs unfused elementwise chains, data-movement
 // folding vs materialization, DFT chunk-size sensitivity, compiled-program
 // evaluation, the GEMM kernels (naive, packed) the auto-tuner
-// searches, and the narrow-N packed route against the naive row walk.
+// searches, and the narrow-N routes against the naive row walk.
 //
 //===----------------------------------------------------------------------===//
 
@@ -168,15 +168,20 @@ void BM_GemmPackedTier(benchmark::State &State) {
 }
 BENCHMARK(BM_GemmPackedTier)->Arg(0)->Arg(1);
 
-// The narrow-N route at the serving MLP's middle layer: W[1024,1024] x
-// X[1024,N] at the N of a batch-1..8 bucket, through runRefKernel. Mode 0
-// runs the naive row walk (UsePackedGemm off), 1 the packed engine at the
-// scalar tier, 2 at avx2 (clamps to scalar on hosts without it; the label
-// records what ran). The activation packs into caller scratch, as in a
-// compiled model.
+// The narrow-N routes at the serving MLP's three layer shapes: W[M,K] x
+// X[K,N] at the N of a batch-1..8 bucket, through runRefKernel. Arguments:
+// mode, N, layer. Mode 0 runs the naive row walk (UsePackedGemm off), 1
+// the packed routes at the scalar tier, 2 at avx2 (clamps to scalar on
+// hosts without it; the label records what ran). Layer 0 is the middle
+// W[1024,1024], 1 the first W[1024,256], 2 the last W[64,1024]. N <= 4
+// takes the narrow-rows tile, N = 5..8 the 8-wide panel, whose activation
+// packs into caller scratch, as in a compiled model.
 void BM_GemmNarrow(benchmark::State &State) {
   int Mode = static_cast<int>(State.range(0));
-  int64_t M = 1024, K = 1024, N = State.range(1);
+  int64_t N = State.range(1);
+  static constexpr int64_t Layers[][2] = {{1024, 1024}, {1024, 256},
+                                          {64, 1024}};
+  int64_t M = Layers[State.range(2)][0], K = Layers[State.range(2)][1];
   Rng R(11);
   Tensor W(Shape({M, K})), X(Shape({K, N})), Out(Shape({M, N}));
   fillRandom(W, R);
@@ -198,7 +203,8 @@ void BM_GemmNarrow(benchmark::State &State) {
   }
   State.SetItemsProcessed(State.iterations() * 2 * M * N * K);
 }
-BENCHMARK(BM_GemmNarrow)->ArgsProduct({{0, 1, 2}, {1, 2, 4, 8}});
+BENCHMARK(BM_GemmNarrow)
+    ->ArgsProduct({{0, 1, 2}, {1, 2, 3, 4, 5, 6, 7, 8}, {0, 1, 2}});
 
 // Fused-attention inner loop per kernel tier. Both tiers are
 // bit-identical here (the AVX2 rows vectorize the score/accumulate loops

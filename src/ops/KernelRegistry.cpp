@@ -180,10 +180,14 @@ bool simdDispatchable(KernelLevel L) {
 
 GemmPackedRowsFn resolveGemmPackedRows(KernelLevel L, int NR) {
   // The AVX2 tile consumes whole 8-float lanes of a panel row; NR=4
-  // panels (narrow-N problems) stay on the scalar micro tile.
+  // panels (a PackNR of 4) stay on the scalar micro tile.
   if (!simdDispatchable(L) || NR < 8)
     return nullptr;
   return simd::gemmPackedRowsAvx2();
+}
+
+GemmNarrowRowsFn resolveGemmNarrowRows(KernelLevel L) {
+  return simdDispatchable(L) ? simd::gemmNarrowRowsAvx2() : nullptr;
 }
 
 FusedAttentionRowsFn resolveFusedAttentionRows(KernelLevel L) {

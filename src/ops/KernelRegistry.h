@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// CPU-feature kernel dispatch. Three kernel families have a SIMD
+/// CPU-feature kernel dispatch. Four kernel families have a SIMD
 /// implementation next to their portable one — the packed-GEMM micro tile,
-/// the fused-attention row worker, and the eltwise tape instruction — and
-/// two tiers exist:
+/// the narrow-rows GEMM tile, the fused-attention row worker, and the
+/// eltwise tape instruction — and two tiers exist:
 ///
 ///  - `scalar` — the portable C++ kernels, the bit-exact reference every
 ///    other tier must agree with.
@@ -73,6 +73,17 @@ using GemmPackedRowsFn = void (*)(const float *A, int64_t ARowStride,
                                   int64_t RowBegin, int64_t RowEnd, int64_t N,
                                   int64_t K, int MR, int NR,
                                   const float *RowBias);
+
+/// Signature of the narrow-rows GEMM tile: C rows [RowBegin, RowEnd) of
+/// C[M, N] = A[M, K] x B[K, N] for N <= GemmNarrowRowsMaxN output columns.
+/// A row i is contiguous at A + i * K; B element (k, j) is read in place
+/// at B[k * BKStride + j * BNStride]; C row i starts at C + i * N. Every
+/// output starts at 0.0f and adds its products in ascending k, exactly
+/// like the naive row walk.
+using GemmNarrowRowsFn = void (*)(const float *A, const float *B,
+                                  int64_t BKStride, int64_t BNStride,
+                                  float *C, int64_t RowBegin, int64_t RowEnd,
+                                  int64_t N, int64_t K);
 
 /// One fused-attention problem; rows are flat over Batches * S query rows.
 struct AttentionRowArgs {
@@ -153,10 +164,12 @@ void countKernelDispatch(EngineCounters *Counters, KernelLevel L);
 
 /// Typed resolvers the kernels call: the AVX2 implementation when \p L is
 /// Avx2, the dispatch mask has AVX2 and the degrade latch is open (and,
-/// for GEMM, the panel is at least 8 wide); null otherwise, meaning "run
-/// the scalar path". Each non-scalar call first evaluates the
-/// kernel.dispatch fault point.
+/// for the packed GEMM, the panel is at least 8 wide); null otherwise,
+/// meaning "run the scalar path" (for the narrow-rows tile, the naive row
+/// walk). Each non-scalar call first evaluates the kernel.dispatch fault
+/// point.
 GemmPackedRowsFn resolveGemmPackedRows(KernelLevel L, int NR);
+GemmNarrowRowsFn resolveGemmNarrowRows(KernelLevel L);
 FusedAttentionRowsFn resolveFusedAttentionRows(KernelLevel L);
 EltwiseChunkFn resolveEltwiseChunk(KernelLevel L);
 
@@ -166,6 +179,7 @@ namespace simd {
 /// build lacks AVX2 codegen, so dispatch degrades to scalar-only without
 /// preprocessor conditionals at the call sites.
 GemmPackedRowsFn gemmPackedRowsAvx2();
+GemmNarrowRowsFn gemmNarrowRowsAvx2();
 FusedAttentionRowsFn fusedAttentionRowsAvx2();
 EltwiseChunkFn eltwiseChunkAvx2();
 } // namespace simd

@@ -13,7 +13,7 @@
 /// The compute-intensive Many-to-Many kernels (MatMul/Gemm/Conv) carry two
 /// implementations: the legacy naive loops and the packed register-blocked
 /// engine (KernelsGemmPacked.h), selected by KernelConfig::UsePackedGemm
-/// plus a per-shape gate (packedGemmPanelWidth for MatMul/Gemm). Both
+/// plus a per-shape gate (gemmRoute for MatMul/Gemm). Both
 /// produce bit-identical results (same per-element k-order accumulation),
 /// so the toggle is purely a performance/debugging knob.
 ///
@@ -44,10 +44,10 @@ struct KernelConfig {
   /// B-panel width (accumulator tile columns; clamped to 4/8/16/32) of
   /// Conv and of MatMul/Gemm problems with N > 8 output columns. Wide
   /// panels give the inner loop a long fixed trip count that vectorizes
-  /// well; the gate (packedGemmPanelWidth) declines shapes where tail
-  /// padding would waste too much of the panel. MatMul/Gemm problems with
-  /// N <= 8 (a weight-stationary layer at a serving batch of 8 or less)
-  /// always pack into one 8-wide panel instead.
+  /// well; the gate (gemmRoute) declines shapes where tail padding would
+  /// waste too much of the panel. MatMul/Gemm problems with N <= 8 (a
+  /// weight-stationary layer at a serving batch of 8 or less) take the
+  /// narrow routes instead: the narrow-rows tile or one 8-wide panel.
   int PackNR = 32;
 
   /// Forced kernel dispatch tier: -1 (ForceKernelAuto) resolves
@@ -69,11 +69,13 @@ struct EngineCounters {
   /// Always 0: the tree-walk interpreter it counted is gone. Kept so
   /// perfbench's ops.treewalk_steps metric, which reads it, still builds.
   int64_t TreeWalkSteps = 0;
-  /// MatMul/Gemm/Conv calls taking the packed / the naive kernel.
+  /// MatMul/Gemm/Conv calls taking a packed-engine route (a panel route or
+  /// the narrow-rows route, at whichever tier) / the naive kernel.
   int64_t PackedKernelCalls = 0;
   int64_t DirectKernelCalls = 0;
-  /// Packed calls that used a compile-time prepacked operand vs. packed at
-  /// run time (into scratch).
+  /// Panel-route calls that used a compile-time prepacked operand vs.
+  /// packed at run time (into scratch). The narrow-rows route packs
+  /// nothing and counts neither.
   int64_t PrepackHits = 0;
   int64_t PrepackMisses = 0;
   /// Always 0: GEMM epilogue folding, which it counted, is gone. Kept so
@@ -168,8 +170,9 @@ inline constexpr int64_t GemmMacsPerSlice = int64_t(1) << 19;
 /// multiply-adds reach GemmMacsPerSlice, at least one. A row costs
 /// PaddedN * K multiply-adds, where PaddedN is \p N rounded up to the
 /// panel width \p NR the packed kernel computes in whole (NR = 0: the
-/// naive loops, which pad nothing). The grain depends only on the shape,
-/// so slice boundaries depend only on the shape and the pool size.
+/// naive loops and the narrow-rows tile, which pad nothing). The grain
+/// depends only on the shape, so slice boundaries depend only on the
+/// shape and the pool size.
 int64_t gemmRowGrain(int64_t N, int64_t K, int NR);
 
 /// Packing-scratch elements a MatMul/Gemm/Conv step may need at run time

@@ -139,22 +139,30 @@ void dnnfusion::gemmPackedRows(const float *A, int64_t ARowStride,
                        RowBegin, RowEnd, N, K, MR, NR, RowBias);
 }
 
-int dnnfusion::packedGemmPanelWidth(const KernelConfig &Config, int64_t M,
-                                    int64_t N, int64_t K, bool Prepacked) {
+GemmRoute dnnfusion::gemmRoute(const KernelConfig &Config, int64_t M,
+                               int64_t N, int64_t K, bool TransA,
+                               bool Prepacked) {
   if (!Config.UsePackedGemm || K < 2)
-    return 0;
-  if (N <= GemmNarrowNR)
-    return M >= 4 ? GemmNarrowNR : 0;
+    return {};
+  if (N <= GemmNarrowNR) {
+    if (M < 4)
+      return {};
+    if (N <= GemmNarrowRowsMaxN && !TransA)
+      return {GemmRoute::NarrowRows, 0};
+    return {GemmRoute::Panel, GemmNarrowNR};
+  }
   // Tail padding: the micro kernel computes whole NR-wide panels, so the
   // last panel's unused columns are paid for. Decline once the padded
   // columns exceed a third of the useful ones (3*PaddedN > 4*N).
   int NR = clampPackNR(Config.PackNR);
   int64_t PaddedN = (N + NR - 1) / NR * NR;
   if (PaddedN * 3 > N * 4)
-    return 0;
+    return {};
   if (Prepacked)
-    return NR; // Packing already paid for; the micro kernel never loses.
+    return {GemmRoute::Panel, NR}; // Packing already paid for; never loses.
   // Run-time packing costs one K*N pass; it amortizes over the M rows that
   // reuse the panels.
-  return M >= 4 && M * N * K >= 16384 ? NR : 0;
+  if (M >= 4 && M * N * K >= 16384)
+    return {GemmRoute::Panel, NR};
+  return {};
 }

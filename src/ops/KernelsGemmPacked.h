@@ -12,12 +12,23 @@
 /// cuts B's main-memory traffic by ~MR x versus the naive row-walk kernels
 /// and lets the inner j loop vectorize over a compile-time panel width.
 ///
-/// One route decision (packedGemmPanelWidth) says whether a MatMul/Gemm
-/// call runs here and at which panel width. Wide problems (N > 8) pack at
-/// the configured PackNR. Narrow ones (N <= 8: a weight-stationary
-/// W[M,K] x X[K,B] layer at a serving batch B <= 8) pack their small
-/// activation operand into a single 8-wide panel, which the AVX2 tier
-/// runs on an 8-row x 8-column tile.
+/// One route decision (gemmRoute) picks one of three routes for a
+/// MatMul/Gemm call:
+///
+///  - Panel: B packs into column panels for the micro kernel. Wide
+///    problems (N > 8) pack at Config.PackNR; narrow ones (N = 5..8, and
+///    N <= 4 with A stored transposed) pack into a single 8-wide panel,
+///    which the AVX2 tier runs on an 8-row x 8-column tile.
+///  - NarrowRows (N <= 4 with contiguous A rows: a weight-stationary
+///    W[M,K] x X[K,B] layer at a serving batch B <= 4): nothing packs. The
+///    AVX2 tile transposes 8 rows x 8 k of A in registers and multiplies
+///    each k's 8-row column by broadcasts of B[k, j] read in place, so no
+///    lane multiplies padding. Its work grows with N while the panel
+///    tile's stays at 8 columns: on one core it took 0.27-0.84x the
+///    panel's time at N <= 4, 0.6-1.5x at N = 5..6 and 1.1-1.6x at
+///    N = 7..8 over the serving MLP's layers, hence the cut at 4. At the
+///    scalar tier the route runs the naive row walk.
+///  - Naive: the row walk in KernelsMatMul.cpp, for everything else.
 ///
 /// Bit-identity contract: for every output element the micro kernel
 /// accumulates products in strictly ascending k order, exactly like the
@@ -26,9 +37,10 @@
 /// packed result is bit-identical to the naive result. RowBias reproduces
 /// the direct convolution's bias-first accumulation for the im2col path.
 ///
-/// Constant weights are packed once at model-compile time (the prepack
-/// store on CompiledModel, rebuilt on loadModel); activation operands pack
-/// at run time into the execution context's packing buffer.
+/// On the panel route, constant weights are packed once at model-compile
+/// time (the prepack store on CompiledModel, rebuilt on loadModel);
+/// activation operands pack at run time into the execution context's
+/// packing buffer.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -172,31 +184,51 @@ struct PackBuffer {
   }
 };
 
-/// Panel width of the narrow-N route: every problem with N <= 8 output
-/// columns packs into one panel of this width, whatever PackNR says.
+/// Panel width of the narrow panel route: every N <= 8 problem not on the
+/// narrow-rows route packs into one panel of this width, whatever PackNR
+/// says.
 inline constexpr int GemmNarrowNR = 8;
 
-/// The route of one [M, K] x [K, N] MatMul/Gemm problem: the panel width
-/// the packed kernel runs it at, or 0 when the naive row walk runs
-/// instead. runMatMul/runGemm execute this decision, matmulPackScratchElems
-/// sizes the context's pack scratch from it and buildPrepack prepacks
-/// constant B operands by it, so the three cannot disagree. \p M counts
-/// the rows that reuse one packed B (for a batched MatMul, every batch's
-/// rows over one B slice); \p Prepacked says B comes from the prepack
-/// store, so no run-time packing pass needs amortizing.
+/// Widest N the narrow-rows route takes (see the file comment for the
+/// measurement behind it).
+inline constexpr int GemmNarrowRowsMaxN = 4;
+
+/// The kernel one MatMul/Gemm problem runs on (see the file comment).
+struct GemmRoute {
+  enum Kind : uint8_t {
+    Naive,      ///< The naive row walk.
+    Panel,      ///< The packed engine over NR-wide panels of B.
+    NarrowRows, ///< The narrow-rows tile (GemmNarrowRowsFn); the naive
+                ///< row walk when no AVX2 tile resolves.
+  };
+  Kind Path = Naive;
+  /// Panel width B packs at; 0 unless Path is Panel.
+  int NR = 0;
+};
+
+/// The route of one [M, K] x [K, N] MatMul/Gemm problem. runMatMul/runGemm
+/// execute this decision, matmulPackScratchElems sizes the context's pack
+/// scratch from it and buildPrepack prepacks constant B operands by it, so
+/// the four cannot disagree. \p M counts the rows that reuse one B (for a
+/// batched MatMul, every batch's rows over one B slice); \p TransA says A
+/// is stored transposed (Gemm transA = 1), so its rows are not contiguous;
+/// \p Prepacked says B comes from the prepack store, so no run-time
+/// packing pass needs amortizing. Only the Panel route packs: NarrowRows
+/// and Naive reserve no pack scratch and prepack nothing.
 ///
 ///  - Naive when Config.UsePackedGemm is off or K < 2.
-///  - N <= 8: GemmNarrowNR when M >= 4, else naive, prepacked or not.
-///    Padding the lone panel to 8 columns costs SIMD lanes, not memory
-///    traffic, and the 8-row tile replaces the naive walk's one dependent
-///    add chain per row with eight independent accumulators
-///    (BM_GemmNarrow in bench/micro_kernels.cpp measures the trade).
-///  - N > 8: Config.PackNR (clamped). Naive when the tail-padded columns
-///    would exceed a third of the useful ones (waste/N > 1/3), and — unless
-///    B is prepacked — when M < 4 or M * N * K < 16384, too small to repay
-///    the K * N packing pass.
-int packedGemmPanelWidth(const KernelConfig &Config, int64_t M, int64_t N,
-                         int64_t K, bool Prepacked);
+///  - N <= 8: naive when M < 4, prepacked or not. Otherwise NarrowRows
+///    when N <= GemmNarrowRowsMaxN and A's rows are contiguous, else a
+///    GemmNarrowNR panel. Both tiles replace the naive walk's one
+///    dependent add chain per row with independent accumulators over 8
+///    rows; the panel pays for it in padded SIMD lanes, the narrow-rows
+///    tile in register transposes.
+///  - N > 8: a Config.PackNR (clamped) panel. Naive when the tail-padded
+///    columns would exceed a third of the useful ones (waste/N > 1/3), and
+///    — unless B is prepacked — when M < 4 or M * N * K < 16384, too small
+///    to repay the K * N packing pass.
+GemmRoute gemmRoute(const KernelConfig &Config, int64_t M, int64_t N,
+                    int64_t K, bool TransA, bool Prepacked);
 
 } // namespace dnnfusion
 

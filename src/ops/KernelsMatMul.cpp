@@ -28,6 +28,26 @@ void matmulRows(const float *A, const float *B, float *C, int64_t RowBegin,
   }
 }
 
+/// Counts one MatMul/Gemm call that skips the panel route and returns the
+/// tile its rows run on: for the narrow-rows route, the tile at the
+/// config's tier; null, meaning the naive row walk, for the naive route
+/// and when no tile resolves (the walk sums each output in the same
+/// ascending k).
+GemmNarrowRowsFn countRowRoute(const GemmRoute &Route,
+                               const KernelConfig &Config,
+                               EngineCounters *Counters) {
+  if (Route.Path != GemmRoute::NarrowRows) {
+    if (Counters)
+      ++Counters->DirectKernelCalls;
+    return nullptr;
+  }
+  KernelLevel Level = effectiveKernelLevel(Config);
+  if (Counters)
+    ++Counters->PackedKernelCalls;
+  countKernelDispatch(Counters, Level);
+  return resolveGemmNarrowRows(Level);
+}
+
 /// Batch geometry of one MatMul call.
 struct MatMulDims {
   int64_t M, N, K, Batches, BSlices;
@@ -80,11 +100,29 @@ void runMatMul(const std::vector<const Tensor *> &Inputs, Tensor &Out,
     SliceB[static_cast<size_t>(Bi)] = Ob;
   }
 
-  // Packed path: B repacked (or prepacked) into NR panels shared by every
-  // row of every batch that maps onto the same slice.
+  const float *Ad = A.data(), *Bd = B.data();
+  float *Cd = Out.data();
+  // Rows [Begin, End) of the flat Batches * M row space, one call per
+  // batch they touch: Body(A rows, B slice, C rows, first row, end row).
+  auto BatchRows = [&](int64_t Begin, int64_t End, auto &&Body) {
+    for (int64_t Row = Begin; Row < End;) {
+      int64_t Bi = Row / M, I = Row % M;
+      int64_t Rows = std::min(M - I, End - Row);
+      Body(Ad + BaseA[static_cast<size_t>(Bi)],
+           SliceB[static_cast<size_t>(Bi)], Cd + Bi * M * N, I, I + Rows);
+      Row += Rows;
+    }
+  };
+
+  // Every row of every batch that maps onto the same B slice reuses it.
   int64_t EffM = D.BSlices > 0 ? (Batches * M) / D.BSlices : M;
-  if (int NR = packedGemmPanelWidth(Config, EffM, N, K,
-                                    Rt.Prepacked != nullptr)) {
+  GemmRoute Route = gemmRoute(Config, EffM, N, K, /*TransA=*/false,
+                              Rt.Prepacked != nullptr);
+  int64_t Grain = detail::gemmRowGrain(N, K, Route.NR);
+  if (Route.Path == GemmRoute::Panel) {
+    // B repacked (or prepacked) into NR panels shared by every row that
+    // reuses its slice.
+    int NR = Route.NR;
     int MR = clampPackMR(Config.PackMR);
     bool Prepacked =
         Rt.Prepacked && Rt.Prepacked->matches(K, N, NR, D.BSlices);
@@ -104,40 +142,32 @@ void runMatMul(const std::vector<const Tensor *> &Inputs, Tensor &Out,
                                D.BSlices * SliceElems);
       parallelFor(D.BSlices, [&](int64_t Begin, int64_t End) {
         for (int64_t S = Begin; S < End; ++S)
-          packBPanels(B.data() + S * K * N, N, 1, K, N, NR,
-                      Dst + S * SliceElems);
+          packBPanels(Bd + S * K * N, N, 1, K, N, NR, Dst + S * SliceElems);
       });
       Packed = Dst;
     }
     parallelFor(Batches * M, [&](int64_t Begin, int64_t End) {
-      for (int64_t Row = Begin; Row < End;) {
-        int64_t Bi = Row / M;
-        int64_t RowInBatch = Row % M;
-        int64_t RowsHere = std::min(M - RowInBatch, End - Row);
-        gemmPackedRows(A.data() + BaseA[static_cast<size_t>(Bi)], K, 1,
-                       Packed + SliceB[static_cast<size_t>(Bi)] * SliceElems,
-                       Out.data() + Bi * M * N, N, RowInBatch,
-                       RowInBatch + RowsHere, N, K, MR, NR, nullptr, Level);
-        Row += RowsHere;
-      }
-    }, detail::gemmRowGrain(N, K, NR));
+      BatchRows(Begin, End, [&](const float *Ab, int64_t S, float *Cb,
+                                int64_t I0, int64_t I1) {
+        gemmPackedRows(Ab, K, 1, Packed + S * SliceElems, Cb, N, I0, I1, N,
+                       K, MR, NR, nullptr, Level);
+      });
+    }, Grain);
     return;
   }
 
-  if (Rt.Counters)
-    ++Rt.Counters->DirectKernelCalls;
+  // The narrow-rows tile reads B in place.
+  GemmNarrowRowsFn Tile = countRowRoute(Route, Config, Rt.Counters);
   parallelFor(Batches * M, [&](int64_t Begin, int64_t End) {
-    for (int64_t Row = Begin; Row < End;) {
-      int64_t Bi = Row / M;
-      int64_t RowInBatch = Row % M;
-      int64_t RowsHere = std::min(M - RowInBatch, End - Row);
-      matmulRows(A.data() + BaseA[static_cast<size_t>(Bi)],
-                 B.data() + SliceB[static_cast<size_t>(Bi)] * K * N,
-                 Out.data() + Bi * M * N, RowInBatch, RowInBatch + RowsHere, N,
-                 K);
-      Row += RowsHere;
-    }
-  }, detail::gemmRowGrain(N, K, /*NR=*/0));
+    BatchRows(Begin, End, [&](const float *Ab, int64_t S, float *Cb,
+                              int64_t I0, int64_t I1) {
+      const float *Bs = Bd + S * K * N;
+      if (Tile)
+        Tile(Ab, Bs, N, 1, Cb, I0, I1, N, K);
+      else
+        matmulRows(Ab, Bs, Cb, I0, I1, N, K);
+    });
+  }, Grain);
 }
 
 /// Adds one broadcast bias row into \p Crow: bias element (I, J) lives at
@@ -202,7 +232,15 @@ void runGemm(const AttrMap &Attrs, const std::vector<const Tensor *> &Inputs,
     BiasS1 = S[1];
   }
 
-  if (int NR = packedGemmPanelWidth(Config, M, N, K, Rt.Prepacked != nullptr)) {
+  auto AddBias = [&](int64_t Begin, int64_t End) {
+    if (Bias)
+      for (int64_t I = Begin; I < End; ++I)
+        addBiasRow(Out.data() + I * N, Bias, I, N, BiasS0, BiasS1);
+  };
+  GemmRoute Route = gemmRoute(Config, M, N, K, TA, Rt.Prepacked != nullptr);
+  int64_t Grain = detail::gemmRowGrain(N, K, Route.NR);
+  if (Route.Path == GemmRoute::Panel) {
+    int NR = Route.NR;
     int MR = clampPackMR(Config.PackMR);
     bool Prepacked = Rt.Prepacked && Rt.Prepacked->matches(K, N, NR, 1);
     KernelLevel Level = effectiveKernelLevel(Config);
@@ -226,17 +264,18 @@ void runGemm(const AttrMap &Attrs, const std::vector<const Tensor *> &Inputs,
     parallelFor(M, [&](int64_t Begin, int64_t End) {
       gemmPackedRows(A.data(), ARow, ACol, Packed, Out.data(), N, Begin, End,
                      N, K, MR, NR, nullptr, Level);
-      if (Bias)
-        for (int64_t I = Begin; I < End; ++I)
-          addBiasRow(Out.data() + I * N, Bias, I, N, BiasS0, BiasS1);
-    }, detail::gemmRowGrain(N, K, NR));
+      AddBias(Begin, End);
+    }, Grain);
     return;
   }
 
-  if (Rt.Counters)
-    ++Rt.Counters->DirectKernelCalls;
+  // The narrow-rows tile (only with transA = 0) reads B in place.
+  GemmNarrowRowsFn Tile = countRowRoute(Route, Config, Rt.Counters);
   auto RunRows = [&](int64_t Begin, int64_t End) {
-    if (TA) {
+    if (Tile)
+      Tile(A.data(), B.data(), TB ? 1 : N, TB ? K : 1, Out.data(), Begin,
+           End, N, K);
+    else if (TA) {
       if (TB)
         gemmRowsNaive<true, true>(A.data(), B.data(), Out.data(), Begin, End,
                                   M, N, K);
@@ -251,11 +290,9 @@ void runGemm(const AttrMap &Attrs, const std::vector<const Tensor *> &Inputs,
         gemmRowsNaive<false, false>(A.data(), B.data(), Out.data(), Begin,
                                     End, M, N, K);
     }
-    if (Bias)
-      for (int64_t I = Begin; I < End; ++I)
-        addBiasRow(Out.data() + I * N, Bias, I, N, BiasS0, BiasS1);
+    AddBias(Begin, End);
   };
-  parallelFor(M, RunRows, detail::gemmRowGrain(N, K, /*NR=*/0));
+  parallelFor(M, RunRows, Grain);
 }
 
 } // namespace
@@ -272,15 +309,18 @@ int64_t dnnfusion::detail::matmulPackScratchElems(
   if (Kind == OpKind::MatMul) {
     MatMulDims D = matmulDims(AShape, BShape, OutShape);
     int64_t EffM = D.BSlices > 0 ? (D.Batches * D.M) / D.BSlices : D.M;
-    int NR = packedGemmPanelWidth(Config, EffM, D.N, D.K, /*Prepacked=*/false);
-    return NR ? D.BSlices * packedPanelElems(D.K, D.N, NR) : 0;
+    GemmRoute R = gemmRoute(Config, EffM, D.N, D.K, /*TransA=*/false,
+                            /*Prepacked=*/false);
+    return R.Path == GemmRoute::Panel
+               ? D.BSlices * packedPanelElems(D.K, D.N, R.NR)
+               : 0;
   }
   DNNF_CHECK(Kind == OpKind::Gemm, "unexpected kind in matmulPackScratchElems");
   bool TA = Attrs.getInt("transA", 0) != 0;
   int64_t M = OutShape.dim(0), N = OutShape.dim(1);
   int64_t K = TA ? AShape.dim(0) : AShape.dim(1);
-  int NR = packedGemmPanelWidth(Config, M, N, K, /*Prepacked=*/false);
-  return NR ? packedPanelElems(K, N, NR) : 0;
+  GemmRoute R = gemmRoute(Config, M, N, K, TA, /*Prepacked=*/false);
+  return R.Path == GemmRoute::Panel ? packedPanelElems(K, N, R.NR) : 0;
 }
 
 void dnnfusion::detail::runMatMulKernel(

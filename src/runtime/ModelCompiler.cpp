@@ -154,7 +154,9 @@ void buildPrepack(CompiledModel &M, const Graph &G) {
       const Shape &BS = S.InputShapes[1];
       int64_t K, N, KStride, NStride, Slices = 1;
       int TB = 0;
+      bool TA = false;
       if (S.Op == OpKind::Gemm) {
+        TA = S.Attrs.getInt("transA", 0) != 0;
         TB = S.Attrs.getInt("transB", 0) != 0 ? 1 : 0;
         K = BS.dim(TB ? 1 : 0);
         N = BS.dim(TB ? 0 : 1);
@@ -170,9 +172,10 @@ void buildPrepack(CompiledModel &M, const Graph &G) {
       }
       // Output rows that reuse one B slice: the route's M.
       int64_t Rows = S.OutShape.numElements() / (N * Slices);
-      int NR = packedGemmPanelWidth(KC, Rows, N, K, /*Prepacked=*/true);
-      if (NR == 0)
-        continue; // The packed kernel declines these shapes.
+      GemmRoute Route = gemmRoute(KC, Rows, N, K, TA, /*Prepacked=*/true);
+      if (Route.Path != GemmRoute::Panel)
+        continue; // This route packs nothing.
+      int NR = Route.NR;
       auto Key = std::make_tuple(WId, K, N, TB);
       auto It = Dedup.find(Key);
       if (It == Dedup.end()) {

@@ -11,7 +11,7 @@
 /// batched executions — one batch-B run over shared weights amortizes
 /// per-request dispatch overhead and turns B independent GEMVs into one
 /// GEMM: M = B rows for activation x weight layers, N = B columns for
-/// weight-stationary W x X layers (the packed engine's narrow-N route),
+/// weight-stationary W x X layers (the packed engine's narrow-N routes),
 /// so each weight is read once per batch instead of once per request.
 /// That is where the fusion wins of the compile pipeline start paying off
 /// under load instead of per invocation.

@@ -539,10 +539,16 @@ TEST(ChaosDeadline, MidRunExpiryAbortsWithinOneBlockOfTheDeadline) {
   };
 
   // Timing assertions retry: one attempt may be blown by scheduler noise,
-  // but the typed-status contract must hold on every attempt.
+  // but the typed-status contract must hold on every attempt. An attempt
+  // whose run returns OK before its deadline is inconclusive (the deadline
+  // is half the fastest calibration run, and a loaded host can still beat
+  // it by that much) and retries; OK after the deadline, or any other
+  // error, fails.
+  constexpr int Attempts = 4;
   bool LatencyBounded = false;
+  int Inconclusive = 0;
   double LastTotal = 0, LastBlockMax = 0, LastAbortLatency = 0;
-  for (int Attempt = 0; Attempt < 4 && !LatencyBounded; ++Attempt) {
+  for (int Attempt = 0; Attempt < Attempts && !LatencyBounded; ++Attempt) {
     // Calibrate on the fastest of three runs: a deadline set from one
     // preempted run can fall after the next run has already finished.
     ExecutionStats Baseline;
@@ -558,6 +564,7 @@ TEST(ChaosDeadline, MidRunExpiryAbortsWithinOneBlockOfTheDeadline) {
       BlockMaxMs = std::max(BlockMaxMs, B);
     if (TotalMs < 2.0)
       continue; // Too fast to time the abort meaningfully on this machine.
+    LastTotal = TotalMs;
 
     RunControl Control;
     ClockT::time_point Start = ClockT::now();
@@ -567,20 +574,28 @@ TEST(ChaosDeadline, MidRunExpiryAbortsWithinOneBlockOfTheDeadline) {
     Expected<std::vector<Tensor>> Out = Ctx.tryRun(In, nullptr, false,
                                                    Control);
     ClockT::time_point End = ClockT::now();
-    ASSERT_FALSE(Out.ok());
+    if (Out.ok()) {
+      // Finishing before the deadline says nothing about the abort.
+      ASSERT_TRUE(End <= Control.Deadline)
+          << "run returned OK " << MsBetween(Control.Deadline, End)
+          << " ms after its deadline";
+      ++Inconclusive;
+      continue;
+    }
     EXPECT_EQ(Out.status().code(), ErrorCode::DeadlineExceeded);
     EXPECT_NE(Out.status().message().find("checkpoint"), std::string::npos);
 
     // The abort must land at the first checkpoint after expiry: the time
     // past the deadline is bounded by one block's latency (plus margin
     // for scheduler noise), never the rest of the model.
-    LastTotal = TotalMs;
     LastBlockMax = BlockMaxMs;
     LastAbortLatency = MsBetween(Start, End) - TotalMs / 2;
     LatencyBounded =
         LastAbortLatency <= std::max(2.0 * BlockMaxMs + 2.0, TotalMs / 4);
   }
-  if (LastTotal >= 2.0) {
+  EXPECT_LT(Inconclusive, Attempts)
+      << "every run finished before its deadline";
+  if (LastTotal >= 2.0 && Inconclusive < Attempts) {
     EXPECT_TRUE(LatencyBounded)
         << "abort latency " << LastAbortLatency << " ms not bounded by one "
         << "block (max block " << LastBlockMax << " ms of " << LastTotal

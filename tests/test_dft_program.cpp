@@ -509,9 +509,9 @@ TEST(PrepackStore, SaveLoadRebuildsPrepackAndExecutesBitIdentically) {
 
 /// A weight-stationary model at batch \p Batch, the serving MLP's shape
 /// class: request rows {Batch, 32} are transposed into columns, so every
-/// MatMul is W[Out,In] x X[In,Batch], a narrow-N (N = Batch) problem
-/// whose activation operand packs at run time. Only the first layer
-/// carries a bias + relu.
+/// MatMul is W[Out,In] x X[In,Batch], a narrow-N (N = Batch) problem.
+/// Its activation operand is read in place at Batch <= 4 and packs at run
+/// time above. Only the first layer carries a bias + relu.
 Graph weightStationaryModel(int64_t Batch) {
   GraphBuilder B(19);
   NodeId X = B.transpose(B.input(Shape({Batch, 32})), {1, 0});
@@ -529,13 +529,16 @@ TEST(PrepackStore, WeightStationaryLayersTakeNarrowPackedRoute) {
     SCOPED_TRACE(formatString("batch %lld", static_cast<long long>(Batch)));
     CompiledModel M =
         cantFail(compileModel(weightStationaryModel(Batch), CompileOptions()));
-    // The activation operand is the packed one: nothing to prepack, and
-    // the pack scratch holds the widest layer's 8-wide panel, so no
-    // call packs onto the heap.
+    // The activation operand is the only candidate for packing: nothing
+    // to prepack. Up to batch 4 the narrow-rows tile reads it in place,
+    // so there is no pack scratch either; at batch 8 the scratch holds
+    // the widest layer's 8-wide panel, so no call packs onto the heap.
+    bool ReadsInPlace = Batch <= GemmNarrowRowsMaxN;
     EXPECT_TRUE(M.Prepack.empty());
     EXPECT_EQ(M.Memory.PackScratchBytes,
-              packedPanelElems(64, Batch, GemmNarrowNR) *
-                  static_cast<int64_t>(sizeof(float)));
+              ReadsInPlace ? 0
+                           : packedPanelElems(64, Batch, GemmNarrowNR) *
+                                 static_cast<int64_t>(sizeof(float)));
 
     ExecutionContext E(M);
     std::vector<Tensor> Inputs = randomInputs(M.G, 23);
@@ -543,7 +546,8 @@ TEST(PrepackStore, WeightStationaryLayersTakeNarrowPackedRoute) {
     std::vector<Tensor> Got = E.run(Inputs, &Stats);
     EXPECT_EQ(Stats.Engine.PackedKernelCalls, 3);
     EXPECT_EQ(Stats.Engine.DirectKernelCalls, 0);
-    EXPECT_EQ(Stats.Engine.PrepackMisses, 3);
+    EXPECT_EQ(Stats.Engine.PrepackHits, 0);
+    EXPECT_EQ(Stats.Engine.PrepackMisses, ReadsInPlace ? 0 : 3);
     // Three expression steps, the first layer's bias + relu among them.
     EXPECT_EQ(Stats.Engine.ProgramSteps, 3);
 

@@ -6,10 +6,11 @@
 // masks, the typed resolvers' conditions, the DNNFUSION_FORCE_KERNEL_LEVEL
 // env hook, scalar-vs-AVX2 differential sweeps over the packed-GEMM shape
 // grid (bit-identical by contract), forced-level dispatch through the
-// reference kernels, the narrow-N (N <= 8) route against the naive
-// kernels, and the cache-hit-then-redispatch property (kernel knobs are
-// excluded from the CompilationCache key; a cached artifact re-resolves
-// dispatch on the loading host).
+// reference kernels, the narrow-N (N <= 8) routes against the naive
+// kernels at both tiers, the narrow-rows tile's row ranges, and the
+// cache-hit-then-redispatch property (kernel knobs are excluded from the
+// CompilationCache key; a cached artifact re-resolves dispatch on the
+// loading host).
 //
 //===----------------------------------------------------------------------===//
 
@@ -102,16 +103,20 @@ TEST(KernelLevelResolution, DispatchMaskReflectsBuild) {
 TEST(KernelDispatch, ResolversReturnAvx2KernelsOnlyWhenEveryConditionHolds) {
   // Scalar level resolves no SIMD kernel, on any host.
   EXPECT_EQ(resolveGemmPackedRows(KernelLevel::Scalar, 16), nullptr);
+  EXPECT_EQ(resolveGemmNarrowRows(KernelLevel::Scalar), nullptr);
   EXPECT_EQ(resolveFusedAttentionRows(KernelLevel::Scalar), nullptr);
   EXPECT_EQ(resolveEltwiseChunk(KernelLevel::Scalar), nullptr);
   if (!hostRunsAvx2()) {
     // No AVX2 in the dispatch mask: even a requested avx2 resolves null.
     EXPECT_EQ(resolveGemmPackedRows(KernelLevel::Avx2, 16), nullptr);
+    EXPECT_EQ(resolveGemmNarrowRows(KernelLevel::Avx2), nullptr);
     EXPECT_EQ(resolveEltwiseChunk(KernelLevel::Avx2), nullptr);
     GTEST_SKIP() << "host/build has no AVX2 tier";
   }
   EXPECT_EQ(resolveGemmPackedRows(KernelLevel::Avx2, 16),
             simd::gemmPackedRowsAvx2());
+  EXPECT_EQ(resolveGemmNarrowRows(KernelLevel::Avx2),
+            simd::gemmNarrowRowsAvx2());
   EXPECT_EQ(resolveFusedAttentionRows(KernelLevel::Avx2),
             simd::fusedAttentionRowsAvx2());
   EXPECT_EQ(resolveEltwiseChunk(KernelLevel::Avx2), simd::eltwiseChunkAvx2());
@@ -122,6 +127,7 @@ TEST(KernelDispatch, ResolversReturnAvx2KernelsOnlyWhenEveryConditionHolds) {
   // A tripped degrade latch closes every resolver.
   latchKernelDegradeToScalar("test");
   EXPECT_EQ(resolveGemmPackedRows(KernelLevel::Avx2, 16), nullptr);
+  EXPECT_EQ(resolveGemmNarrowRows(KernelLevel::Avx2), nullptr);
   EXPECT_EQ(resolveFusedAttentionRows(KernelLevel::Avx2), nullptr);
   EXPECT_EQ(resolveEltwiseChunk(KernelLevel::Avx2), nullptr);
   resetKernelDegradeLatchForTests();
@@ -251,7 +257,7 @@ TEST(GemmPackedDifferential, ShapeGridScalarVsSimd) {
   // Single-column and single-row degenerate geometries.
   gemmDifferentialCase(1, 32, 24, 8, 8, false, false, ++Seed);
   gemmDifferentialCase(16, 8, 1, 4, 8, true, false, ++Seed);
-  // The narrow route's 8x8 tile: N = 1..8 in one 8-wide panel, and
+  // The narrow panel route's 8x8 tile: N = 1..8 in one 8-wide panel, and
   // M = 8q + r so every row tail r of the 8-row blocking runs, alone
   // (q = 0) and behind full blocks.
   for (int64_t N = 1; N <= 8; ++N)
@@ -464,60 +470,81 @@ TEST(RefKernelForcedDispatch, MatMulGemmConvAgreeAcrossTiers) {
 }
 
 //===----------------------------------------------------------------------===//
-// Narrow-N route: packed vs naive through the reference kernels
+// Narrow-N routes: packed vs naive through the reference kernels
 //===----------------------------------------------------------------------===//
 
 /// Runs \p Kind through runRefKernel with the packed engine off (the naive
-/// oracle) and on, expects the outputs bitwise equal, and expects the
-/// packed run to have taken the packed kernel exactly when \p WantPacked.
+/// oracle) and on at each tier, expects every output bitwise equal to the
+/// naive one, and expects each packed run to have taken the route \p Want.
 /// \p Prepack, when set, serves B the way a compiled model serves a
-/// constant weight.
+/// constant weight; only the Panel route reads it.
 void expectNarrowRoute(OpKind Kind, const AttrMap &Attrs,
                        const std::vector<const Tensor *> &Inputs,
-                       const Shape &OutShape, bool WantPacked,
+                       const Shape &OutShape, GemmRoute::Kind Want,
                        const PackedOperand *Prepack = nullptr) {
   KernelConfig Naive;
   Naive.UsePackedGemm = false;
-  Tensor Want(OutShape), Got(OutShape);
-  runRefKernel(Kind, Attrs, Inputs, Want, Naive);
-  EngineCounters Ctrs;
-  KernelRuntime Rt;
-  Rt.Prepacked = Prepack;
-  Rt.Counters = &Ctrs;
-  runRefKernel(Kind, Attrs, Inputs, Got, KernelConfig(), Rt);
-  ASSERT_EQ(std::memcmp(Want.data(), Got.data(),
-                        static_cast<size_t>(Want.numElements()) *
-                            sizeof(float)),
-            0)
-      << opKindName(Kind) << ": packed diverged from naive";
-  EXPECT_EQ(Ctrs.PackedKernelCalls, WantPacked ? 1 : 0) << opKindName(Kind);
-  EXPECT_EQ(Ctrs.DirectKernelCalls, WantPacked ? 0 : 1) << opKindName(Kind);
-  if (Prepack && WantPacked) {
-    EXPECT_EQ(Ctrs.PrepackHits, 1);
+  Tensor Expected(OutShape);
+  runRefKernel(Kind, Attrs, Inputs, Expected, Naive);
+  for (KernelLevel Level : {KernelLevel::Scalar, KernelLevel::Avx2}) {
+    SCOPED_TRACE(kernelLevelName(Level));
+    KernelConfig Config;
+    Config.ForceKernelLevel = static_cast<int>(Level);
+    Tensor Got(OutShape);
+    EngineCounters Ctrs;
+    KernelRuntime Rt;
+    Rt.Prepacked = Prepack;
+    Rt.Counters = &Ctrs;
+    runRefKernel(Kind, Attrs, Inputs, Got, Config, Rt);
+    ASSERT_EQ(std::memcmp(Expected.data(), Got.data(),
+                          static_cast<size_t>(Expected.numElements()) *
+                              sizeof(float)),
+              0)
+        << opKindName(Kind) << ": packed diverged from naive";
+    bool Packed = Want != GemmRoute::Naive;
+    EXPECT_EQ(Ctrs.PackedKernelCalls, Packed ? 1 : 0) << opKindName(Kind);
+    EXPECT_EQ(Ctrs.DirectKernelCalls, Packed ? 0 : 1) << opKindName(Kind);
+    EXPECT_EQ(Ctrs.KernelScalarCalls + Ctrs.KernelAvx2Calls, Packed ? 1 : 0);
+    // Only the panel route packs, so only it records a prepack hit/miss.
+    EXPECT_EQ(Ctrs.PrepackHits + Ctrs.PrepackMisses,
+              Want == GemmRoute::Panel ? 1 : 0);
+    if (Prepack && Want == GemmRoute::Panel) {
+      EXPECT_EQ(Ctrs.PrepackHits, 1);
+    }
   }
 }
 
 TEST(NarrowGemmRoute, PackedMatchesNaiveOverNarrowGrid) {
-  // Every N <= 8 problem with M >= 4 rows per packed B and K >= 2 takes
-  // the 8-wide panel route; the rest stay naive. Either way the bytes
-  // match the naive kernels.
+  // Every N <= 8 problem with M >= 4 rows per B and K >= 2 takes a packed
+  // route: the narrow-rows tile for N <= 4 with contiguous A rows, the
+  // 8-wide panel otherwise. The rest stay naive. Either way the bytes
+  // match the naive kernels at both tiers. K covers the tile's 8-k steps
+  // with and without a k tail, M its 8-row blocks with and without a row
+  // tail.
   Rng R(0x9a77);
   for (int64_t N = 1; N <= 8; ++N)
-    for (int64_t M : {1, 3, 4, 5, 8, 9, 17, 1024})
-      for (int64_t K : {1, 2, 7, 256}) {
+    for (int64_t M : {1, 3, 4, 5, 7, 8, 9, 17, 1024})
+      for (int64_t K : {1, 2, 7, 8, 9, 256, 1000}) {
+        if (N > GemmNarrowRowsMaxN && (K == 8 || K == 9 || K == 1000))
+          continue; // The panel's grid: K steps one at a time.
         SCOPED_TRACE(formatString("M=%lld N=%lld K=%lld",
                                   static_cast<long long>(M),
                                   static_cast<long long>(N),
                                   static_cast<long long>(K)));
-        auto Routed = [K](int64_t RowsPerB) {
-          return RowsPerB >= 4 && K >= 2;
+        auto Routed = [K, N](int64_t RowsPerB, bool TransA) {
+          if (RowsPerB < 4 || K < 2)
+            return GemmRoute::Naive;
+          return N <= GemmNarrowRowsMaxN && !TransA ? GemmRoute::NarrowRows
+                                                    : GemmRoute::Panel;
         };
         Tensor W = randomTensor(Shape({M, K}), R);
         Tensor X = randomTensor(Shape({K, N}), R);
-        // Weight-stationary W[M,K] x X[K,N]: X packs at run time.
+        // Weight-stationary W[M,K] x X[K,N]: X packs at run time on the
+        // panel route and is read in place on the narrow-rows route.
         expectNarrowRoute(OpKind::MatMul, AttrMap(), {&W, &X}, Shape({M, N}),
-                          Routed(M));
-        // Activation x weight: the [K,N] weight comes prepacked.
+                          Routed(M, false));
+        // Activation x weight: the [K,N] weight comes prepacked, which the
+        // narrow-rows route ignores.
         PackedOperand P;
         P.K = K;
         P.N = N;
@@ -525,18 +552,18 @@ TEST(NarrowGemmRoute, PackedMatchesNaiveOverNarrowGrid) {
         P.Data.resize(static_cast<size_t>(P.sliceElems()));
         packBPanels(X.data(), N, 1, K, N, GemmNarrowNR, P.Data.data());
         expectNarrowRoute(OpKind::MatMul, AttrMap(), {&W, &X}, Shape({M, N}),
-                          Routed(M), &P);
+                          Routed(M, false), &P);
         // Batched (one B slice per batch) and broadcast MatMul: the
         // weight over a batch of activations, and a batch of activations
         // over one shared B (2M rows reuse it).
         Tensor W2 = randomTensor(Shape({2, M, K}), R);
         Tensor X2 = randomTensor(Shape({2, K, N}), R);
         expectNarrowRoute(OpKind::MatMul, AttrMap(), {&W2, &X2},
-                          Shape({2, M, N}), Routed(M));
+                          Shape({2, M, N}), Routed(M, false));
         expectNarrowRoute(OpKind::MatMul, AttrMap(), {&W, &X2},
-                          Shape({2, M, N}), Routed(M));
+                          Shape({2, M, N}), Routed(M, false));
         expectNarrowRoute(OpKind::MatMul, AttrMap(), {&W2, &X},
-                          Shape({2, M, N}), Routed(2 * M));
+                          Shape({2, M, N}), Routed(2 * M, false));
         // Gemm: every transA/transB, and no bias, scalar, row [N],
         // column [M,1] and full [M,N] bias.
         for (int TA : {0, 1})
@@ -558,10 +585,58 @@ TEST(NarrowGemmRoute, PackedMatchesNaiveOverNarrowGrid) {
                 Inputs.push_back(&Bias);
               }
               expectNarrowRoute(OpKind::Gemm, Attrs, Inputs, Shape({M, N}),
-                                Routed(M));
+                                Routed(M, TA != 0));
             }
           }
       }
+}
+
+TEST(NarrowGemmRoute, TileWritesExactlyItsRowRange) {
+  // Pool slices run the tile on disjoint row ranges at once, so it must
+  // write every row of its range and nothing else, whatever the range's
+  // offset into the 8-row blocking. Ranges start and end mid-block, and
+  // B is read through both layouts (MatMul's [K,N], Gemm transB's [N,K]).
+  GemmNarrowRowsFn Tile = resolveGemmNarrowRows(KernelLevel::Avx2);
+  if (!Tile)
+    GTEST_SKIP() << "host/build has no AVX2 tier";
+  Rng R(0x7113);
+  const int64_t M = 45, K = 19;
+  for (int64_t N = 1; N <= GemmNarrowRowsMaxN; ++N)
+    for (int TB : {0, 1}) {
+      Tensor A = randomTensor(Shape({M, K}), R);
+      Tensor B = randomTensor(TB ? Shape({N, K}) : Shape({K, N}), R);
+      AttrMap Attrs;
+      Attrs.set("transB", TB);
+      KernelConfig Naive;
+      Naive.UsePackedGemm = false;
+      Tensor Expected(Shape({M, N}));
+      runRefKernel(OpKind::Gemm, Attrs, {&A, &B}, Expected, Naive);
+      for (auto [Begin, End] : {std::pair<int64_t, int64_t>{0, 45},
+                                {3, 4},
+                                {5, 21},
+                                {8, 16},
+                                {13, 45}}) {
+        SCOPED_TRACE(formatString("N=%lld tB=%d rows [%lld, %lld)",
+                                  static_cast<long long>(N), TB,
+                                  static_cast<long long>(Begin),
+                                  static_cast<long long>(End)));
+        const float Sentinel = -7.0f;
+        std::vector<float> C(static_cast<size_t>(M * N), Sentinel);
+        Tile(A.data(), B.data(), TB ? 1 : N, TB ? K : 1, C.data(), Begin, End,
+             N, K);
+        for (int64_t I = 0; I < M; ++I)
+          for (int64_t J = 0; J < N; ++J) {
+            float Got = C[static_cast<size_t>(I * N + J)];
+            if (I < Begin || I >= End)
+              ASSERT_EQ(Got, Sentinel) << "wrote row " << I;
+            else
+              ASSERT_EQ(std::memcmp(&Got, &Expected.data()[I * N + J],
+                                    sizeof(float)),
+                        0)
+                  << "row " << I << " column " << J;
+          }
+      }
+    }
 }
 
 //===----------------------------------------------------------------------===//

@@ -45,7 +45,7 @@ Graph mlp(int64_t Batch) {
 /// \p Batch with layer widths \p Widths and weights drawn at \p Scale:
 /// request rows {Batch, Widths[0]} are transposed into columns and each
 /// layer is W[Out,In] x X[In,Batch] + bias (relu between layers), so a
-/// batch-B bucket runs N = B narrow-N GEMMs on the packed route.
+/// batch-B bucket runs N = B narrow-N GEMMs on the packed routes.
 Graph weightStationaryMlpOf(int64_t Batch, uint64_t Seed,
                             const std::vector<int64_t> &Widths, float Scale) {
   GraphBuilder B(Seed);

@@ -55,6 +55,19 @@ Graph wideGemvMlp(int64_t Batch) {
   return B.take();
 }
 
+/// The same layer shape as a Gemm that reads the request rows directly:
+/// Gemm(W[1024, 1024], X[Batch, 1024], bias[1024, 1], transB = 1) + relu,
+/// a narrow-N problem whose B is transposed.
+Graph wideGemvGemm(int64_t Batch) {
+  GraphBuilder B(59);
+  NodeId X = B.input(Shape({Batch, 1024}));
+  NodeId W = B.weight(Shape({1024, 1024}), 1.0f / 32.0f);
+  NodeId Bias = B.weight(Shape({1024, 1}), 1.0f / 32.0f);
+  B.markOutput(B.relu(
+      B.op(OpKind::Gemm, {W, X, Bias}, AttrMap().set("transB", 1))));
+  return B.take();
+}
+
 /// Disarms every fault point when the scope ends, also after a failed
 /// assertion.
 struct FaultReset {
@@ -146,13 +159,17 @@ TEST(ExecutionContext, ContextIsReusableAcrossRuns) {
 }
 
 TEST(ExecutionContext, PoolSplitGemmsMatchInlineRunsBitForBit) {
-  // The 1024-row layers' work grain splits them on any pool of two or more
-  // threads. Without this, both runs below could be inline.
+  // The 1024-row layers' work grains split them on any pool of two or
+  // more threads, except the K = 256 layer below batch 4: the narrow-rows
+  // tile pads nothing, so at batch 1 and 2 its rows cost 256 and 512
+  // multiply-adds. Without this, the runs below could all be inline.
   ThreadPool Two(2);
-  for (int64_t Batch : {1, 8})
+  for (int64_t Batch : {1, 2, 4, 8})
     for (int64_t K : {256, 1024}) {
-      int NR = packedGemmPanelWidth(KernelConfig(), 1024, Batch, K,
-                                    /*Prepacked=*/false);
+      GemmRoute Route = gemmRoute(KernelConfig(), 1024, Batch, K,
+                                  /*TransA=*/false, /*Prepacked=*/false);
+      EXPECT_EQ(Route.Path, Batch <= GemmNarrowRowsMaxN ? GemmRoute::NarrowRows
+                                                        : GemmRoute::Panel);
       std::mutex Mu;
       int Slices = 0;
       Two.parallelFor(
@@ -161,20 +178,31 @@ TEST(ExecutionContext, PoolSplitGemmsMatchInlineRunsBitForBit) {
             std::lock_guard<std::mutex> Lock(Mu);
             ++Slices;
           },
-          detail::gemmRowGrain(Batch, K, NR));
-      EXPECT_EQ(Slices, 2) << "batch " << Batch << ", K " << K;
+          detail::gemmRowGrain(Batch, K, Route.NR));
+      EXPECT_EQ(Slices, K == 256 && Batch < 4 ? 1 : 2)
+          << "batch " << Batch << ", K " << K;
     }
 
-  // The MLP at both ends of the narrow route, and a transformer whose
-  // feed-forward GEMMs (40 rows x 128 x 256) split.
-  std::vector<std::pair<std::string, Graph>> Models;
-  Models.emplace_back("mlp batch 1", wideGemvMlp(1));
-  Models.emplace_back("mlp batch 8", wideGemvMlp(8));
-  Models.emplace_back("BERT-base", buildBertBase());
+  // The MLP across the narrow routes, its layer as a transposed-B Gemm on
+  // the narrow-rows route, and a transformer whose feed-forward GEMMs
+  // (40 rows x 128 x 256) split. Each names the pool-split calls it makes
+  // at least.
+  struct Case {
+    std::string Name;
+    Graph G;
+    int64_t MinSplits;
+  };
+  std::vector<Case> Models;
+  Models.push_back({"mlp batch 1", wideGemvMlp(1), 1});
+  Models.push_back({"mlp batch 2", wideGemvMlp(2), 1});
+  Models.push_back({"mlp batch 4", wideGemvMlp(4), 2});
+  Models.push_back({"mlp batch 8", wideGemvMlp(8), 2});
+  Models.push_back({"gemm batch 3", wideGemvGemm(3), 1});
+  Models.push_back({"BERT-base", buildBertBase(), 2});
   bool PoolSplits = ThreadPool::global().numThreads() >= 2;
-  for (auto &[Name, G] : Models) {
-    SCOPED_TRACE(Name);
-    CompiledModel M = cantFail(compileModel(std::move(G), CompileOptions()));
+  for (Case &C : Models) {
+    SCOPED_TRACE(C.Name);
+    CompiledModel M = cantFail(compileModel(std::move(C.G), CompileOptions()));
     ExecutionContext Ctx(M);
     std::vector<Tensor> Inputs = randomInputs(M.G, 53);
     std::vector<Tensor> Pooled = Ctx.run(Inputs);
@@ -186,10 +214,9 @@ TEST(ExecutionContext, PoolSplitGemmsMatchInlineRunsBitForBit) {
     int64_t Triggers =
         FaultInjection::instance().pointStats(faultpoints::ThreadPoolSpawn)
             .Triggers;
-    // Only calls that would split check the point: at least two per
-    // model (the MLP's 1024-row layers).
+    // Only calls that would split check the point.
     if (PoolSplits) {
-      EXPECT_GE(Triggers, 2);
+      EXPECT_GE(Triggers, C.MinSplits);
     }
 
     ASSERT_EQ(Pooled.size(), Inline.size());

@@ -372,9 +372,13 @@ TEST(ThreadPool, GrainSetsSliceBoundaries) {
             (SliceList{{0, 3}, {3, 6}, {6, 9}, {9, 10}}));
   EXPECT_EQ(slicesOf(Pool, 8192, ThreadPool::DefaultGrain),
             (SliceList{{0, 4096}, {4096, 8192}}));
-  // The serving MLP's 1024-row batch-1 layer, W[1024, 1024] @ x[1024, 1],
-  // at its work grain: one 256-row slice per thread.
-  EXPECT_EQ(slicesOf(Pool, 1024, detail::gemmRowGrain(1, 1024, GemmNarrowNR)),
+  // The serving MLP's 1024-row layer, W[1024, 1024] @ x[1024, N], at its
+  // work grains. At N = 1 the narrow-rows tile pads nothing, so a row
+  // costs 1024 multiply-adds: two 512-row slices. At N = 8 the 8-wide
+  // panel's rows cost 8 * 1024: one 256-row slice per thread.
+  EXPECT_EQ(slicesOf(Pool, 1024, detail::gemmRowGrain(1, 1024, /*NR=*/0)),
+            (SliceList{{0, 512}, {512, 1024}}));
+  EXPECT_EQ(slicesOf(Pool, 1024, detail::gemmRowGrain(8, 1024, GemmNarrowNR)),
             (SliceList{{0, 256}, {256, 512}, {512, 768}, {768, 1024}}));
 }
 
@@ -391,14 +395,23 @@ TEST(GemmRowGrain, SmallGemmsStayInlineAndWideGemvsSplit) {
   ThreadPool Pool(4);
   // 16x16x16, on the route it takes unpacked and prepacked: one slice.
   for (bool Prepacked : {false, true}) {
-    int NR = packedGemmPanelWidth(Config, 16, 16, 16, Prepacked);
-    EXPECT_EQ(slicesOf(Pool, 16, detail::gemmRowGrain(16, 16, NR)).size(), 1u)
+    GemmRoute R = gemmRoute(Config, 16, 16, 16, /*TransA=*/false, Prepacked);
+    EXPECT_EQ(slicesOf(Pool, 16, detail::gemmRowGrain(16, 16, R.NR)).size(),
+              1u)
         << "prepacked " << Prepacked;
   }
-  // The 1024x1024 batch-1 layer: every thread gets a slice.
-  int NR = packedGemmPanelWidth(Config, 1024, 1, 1024, /*Prepacked=*/false);
-  ASSERT_EQ(NR, GemmNarrowNR);
-  EXPECT_EQ(slicesOf(Pool, 1024, detail::gemmRowGrain(1, 1024, NR)).size(),
+  // The 1024x1024 layer at batch 1, on the narrow-rows tile: two slices.
+  GemmRoute R1 = gemmRoute(Config, 1024, 1, 1024, /*TransA=*/false,
+                           /*Prepacked=*/false);
+  ASSERT_EQ(R1.Path, GemmRoute::NarrowRows);
+  EXPECT_EQ(slicesOf(Pool, 1024, detail::gemmRowGrain(1, 1024, R1.NR)).size(),
+            2u);
+  // At batch 8, on the 8-wide panel: every thread gets a slice.
+  GemmRoute R8 = gemmRoute(Config, 1024, 8, 1024, /*TransA=*/false,
+                           /*Prepacked=*/false);
+  ASSERT_EQ(R8.Path, GemmRoute::Panel);
+  ASSERT_EQ(R8.NR, GemmNarrowNR);
+  EXPECT_EQ(slicesOf(Pool, 1024, detail::gemmRowGrain(8, 1024, R8.NR)).size(),
             static_cast<size_t>(Pool.numThreads()));
 }
 
