@@ -75,9 +75,10 @@ using GemmPackedRowsFn = void (*)(const float *A, int64_t ARowStride,
                                   const float *RowBias);
 
 /// Signature of the narrow-rows GEMM tile: C rows [RowBegin, RowEnd) of
-/// C[M, N] = A[M, K] x B[K, N] for N <= GemmNarrowRowsMaxN output columns.
-/// A row i is contiguous at A + i * K; B element (k, j) is read in place
-/// at B[k * BKStride + j * BNStride]; C row i starts at C + i * N. Every
+/// C[M, N] = A[M, K] x B[K, N] for 1 <= N <= GemmNarrowRowsMaxN output
+/// columns (any other N is a fatal error). A row i is contiguous at
+/// A + i * K; B element (k, j) is read in place at
+/// B[k * BKStride + j * BNStride]; C row i starts at C + i * N. Every
 /// output starts at 0.0f and adds its products in ascending k, exactly
 /// like the naive row walk.
 using GemmNarrowRowsFn = void (*)(const float *A, const float *B,
@@ -165,9 +166,9 @@ void countKernelDispatch(EngineCounters *Counters, KernelLevel L);
 /// Typed resolvers the kernels call: the AVX2 implementation when \p L is
 /// Avx2, the dispatch mask has AVX2 and the degrade latch is open (and,
 /// for the packed GEMM, the panel is at least 8 wide); null otherwise,
-/// meaning "run the scalar path" (for the narrow-rows tile, the naive row
-/// walk). Each non-scalar call first evaluates the kernel.dispatch fault
-/// point.
+/// meaning "run the scalar path" (for the narrow-rows tile,
+/// gemmNarrowRowsScalar). Each non-scalar call first evaluates the
+/// kernel.dispatch fault point.
 GemmPackedRowsFn resolveGemmPackedRows(KernelLevel L, int NR);
 GemmNarrowRowsFn resolveGemmNarrowRows(KernelLevel L);
 FusedAttentionRowsFn resolveFusedAttentionRows(KernelLevel L);

@@ -125,6 +125,59 @@ void dnnfusion::gemmPackedRowsScalar(const float *A, int64_t ARowStride,
   }
 }
 
+namespace {
+
+/// The scalar narrow-rows tile for NC output columns: 8 row accumulators
+/// per column, B read in place, products added in ascending k.
+template <int NC>
+void gemmNarrowRowsScalarNC(const float *A, const float *B, int64_t BKStride,
+                            int64_t BNStride, float *C, int64_t RowBegin,
+                            int64_t RowEnd, int64_t K) {
+  for (int64_t I = RowBegin; I < RowEnd; I += 8) {
+    int Rows = static_cast<int>(std::min<int64_t>(8, RowEnd - I));
+    float Acc[8][NC] = {};
+    const float *Ablk = A + I * K;
+    for (int64_t Kk = 0; Kk < K; ++Kk) {
+      float Bv[NC];
+      for (int J = 0; J < NC; ++J)
+        Bv[J] = B[Kk * BKStride + J * BNStride];
+      for (int R = 0; R < Rows; ++R) {
+        float Av = Ablk[R * K + Kk];
+        for (int J = 0; J < NC; ++J)
+          Acc[R][J] += Av * Bv[J];
+      }
+    }
+    for (int R = 0; R < Rows; ++R)
+      for (int J = 0; J < NC; ++J)
+        C[(I + R) * NC + J] = Acc[R][J];
+  }
+}
+
+} // namespace
+
+void dnnfusion::gemmNarrowRowsScalar(const float *A, const float *B,
+                                     int64_t BKStride, int64_t BNStride,
+                                     float *C, int64_t RowBegin,
+                                     int64_t RowEnd, int64_t N, int64_t K) {
+  switch (N) {
+  case 1:
+    return gemmNarrowRowsScalarNC<1>(A, B, BKStride, BNStride, C, RowBegin,
+                                     RowEnd, K);
+  case 2:
+    return gemmNarrowRowsScalarNC<2>(A, B, BKStride, BNStride, C, RowBegin,
+                                     RowEnd, K);
+  case 3:
+    return gemmNarrowRowsScalarNC<3>(A, B, BKStride, BNStride, C, RowBegin,
+                                     RowEnd, K);
+  case 4:
+    return gemmNarrowRowsScalarNC<4>(A, B, BKStride, BNStride, C, RowBegin,
+                                     RowEnd, K);
+  default:
+    reportFatalErrorf("narrow-rows tile: N = %lld outside 1..%d",
+                      static_cast<long long>(N), GemmNarrowRowsMaxN);
+  }
+}
+
 void dnnfusion::gemmPackedRows(const float *A, int64_t ARowStride,
                                int64_t AColStride, const float *Packed,
                                float *C, int64_t CRowStride, int64_t RowBegin,
@@ -142,7 +195,7 @@ void dnnfusion::gemmPackedRows(const float *A, int64_t ARowStride,
 GemmRoute dnnfusion::gemmRoute(const KernelConfig &Config, int64_t M,
                                int64_t N, int64_t K, bool TransA,
                                bool Prepacked) {
-  if (!Config.UsePackedGemm || K < 2)
+  if (!Config.UsePackedGemm || K < 2 || N < 1)
     return {};
   if (N <= GemmNarrowNR) {
     if (M < 4)

@@ -27,7 +27,8 @@
 ///    tile's stays at 8 columns: on one core it took 0.27-0.84x the
 ///    panel's time at N <= 4, 0.6-1.5x at N = 5..6 and 1.1-1.6x at
 ///    N = 7..8 over the serving MLP's layers, hence the cut at 4. At the
-///    scalar tier the route runs the naive row walk.
+///    scalar tier the route runs gemmNarrowRowsScalar, the same 8-row
+///    blocking with scalar accumulators.
 ///  - Naive: the row walk in KernelsMatMul.cpp, for everything else.
 ///
 /// Bit-identity contract: for every output element the micro kernel
@@ -169,6 +170,14 @@ void gemmPackedRowsScalar(const float *A, int64_t ARowStride,
                           int64_t N, int64_t K, int MR, int NR,
                           const float *RowBias);
 
+/// The scalar narrow-rows tile (a GemmNarrowRowsFn, 1 <= N <=
+/// GemmNarrowRowsMaxN): 8 rows x N accumulators with B read in place and
+/// products added in ascending k. The fallback of resolveGemmNarrowRows,
+/// bit-identical to the AVX2 tile and the naive row walk.
+void gemmNarrowRowsScalar(const float *A, const float *B, int64_t BKStride,
+                          int64_t BNStride, float *C, int64_t RowBegin,
+                          int64_t RowEnd, int64_t N, int64_t K);
+
 /// Run-time packing buffer: an externally provided scratch span when it
 /// is large enough, a heap allocation otherwise (direct kernel calls
 /// outside a compiled model carry no scratch). One acquisition policy for
@@ -198,8 +207,8 @@ struct GemmRoute {
   enum Kind : uint8_t {
     Naive,      ///< The naive row walk.
     Panel,      ///< The packed engine over NR-wide panels of B.
-    NarrowRows, ///< The narrow-rows tile (GemmNarrowRowsFn); the naive
-                ///< row walk when no AVX2 tile resolves.
+    NarrowRows, ///< The narrow-rows tile (GemmNarrowRowsFn); the scalar
+                ///< one when no AVX2 tile resolves.
   };
   Kind Path = Naive;
   /// Panel width B packs at; 0 unless Path is Panel.
@@ -216,7 +225,8 @@ struct GemmRoute {
 /// packing pass needs amortizing. Only the Panel route packs: NarrowRows
 /// and Naive reserve no pack scratch and prepack nothing.
 ///
-///  - Naive when Config.UsePackedGemm is off or K < 2.
+///  - Naive when Config.UsePackedGemm is off, K < 2 or N < 1 (an empty
+///    output has nothing to tile).
 ///  - N <= 8: naive when M < 4, prepacked or not. Otherwise NarrowRows
 ///    when N <= GemmNarrowRowsMaxN and A's rows are contiguous, else a
 ///    GemmNarrowNR panel. Both tiles replace the naive walk's one

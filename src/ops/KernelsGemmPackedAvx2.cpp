@@ -52,6 +52,8 @@
 
 #if defined(__AVX2__)
 
+#include "support/Error.h"
+
 #include <immintrin.h>
 
 #include <algorithm>
@@ -248,9 +250,12 @@ void gemmNarrowRowsAvx2Impl(const float *A, const float *B, int64_t BKStride,
   case 3:
     return gemmNarrowRowsNC<3>(A, B, BKStride, BNStride, C, RowBegin, RowEnd,
                                K);
-  default:
+  case 4:
     return gemmNarrowRowsNC<4>(A, B, BKStride, BNStride, C, RowBegin, RowEnd,
                                K);
+  default:
+    reportFatalErrorf("narrow-rows tile: N = %lld outside 1..4",
+                      static_cast<long long>(N));
   }
 }
 

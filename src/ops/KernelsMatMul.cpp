@@ -30,9 +30,8 @@ void matmulRows(const float *A, const float *B, float *C, int64_t RowBegin,
 
 /// Counts one MatMul/Gemm call that skips the panel route and returns the
 /// tile its rows run on: for the narrow-rows route, the tile at the
-/// config's tier; null, meaning the naive row walk, for the naive route
-/// and when no tile resolves (the walk sums each output in the same
-/// ascending k).
+/// config's tier (the scalar tile when no AVX2 tile resolves); null,
+/// meaning the naive row walk, for the naive route.
 GemmNarrowRowsFn countRowRoute(const GemmRoute &Route,
                                const KernelConfig &Config,
                                EngineCounters *Counters) {
@@ -45,7 +44,9 @@ GemmNarrowRowsFn countRowRoute(const GemmRoute &Route,
   if (Counters)
     ++Counters->PackedKernelCalls;
   countKernelDispatch(Counters, Level);
-  return resolveGemmNarrowRows(Level);
+  if (GemmNarrowRowsFn Fn = resolveGemmNarrowRows(Level))
+    return Fn;
+  return &gemmNarrowRowsScalar;
 }
 
 /// Batch geometry of one MatMul call.

@@ -542,11 +542,13 @@ TEST(ChaosDeadline, MidRunExpiryAbortsWithinOneBlockOfTheDeadline) {
   // but the typed-status contract must hold on every attempt. An attempt
   // whose run returns OK before its deadline is inconclusive (the deadline
   // is half the fastest calibration run, and a loaded host can still beat
-  // it by that much) and retries; OK after the deadline, or any other
-  // error, fails.
+  // it by that much) and retries. So is OK within one block's slack after
+  // the deadline: the deadline is checked only before each block, so a
+  // deadline that expires during the last block still ends in OK. OK any
+  // later, or any other error, fails.
   constexpr int Attempts = 4;
   bool LatencyBounded = false;
-  int Inconclusive = 0;
+  int Inconclusive = 0, Aborted = 0;
   double LastTotal = 0, LastBlockMax = 0, LastAbortLatency = 0;
   for (int Attempt = 0; Attempt < Attempts && !LatencyBounded; ++Attempt) {
     // Calibrate on the fastest of three runs: a deadline set from one
@@ -564,7 +566,9 @@ TEST(ChaosDeadline, MidRunExpiryAbortsWithinOneBlockOfTheDeadline) {
       BlockMaxMs = std::max(BlockMaxMs, B);
     if (TotalMs < 2.0)
       continue; // Too fast to time the abort meaningfully on this machine.
-    LastTotal = TotalMs;
+    // How far past the deadline a run may end: one block's latency plus
+    // margin for scheduler noise.
+    double SlackMs = std::max(2.0 * BlockMaxMs + 2.0, TotalMs / 4);
 
     RunControl Control;
     ClockT::time_point Start = ClockT::now();
@@ -575,10 +579,11 @@ TEST(ChaosDeadline, MidRunExpiryAbortsWithinOneBlockOfTheDeadline) {
                                                    Control);
     ClockT::time_point End = ClockT::now();
     if (Out.ok()) {
-      // Finishing before the deadline says nothing about the abort.
-      ASSERT_TRUE(End <= Control.Deadline)
-          << "run returned OK " << MsBetween(Control.Deadline, End)
-          << " ms after its deadline";
+      // Finishing before the deadline, or in the block it expired in,
+      // says nothing about the abort.
+      double PastMs = MsBetween(Control.Deadline, End);
+      ASSERT_LE(PastMs, SlackMs) << "run returned OK " << PastMs
+                                 << " ms after its deadline";
       ++Inconclusive;
       continue;
     }
@@ -588,14 +593,17 @@ TEST(ChaosDeadline, MidRunExpiryAbortsWithinOneBlockOfTheDeadline) {
     // The abort must land at the first checkpoint after expiry: the time
     // past the deadline is bounded by one block's latency (plus margin
     // for scheduler noise), never the rest of the model.
+    ++Aborted;
+    LastTotal = TotalMs;
     LastBlockMax = BlockMaxMs;
     LastAbortLatency = MsBetween(Start, End) - TotalMs / 2;
-    LatencyBounded =
-        LastAbortLatency <= std::max(2.0 * BlockMaxMs + 2.0, TotalMs / 4);
+    LatencyBounded = LastAbortLatency <= SlackMs;
   }
-  EXPECT_LT(Inconclusive, Attempts)
-      << "every run finished before its deadline";
-  if (LastTotal >= 2.0 && Inconclusive < Attempts) {
+  // A timed run that never aborted means the abort was never observed.
+  if (Aborted == 0) {
+    EXPECT_EQ(Inconclusive, 0) << "no run aborted: every timed run finished "
+                                  "before or just after its deadline";
+  } else {
     EXPECT_TRUE(LatencyBounded)
         << "abort latency " << LastAbortLatency << " ms not bounded by one "
         << "block (max block " << LastBlockMax << " ms of " << LastTotal

@@ -22,6 +22,7 @@
 #include "ops/KernelsAttention.h"
 #include "ops/KernelsGemmPacked.h"
 #include "serialize/CompilationCache.h"
+#include "support/Error.h"
 #include "support/FileIO.h"
 
 #include <gtest/gtest.h>
@@ -515,24 +516,25 @@ void expectNarrowRoute(OpKind Kind, const AttrMap &Attrs,
 }
 
 TEST(NarrowGemmRoute, PackedMatchesNaiveOverNarrowGrid) {
-  // Every N <= 8 problem with M >= 4 rows per B and K >= 2 takes a packed
-  // route: the narrow-rows tile for N <= 4 with contiguous A rows, the
-  // 8-wide panel otherwise. The rest stay naive. Either way the bytes
-  // match the naive kernels at both tiers. K covers the tile's 8-k steps
-  // with and without a k tail, M its 8-row blocks with and without a row
-  // tail.
+  // Every 1 <= N <= 8 problem with M >= 4 rows per B and K >= 2 takes a
+  // packed route: the narrow-rows tile for N <= 4 with contiguous A rows,
+  // the 8-wide panel otherwise. The rest stay naive, N = 0 (an empty
+  // output) included. Either way the bytes match the naive kernels at
+  // both tiers. K covers the tile's 8-k steps with and without a k tail,
+  // M its 8-row blocks with and without a row tail.
   Rng R(0x9a77);
-  for (int64_t N = 1; N <= 8; ++N)
+  for (int64_t N = 0; N <= 8; ++N)
     for (int64_t M : {1, 3, 4, 5, 7, 8, 9, 17, 1024})
       for (int64_t K : {1, 2, 7, 8, 9, 256, 1000}) {
-        if (N > GemmNarrowRowsMaxN && (K == 8 || K == 9 || K == 1000))
+        if ((N < 1 || N > GemmNarrowRowsMaxN) &&
+            (K == 8 || K == 9 || K == 1000))
           continue; // The panel's grid: K steps one at a time.
         SCOPED_TRACE(formatString("M=%lld N=%lld K=%lld",
                                   static_cast<long long>(M),
                                   static_cast<long long>(N),
                                   static_cast<long long>(K)));
         auto Routed = [K, N](int64_t RowsPerB, bool TransA) {
-          if (RowsPerB < 4 || K < 2)
+          if (RowsPerB < 4 || K < 2 || N < 1)
             return GemmRoute::Naive;
           return N <= GemmNarrowRowsMaxN && !TransA ? GemmRoute::NarrowRows
                                                     : GemmRoute::Panel;
@@ -596,9 +598,11 @@ TEST(NarrowGemmRoute, TileWritesExactlyItsRowRange) {
   // write every row of its range and nothing else, whatever the range's
   // offset into the 8-row blocking. Ranges start and end mid-block, and
   // B is read through both layouts (MatMul's [K,N], Gemm transB's [N,K]).
-  GemmNarrowRowsFn Tile = resolveGemmNarrowRows(KernelLevel::Avx2);
-  if (!Tile)
-    GTEST_SKIP() << "host/build has no AVX2 tier";
+  // Both tiers' tiles: the scalar one always, the AVX2 one where it runs.
+  std::vector<std::pair<const char *, GemmNarrowRowsFn>> Tiles{
+      {"scalar", &gemmNarrowRowsScalar}};
+  if (GemmNarrowRowsFn Avx2 = resolveGemmNarrowRows(KernelLevel::Avx2))
+    Tiles.push_back({"avx2", Avx2});
   Rng R(0x7113);
   const int64_t M = 45, K = 19;
   for (int64_t N = 1; N <= GemmNarrowRowsMaxN; ++N)
@@ -615,27 +619,51 @@ TEST(NarrowGemmRoute, TileWritesExactlyItsRowRange) {
                                 {3, 4},
                                 {5, 21},
                                 {8, 16},
-                                {13, 45}}) {
-        SCOPED_TRACE(formatString("N=%lld tB=%d rows [%lld, %lld)",
-                                  static_cast<long long>(N), TB,
-                                  static_cast<long long>(Begin),
-                                  static_cast<long long>(End)));
-        const float Sentinel = -7.0f;
-        std::vector<float> C(static_cast<size_t>(M * N), Sentinel);
-        Tile(A.data(), B.data(), TB ? 1 : N, TB ? K : 1, C.data(), Begin, End,
-             N, K);
-        for (int64_t I = 0; I < M; ++I)
-          for (int64_t J = 0; J < N; ++J) {
-            float Got = C[static_cast<size_t>(I * N + J)];
-            if (I < Begin || I >= End)
-              ASSERT_EQ(Got, Sentinel) << "wrote row " << I;
-            else
-              ASSERT_EQ(std::memcmp(&Got, &Expected.data()[I * N + J],
-                                    sizeof(float)),
-                        0)
-                  << "row " << I << " column " << J;
-          }
-      }
+                                {13, 45}})
+        for (auto [TierName, Tile] : Tiles) {
+          SCOPED_TRACE(formatString("%s N=%lld tB=%d rows [%lld, %lld)",
+                                    TierName, static_cast<long long>(N), TB,
+                                    static_cast<long long>(Begin),
+                                    static_cast<long long>(End)));
+          const float Sentinel = -7.0f;
+          std::vector<float> C(static_cast<size_t>(M * N), Sentinel);
+          Tile(A.data(), B.data(), TB ? 1 : N, TB ? K : 1, C.data(), Begin,
+               End, N, K);
+          for (int64_t I = 0; I < M; ++I)
+            for (int64_t J = 0; J < N; ++J) {
+              float Got = C[static_cast<size_t>(I * N + J)];
+              if (I < Begin || I >= End)
+                ASSERT_EQ(Got, Sentinel) << "wrote row " << I;
+              else
+                ASSERT_EQ(std::memcmp(&Got, &Expected.data()[I * N + J],
+                                      sizeof(float)),
+                          0)
+                    << "row " << I << " column " << J;
+            }
+        }
+    }
+}
+
+TEST(NarrowGemmRoute, TilesRejectColumnCountsOutsideTheRoute) {
+  // gemmRoute sends only 1 <= N <= GemmNarrowRowsMaxN to the tiles; any
+  // other N is a routing bug, reported before a single store.
+  std::vector<std::pair<const char *, GemmNarrowRowsFn>> Tiles{
+      {"scalar", &gemmNarrowRowsScalar}};
+  if (GemmNarrowRowsFn Avx2 = resolveGemmNarrowRows(KernelLevel::Avx2))
+    Tiles.push_back({"avx2", Avx2});
+  const int64_t M = 16, K = 8;
+  std::vector<float> A(static_cast<size_t>(M * K), 1.0f);
+  std::vector<float> B(static_cast<size_t>(K * 8), 1.0f);
+  for (auto [TierName, Tile] : Tiles)
+    for (int64_t N : {int64_t(0), GemmNarrowRowsMaxN + int64_t(1)}) {
+      SCOPED_TRACE(formatString("%s N=%lld", TierName,
+                                static_cast<long long>(N)));
+      std::vector<float> C(static_cast<size_t>(M * 8), -7.0f);
+      ScopedFatalErrorTrap Trap;
+      EXPECT_THROW(Tile(A.data(), B.data(), 8, 1, C.data(), 0, M, N, K),
+                   detail::TrappedFatalError);
+      for (float V : C)
+        ASSERT_EQ(V, -7.0f);
     }
 }
 
