@@ -116,8 +116,8 @@ void BM_ChainProgram(benchmark::State &State) {
 }
 BENCHMARK(BM_ChainProgram)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
 
-// The packed register-blocked micro kernel across blocking parameters
-// (weights prepacked outside the loop, the serving hot path).
+// The scalar packed micro tile across blocking parameters (weights
+// prepacked outside the loop, the serving hot path).
 void BM_GemmPacked(benchmark::State &State) {
   int64_t N = 256;
   Rng R(5);
@@ -131,7 +131,7 @@ void BM_GemmPacked(benchmark::State &State) {
   packBPanels(B.data(), N, 1, N, N, NR, Packed.data());
   for (auto _ : State) {
     gemmPackedRows(A.data(), N, 1, Packed.data(), C.data(), N, 0, N, N, N,
-                   MR, NR, nullptr);
+                   MR, NR, nullptr, KernelLevel::Scalar);
     benchmark::ClobberMemory();
   }
   State.SetItemsProcessed(State.iterations() * 2 * N * N * N);

@@ -23,22 +23,6 @@ std::string RewriteStats::toString() const {
 
 namespace {
 
-bool categoryEnabled(RuleCategory C, const RewriteOptions &Opt) {
-  switch (C) {
-  case RuleCategory::Associative:
-    return Opt.EnableAssociative;
-  case RuleCategory::Distributive:
-    return Opt.EnableDistributive;
-  case RuleCategory::Commutative:
-    return Opt.EnableCommutative;
-  case RuleCategory::Canonicalization:
-    return Opt.EnableCanonicalization;
-  case RuleCategory::Folding:
-    return Opt.EnableFolding;
-  }
-  return true;
-}
-
 struct Candidate {
   const RewriteRule *Rule;
   RuleApplication App;
@@ -152,10 +136,7 @@ RewriteStats dnnfusion::rewriteGraph(Graph &G, const RewriteOptions &Options) {
   Stats.LayersBefore = G.countLayers();
   Stats.NumRegions = countRewriteRegions(G);
 
-  std::vector<const RewriteRule *> Rules;
-  for (const RewriteRule &Rule : allRewriteRules())
-    if (categoryEnabled(Rule.category(), Options))
-      Rules.push_back(&Rule);
+  const std::vector<RewriteRule> &Rules = allRewriteRules();
 
   ConsumerTable Consumers(G);
   bool Progress = true;
@@ -167,9 +148,9 @@ RewriteStats dnnfusion::rewriteGraph(Graph &G, const RewriteOptions &Options) {
     for (int Id = 0; Id < G.numNodes(); ++Id) {
       if (G.node(Id).Dead)
         continue;
-      for (const RewriteRule *Rule : Rules)
-        if (auto App = Rule->match(G, Id, Consumers.lists()))
-          Candidates.push_back(Candidate{Rule, std::move(*App)});
+      for (const RewriteRule &Rule : Rules)
+        if (auto App = Rule.match(G, Id, Consumers.lists()))
+          Candidates.push_back(Candidate{&Rule, std::move(*App)});
     }
     if (Candidates.empty())
       break;

@@ -22,13 +22,8 @@
 
 namespace dnnfusion {
 
-/// Driver configuration (mainly for the ablation benches).
+/// Driver configuration. Every rule of the registry is always eligible.
 struct RewriteOptions {
-  bool EnableAssociative = true;
-  bool EnableDistributive = true;
-  bool EnableCommutative = true;
-  bool EnableCanonicalization = true;
-  bool EnableFolding = true;
   /// Hard cap on rule applications (loop-safety backstop).
   int MaxApplications = 100000;
 };

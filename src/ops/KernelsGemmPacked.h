@@ -151,15 +151,14 @@ struct PackedOperand {
 /// when RowBias is non-null (direct-conv bias-first order) and to 0.0f
 /// otherwise, then accumulate in ascending k order.
 ///
-/// \p Level selects the dispatch tier (resolveGemmPackedRows); the scalar
-/// micro tile runs whenever no AVX2 tile resolves (Level Scalar,
-/// unsupported host, NR=4 panels). Scalar and Avx2 results are
-/// bit-identical.
+/// \p Level selects the dispatch tier (resolveGemmPackedRows); every
+/// caller names it. The scalar micro tile runs whenever no AVX2 tile
+/// resolves (Level Scalar, unsupported host, NR=4 panels). Scalar and Avx2
+/// results are bit-identical.
 void gemmPackedRows(const float *A, int64_t ARowStride, int64_t AColStride,
                     const float *Packed, float *C, int64_t CRowStride,
                     int64_t RowBegin, int64_t RowEnd, int64_t N, int64_t K,
-                    int MR, int NR, const float *RowBias,
-                    KernelLevel Level = KernelLevel::Scalar);
+                    int MR, int NR, const float *RowBias, KernelLevel Level);
 
 /// The scalar micro tile behind gemmPackedRows — the fallback of
 /// resolveGemmPackedRows and the reference the AVX2 tile is differenced

@@ -2,7 +2,6 @@
 
 #include "runtime/InferenceSession.h"
 
-#include "support/ThreadPool.h"
 #include "support/Timer.h"
 
 using namespace dnnfusion;
@@ -175,38 +174,4 @@ InferenceSession::run(const std::map<std::string, Tensor> &Inputs,
   if (Status S = validateRequest(Positional); !S.ok())
     return reject(std::move(S));
   return runValidated(Positional, Stats, RunControl());
-}
-
-std::vector<Expected<std::vector<Tensor>>>
-InferenceSession::runBatch(const std::vector<std::vector<Tensor>> &Batch,
-                           const RunControl &Control) {
-  // One result slot per request, failures isolated per entry: a malformed
-  // request is rejected in place, a faulting one carries its own Status —
-  // siblings execute regardless. Every error is index-tagged so a client
-  // fanning a batch out can attribute it without positional bookkeeping.
-  std::vector<Expected<std::vector<Tensor>>> Results(
-      Batch.size(),
-      Status::error(ErrorCode::Internal, "batch entry never executed"));
-  std::vector<size_t> ToRun;
-  ToRun.reserve(Batch.size());
-  for (size_t R = 0; R < Batch.size(); ++R) {
-    if (Status S = validateRequest(Batch[R]); !S.ok())
-      Results[R] = reject(Status::errorf(S.code(), "batch request %zu: %s", R,
-                                         S.message().c_str()));
-    else
-      ToRun.push_back(R);
-  }
-  ThreadPool::global().forEach(
-      static_cast<int64_t>(ToRun.size()), [&](int64_t I) {
-        size_t R = ToRun[static_cast<size_t>(I)];
-        Expected<std::vector<Tensor>> Out =
-            runValidated(Batch[R], nullptr, Control);
-        if (Out.ok())
-          Results[R] = std::move(Out);
-        else
-          Results[R] =
-              Status::errorf(Out.status().code(), "batch request %zu: %s", R,
-                             Out.status().message().c_str());
-      });
-  return Results;
 }

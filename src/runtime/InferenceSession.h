@@ -10,8 +10,7 @@
 /// every run() leases a free context (growing the pool on demand, up to an
 /// optional cap) so any number of threads can call run() on the same
 /// session simultaneously — the immutable program is shared, all mutable
-/// state is per-lease. runBatch() fans a whole batch of independent
-/// requests out across the thread pool with per-entry failure isolation.
+/// state is per-lease.
 ///
 /// This is the process's request boundary, so it follows the recoverable
 /// error model (support/Status.h): every request is validated against the
@@ -102,17 +101,6 @@ public:
   Expected<std::vector<Tensor>>
   run(const std::map<std::string, Tensor> &Inputs,
       ExecutionStats *Stats = nullptr);
-
-  /// Runs every request of \p Batch, dispatching them across the global
-  /// thread pool; each request's kernels then run inline on the worker
-  /// that took it. Partial-failure semantics, pinned: the result always
-  /// has one entry per request, in batch order; entry R is that request's
-  /// outputs or its own Status tagged "batch request R: ..." — one
-  /// malformed or faulting request never poisons its siblings, which
-  /// execute (and succeed) independently.
-  std::vector<Expected<std::vector<Tensor>>>
-  runBatch(const std::vector<std::vector<Tensor>> &Batch,
-           const RunControl &Control = {});
 
   /// Validates \p Inputs against the model signature without running:
   /// arity, then per-input dtype and shape. Ok iff run() would accept.

@@ -239,11 +239,7 @@ void finishCompilation(CompiledModel &M, Graph &G) {
 
 Expected<CompiledModel>
 dnnfusion::rebuildCompiledModel(Graph G, FusionPlan Plan,
-                                const CodegenOptions &Codegen,
-                                bool GraphAlreadyValidated) {
-  if (!GraphAlreadyValidated)
-    if (Status S = G.validate(); !S.ok())
-      return S;
+                                const CodegenOptions &Codegen) {
   CompiledModel M;
   M.Plan = std::move(Plan);
   M.Codegen = Codegen;

@@ -127,8 +127,8 @@ Expected<CompiledModel> compileModel(Graph G, const CompileOptions &Options = {}
 Expected<CompiledModel> compileModelWithPlan(Graph G, FusionPlan Plan,
                                              const CodegenOptions &Codegen = {});
 
-/// Reassembles an executable CompiledModel from persisted parts: validates
-/// \p G, trap-verifies \p Plan against it (a bad plan over a valid graph
+/// Reassembles an executable CompiledModel from persisted parts:
+/// trap-verifies \p Plan against \p G (a bad plan over a valid graph
 /// comes back as a DataLoss Status here, not an abort — persisted plans
 /// are untrusted input), then reruns the deterministic compilation tail
 /// (per-block codegen, memory planning, stats, signature).
@@ -136,13 +136,11 @@ Expected<CompiledModel> compileModelWithPlan(Graph G, FusionPlan Plan,
 /// fusion exploration, profiling — is skipped because its result IS the
 /// plan.
 ///
-/// \p GraphAlreadyValidated skips the validate() pass for callers whose
-/// graph just came out of a validating gate (the artifact deserializer:
-/// Graph::fromParts validates in full) — set it ONLY in that case; the
-/// model load path would otherwise validate every graph twice.
+/// \p G must already have passed Graph::validate(): the artifact
+/// deserializer's Graph::fromParts validates in full, and this function
+/// does not validate it again.
 Expected<CompiledModel> rebuildCompiledModel(Graph G, FusionPlan Plan,
-                                             const CodegenOptions &Codegen,
-                                             bool GraphAlreadyValidated = false);
+                                             const CodegenOptions &Codegen);
 
 /// Points every constant of \p M at the storage of a bit-identical constant
 /// (same shape, dtype and bytes) of \p From, so two models compiled from

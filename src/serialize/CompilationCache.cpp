@@ -61,11 +61,6 @@ void writeOptionsForKey(const CompileOptions &O, ByteWriter &W) {
   W.u8(O.EnableGraphRewriting ? 1 : 0);
   W.u8(O.EnableFusion ? 1 : 0);
   W.u8(O.EnableOtherOpts ? 1 : 0);
-  W.u8(O.Rewrite.EnableAssociative ? 1 : 0);
-  W.u8(O.Rewrite.EnableDistributive ? 1 : 0);
-  W.u8(O.Rewrite.EnableCommutative ? 1 : 0);
-  W.u8(O.Rewrite.EnableCanonicalization ? 1 : 0);
-  W.u8(O.Rewrite.EnableFolding ? 1 : 0);
   W.i32(O.Rewrite.MaxApplications);
   W.u8(static_cast<uint8_t>(O.Planner.Seeds));
   W.i32(O.Planner.MaxOpsPerBlock);

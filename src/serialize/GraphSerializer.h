@@ -6,23 +6,19 @@
 ///
 /// \file
 /// Serialization of the full Graph IR — nodes, attributes, weight payloads,
-/// named inputs/outputs, dead-slot tombstones — in two forms:
+/// named inputs/outputs, dead-slot tombstones — as a self-describing binary
+/// encoding (the GRPH section of the container format specified in
+/// docs/FORMAT.md), byte-identical across hosts and exact to the bit for
+/// weights. Graph::toString() is the human-readable dump.
 ///
-///  - a self-describing binary encoding (the GRPH section of the container
-///    format specified in docs/FORMAT.md), byte-identical across hosts and
-///    exact to the bit for weights; and
-///  - a line-oriented text form that renders the same information
-///    human-diffably (hex floats keep it bit-exact) and parses back, for
-///    review, golden files, and hand-written models.
-///
-/// Node ids survive both round trips verbatim (dead slots included), which
+/// Node ids survive the round trip verbatim (dead slots included), which
 /// is what lets a FusionPlan serialized next to the graph keep referring to
 /// its nodes by id.
 ///
-/// Both readers treat their input as untrusted: every malformed byte
-/// stream or text document is rejected with a DataLoss/InvalidGraph
-/// Status — never an abort — and the decoded graph passes the same
-/// Graph::validate() gate as any user-supplied graph.
+/// The reader treats its input as untrusted: every malformed byte stream
+/// is rejected with a DataLoss/InvalidGraph Status — never an abort — and
+/// the decoded graph passes the same Graph::validate() gate as any
+/// user-supplied graph.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,15 +46,6 @@ Expected<Graph> deserializeGraph(ByteReader &R);
 
 /// Decodes a graph from \p Bytes; trailing bytes are a DataLoss error.
 Expected<Graph> deserializeGraph(const std::string &Bytes);
-
-/// Renders \p G as the human-diffable text form. Weights are written as
-/// hex floats, so the rendering is exact and graphFromText() restores the
-/// graph bit-for-bit.
-std::string graphToText(const Graph &G);
-
-/// Parses a graphToText() document (or a hand-written one). Malformed
-/// documents are rejected with a Status carrying the offending line.
-Expected<Graph> graphFromText(const std::string &Text);
 
 } // namespace dnnfusion
 

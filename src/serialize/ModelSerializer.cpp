@@ -262,11 +262,9 @@ dnnfusion::deserializeCompiledModel(const std::string &Bytes) {
   }
 
   // Deterministic compilation tail: codegen, memory, stats. The graph was
-  // already validated by fromParts inside deserializeGraph, so the rebuild
-  // skips its own validate() pass.
+  // validated by fromParts inside deserializeGraph, as the rebuild requires.
   Expected<CompiledModel> M =
-      rebuildCompiledModel(G.takeValue(), std::move(Plan), Codegen,
-                           /*GraphAlreadyValidated=*/true);
+      rebuildCompiledModel(G.takeValue(), std::move(Plan), Codegen);
   if (!M.ok())
     return M.status();
 

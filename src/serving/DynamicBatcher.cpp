@@ -248,9 +248,9 @@ void DynamicBatcher::processBatch(std::vector<std::shared_ptr<Pending>> Batch,
   // Degradation work-loop: pick the largest healthy bucket, execute, and
   // on failure either complete the expired members (mid-run deadline) or
   // trip the bucket's breaker and requeue down the ladder. Buckets tripped
-  // *within this call* are skipped locally even if their breaker has not
-  // opened yet (threshold > 1) or has a zero cooldown, so each requeue
-  // strictly shrinks the bucket — the loop terminates at solo execution.
+  // *within this call* are skipped locally even if their breaker has a
+  // zero cooldown, so each requeue strictly shrinks the bucket — the loop
+  // terminates at solo execution.
   std::deque<std::shared_ptr<Pending>> Work(Live.begin(), Live.end());
   std::vector<int64_t> TrippedThisBatch;
   while (!Work.empty()) {
@@ -447,10 +447,9 @@ InferenceSession *DynamicBatcher::variantFor(int64_t B, bool *CoolingDown) {
           *CoolingDown = true;
         return nullptr;
       }
-      // Cooldown elapsed: hand the bucket out once as a half-open probe.
-      // Success closes the breaker (recordBucketSuccess); failure re-opens
-      // it for another cooldown (recordBucketFailure).
-      BIt->second.HalfOpen = true;
+      // Cooldown elapsed: hand the bucket out as a re-probe. Success
+      // closes the breaker (recordBucketSuccess); failure re-opens it for
+      // another cooldown (recordBucketFailure).
       std::lock_guard<std::mutex> SLock(StatsMutex);
       ++Counters.BreakerReprobes;
     }
@@ -519,17 +518,13 @@ void DynamicBatcher::recordBucketSuccess(int64_t B) {
 void DynamicBatcher::recordBucketFailureLocked(int64_t B) {
   if (B == 1)
     return; // The ladder floor never breaks — solo always stays available.
+  // (Re-)open for a cooldown; a failed re-probe lands here too and buys
+  // the bucket another full cooldown.
   Breaker &Br = Breakers[B];
-  ++Br.ConsecutiveFailures;
-  Br.HalfOpen = false;
-  if (Br.ConsecutiveFailures >= Opts.BreakerFailureThreshold) {
-    // (Re-)open for a cooldown; a failed half-open probe lands here too
-    // and buys the bucket another full cooldown.
-    Br.Open = true;
-    Br.OpenUntil = Clock::now() + micros(Opts.BreakerCooldownMicros);
-    std::lock_guard<std::mutex> SLock(StatsMutex);
-    ++Counters.BreakerTrips;
-  }
+  Br.Open = true;
+  Br.OpenUntil = Clock::now() + micros(Opts.BreakerCooldownMicros);
+  std::lock_guard<std::mutex> SLock(StatsMutex);
+  ++Counters.BreakerTrips;
 }
 
 void DynamicBatcher::recordBucketSuccessLocked(int64_t B) {
@@ -540,9 +535,7 @@ void DynamicBatcher::recordBucketSuccessLocked(int64_t B) {
     return;
   Breaker &Br = It->second;
   bool Restored = Br.Open;
-  Br.ConsecutiveFailures = 0;
   Br.Open = false;
-  Br.HalfOpen = false;
   if (Restored) {
     std::lock_guard<std::mutex> SLock(StatsMutex);
     ++Counters.BreakerRestores;

@@ -84,14 +84,13 @@ struct BatcherOptions {
   AdmissionOptions Admission;
   /// Session options (the context cap) for every per-bucket InferenceSession.
   SessionOptions Session;
-  /// Per-bucket circuit breaker: consecutive compile/execution failures on
-  /// one batch bucket before it opens. While open, dispatch decomposes
-  /// down the ladder (ultimately to solo execution) instead of failing the
-  /// requests; bucket 1 never opens — it is the floor of the ladder.
-  int BreakerFailureThreshold = 1;
-  /// How long an open bucket stays closed to traffic before one dispatch
-  /// re-probes it (a successful probe restores the bucket; a failed one
-  /// re-opens it for another cooldown).
+  /// Per-bucket circuit breaker: one compile or execution failure on a
+  /// batch bucket opens it. While open, dispatch decomposes down the
+  /// ladder (ultimately to solo execution) instead of failing the
+  /// requests; bucket 1 never opens — it is the floor of the ladder. This
+  /// is how long an open bucket stays closed to traffic before one
+  /// dispatch re-probes it (a successful probe restores the bucket; a
+  /// failed one re-opens it for another cooldown).
   int64_t BreakerCooldownMicros = 250000;
 };
 
@@ -123,9 +122,10 @@ struct ServingStats {
   /// circuit breaker).
   uint64_t VariantCompiles = 0;
   uint64_t VariantCompileFailures = 0;
-  /// Circuit-breaker lifecycle: buckets opened (compile/execution failures
-  /// reached BreakerFailureThreshold), cooldown re-probes dispatched, and
-  /// buckets restored to service by a successful re-probe.
+  /// Circuit-breaker lifecycle: buckets opened by a compile/execution
+  /// failure (a failed re-probe re-opens and counts again), cooldown
+  /// re-probes dispatched, and buckets restored to service by a successful
+  /// re-probe.
   uint64_t BreakerTrips = 0;
   uint64_t BreakerReprobes = 0;
   uint64_t BreakerRestores = 0;
@@ -241,12 +241,12 @@ private:
   /// that last case so the caller can count degraded requests); the caller
   /// then decomposes into smaller buckets — bucket 1 always exists and
   /// never breaks. An open bucket whose cooldown has elapsed is handed out
-  /// once as a half-open probe.
+  /// as a re-probe.
   InferenceSession *variantFor(int64_t B, bool *CoolingDown = nullptr);
   /// Breaker bookkeeping after an execution/compile outcome for bucket
-  /// \p B. Failure trips the breaker at BreakerFailureThreshold; success
-  /// closes it (counting a restore if it was open, i.e. a re-probe
-  /// succeeded). Bucket 1 is exempt. The *Locked forms require
+  /// \p B. Failure opens the breaker for a cooldown; success closes it
+  /// (counting a restore if it was open, i.e. a re-probe succeeded).
+  /// Bucket 1 is exempt. The *Locked forms require
   /// VariantMutex to be held already.
   void recordBucketFailure(int64_t B);
   void recordBucketSuccess(int64_t B);
@@ -278,16 +278,14 @@ private:
   InferenceSession *Base = nullptr; ///< Convenience alias of Variants[1].
   std::map<int64_t, std::unique_ptr<InferenceSession>> Variants;
   /// Per-bucket circuit breaker (guarded by VariantMutex). A bucket whose
-  /// compile or execution fails BreakerFailureThreshold times in a row
-  /// opens: traffic decomposes around it until BreakerCooldownMicros
-  /// elapses, then one dispatch re-probes it (HalfOpen). Compile failures
-  /// and execution faults share the same breaker — both heal the same way,
-  /// by trying again later (a cache that was briefly unreadable, a fault
-  /// window that closed). Bucket 1 has no breaker; it is the ladder floor.
+  /// compile or execution fails opens: traffic decomposes around it until
+  /// BreakerCooldownMicros elapses, then dispatch re-probes it. Compile
+  /// failures and execution faults share the same breaker — both heal the
+  /// same way, by trying again later (a cache that was briefly unreadable,
+  /// a fault window that closed). Bucket 1 has no breaker; it is the
+  /// ladder floor.
   struct Breaker {
-    int ConsecutiveFailures = 0;
     bool Open = false;
-    bool HalfOpen = false; ///< A cooldown re-probe is in flight.
     Clock::time_point OpenUntil{};
   };
   std::map<int64_t, Breaker> Breakers;

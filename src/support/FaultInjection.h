@@ -67,10 +67,10 @@ inline constexpr const char *AllocTensor = "alloc.tensor";
 /// ExecutionContext construction (arena/scratch sizing) throws
 /// std::bad_alloc — the context-pool growth path.
 inline constexpr const char *AllocArena = "alloc.arena";
-/// ThreadPool parallelFor/forEach cannot spawn onto workers; the pool
-/// degrades to inline execution on the calling thread (no error surfaces —
-/// this point exercises the degradation, not a failure path). Kernel
-/// slicing and InferenceSession::runBatch are the two callers.
+/// ThreadPool::parallelFor cannot spawn onto workers; the pool degrades
+/// to inline execution on the calling thread (no error surfaces — this
+/// point exercises the degradation, not a failure path). Kernel slicing is
+/// the one caller.
 inline constexpr const char *ThreadPoolSpawn = "threadpool.spawn";
 /// ExecutionContext::runBlock: one fusion block fails mid-model; the run
 /// aborts with a typed Internal status before that block executes, and no

@@ -39,12 +39,7 @@ ThreadPool::~ThreadPool() {
 
 bool ThreadPool::onWorkerThread() const { return CurrentWorkerPool == this; }
 
-void ThreadPool::runTask(const Task &T) {
-  if (T.Group->Range)
-    (*T.Group->Range)(T.Begin, T.End);
-  else
-    (*T.Group->Single)(T.Begin);
-}
+void ThreadPool::runTask(const Task &T) { (*T.Group->Range)(T.Begin, T.End); }
 
 void ThreadPool::workerLoop() {
   CurrentWorkerPool = this;
@@ -119,27 +114,6 @@ void ThreadPool::parallelFor(
     if (Begin >= End)
       break;
     PendingTasks.push_back(Task{&Group, Begin, End});
-    ++Group.Remaining;
-  }
-  WakeWorkers.notify_all();
-  helpUntilDone(Lock, Group);
-}
-
-void ThreadPool::forEach(int64_t Count,
-                         const std::function<void(int64_t)> &Body) {
-  if (Count <= 0)
-    return;
-  if (Count == 1 || numThreads() <= 1 || onWorkerThread() ||
-      faultShouldFail(faultpoints::ThreadPoolSpawn)) {
-    for (int64_t I = 0; I < Count; ++I)
-      Body(I);
-    return;
-  }
-  TaskGroup Group;
-  Group.Single = &Body;
-  std::unique_lock<std::mutex> Lock(Mutex);
-  for (int64_t I = 0; I < Count; ++I) {
-    PendingTasks.push_back(Task{&Group, I, I + 1});
     ++Group.Remaining;
   }
   WakeWorkers.notify_all();

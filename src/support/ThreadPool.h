@@ -5,25 +5,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small persistent thread pool with two entry points:
+/// A small persistent thread pool whose one entry point, parallelFor,
+/// slices one iteration space deterministically: slice boundaries depend
+/// only on Count, the caller's grain and the pool size, so results (and
+/// instrumentation counters) do not depend on scheduling. The default
+/// grain suits loops whose iteration costs about one element's work; the
+/// MatMul/Gemm row loops pass a grain sized by each row's multiply-adds, so
+/// a GEMM of a few hundred heavy rows still splits.
 ///
-///  - parallelFor: deterministic data-parallel slicing of one iteration
-///    space. Slice boundaries depend only on Count, the caller's grain and
-///    the pool size, so results (and instrumentation counters) do not
-///    depend on scheduling. The default grain suits loops whose iteration
-///    costs about one element's work; the MatMul/Gemm row loops pass a
-///    grain sized by each row's multiply-adds, so a GEMM of a few hundred
-///    heavy rows still splits.
-///  - forEach: coarse task dispatch (one task per index), used by
-///    InferenceSession::runBatch to run a batch's requests side by side.
-///
-/// Both are reentrancy-safe: when called from one of the pool's own worker
-/// threads they execute inline on that thread instead of enqueueing, so
-/// nested parallelism (a fused kernel's parallelFor inside a runBatch
-/// request task) can never deadlock the pool. Both are also safe to call
-/// from several independent master threads at once — every call waits on
-/// its own task group, which is what lets N InferenceSession clients share
-/// one pool.
+/// parallelFor is reentrancy-safe: called from one of the pool's own
+/// worker threads it executes inline on that thread instead of enqueueing,
+/// so a nested parallelFor (a kernel's loop inside another pool task) can
+/// never deadlock the pool. It is also safe to call from several
+/// independent master threads at once — every call waits on its own task
+/// group, which is what lets N InferenceSession clients share one pool.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,8 +34,7 @@
 
 namespace dnnfusion {
 
-/// A fixed-size pool of worker threads executing parallelFor slices and
-/// forEach tasks.
+/// A fixed-size pool of worker threads executing parallelFor slices.
 class ThreadPool {
 public:
   /// Creates \p NumThreads workers. Zero means one worker per hardware
@@ -72,22 +66,14 @@ public:
                    const std::function<void(int64_t, int64_t)> &Body,
                    int64_t Grain = DefaultGrain);
 
-  /// Runs \p Body(Index) once for every index in [0, Count), one task per
-  /// index, distributed across the workers; the calling thread
-  /// participates. Blocks until every task finishes. Called from one of
-  /// this pool's own workers it degrades to an inline loop in index order —
-  /// the reentrancy guarantee InferenceSession::runBatch relies on.
-  void forEach(int64_t Count, const std::function<void(int64_t)> &Body);
-
   /// Process-wide pool, created on first use.
   static ThreadPool &global();
 
 private:
-  /// Completion tracking for one parallelFor/forEach call. Lives on the
-  /// caller's stack; Remaining is guarded by the pool mutex.
+  /// Completion tracking for one parallelFor call. Lives on the caller's
+  /// stack; Remaining is guarded by the pool mutex.
   struct TaskGroup {
     const std::function<void(int64_t, int64_t)> *Range = nullptr;
-    const std::function<void(int64_t)> *Single = nullptr;
     int64_t Remaining = 0;
     std::condition_variable Done;
   };

@@ -2,6 +2,7 @@
 
 #include "tuning/AutoTuner.h"
 
+#include "ops/KernelRegistry.h"
 #include "ops/KernelsGemmPacked.h"
 #include "support/Timer.h"
 #include "tensor/Tensor.h"
@@ -52,6 +53,9 @@ TuneResult dnnfusion::tuneMatmul(int64_t M, int64_t N, int64_t K,
   auto Measure = [&](const KernelConfig &Config) {
     double Best = 0.0;
     int NR = clampPackNR(Config.PackNR);
+    // Time the tier production resolves to: the tiers rank panel widths
+    // differently, so a scalar-timed winner can lose at AVX2.
+    KernelLevel Level = effectiveKernelLevel(Config);
     // The serving hot path keeps constant weights prepacked, so packing
     // stays outside the timed region.
     Packed.resize(static_cast<size_t>(packedPanelElems(K, N, NR)));
@@ -59,7 +63,7 @@ TuneResult dnnfusion::tuneMatmul(int64_t M, int64_t N, int64_t K,
     for (int I = 0; I < Options.MeasureRepeats; ++I) {
       WallTimer T;
       gemmPackedRows(A.data(), K, 1, Packed.data(), C.data(), N, 0, M, N, K,
-                     clampPackMR(Config.PackMR), NR, nullptr);
+                     clampPackMR(Config.PackMR), NR, nullptr, Level);
       double Ms = T.millis();
       if (I == 0 || Ms < Best)
         Best = Ms;

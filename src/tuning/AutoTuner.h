@@ -8,7 +8,9 @@
 /// The genetic-algorithm auto-tuner of the underlying runtime (paper
 /// §5.3/Figure 9b, inherited from PatDNN): searches the blocking
 /// parameters (PackMR, PackNR) of the packed GEMM kernel against measured
-/// runtime. Its wall time is the Tuning component of compilation time.
+/// runtime, at the dispatch tier each candidate would run at
+/// (effectiveKernelLevel). Its wall time is the Tuning component of
+/// compilation time.
 ///
 //===----------------------------------------------------------------------===//
 

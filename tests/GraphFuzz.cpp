@@ -32,7 +32,6 @@
 #include "ops/OpSchema.h"
 #include "runtime/ExecutionContext.h"
 #include "runtime/InferenceSession.h"
-#include "serialize/GraphSerializer.h"
 #include "serialize/ModelSerializer.h"
 #include "support/FaultInjection.h"
 #include "support/StringUtils.h"
@@ -1390,13 +1389,6 @@ std::string fuzzSerializeRoundtrip(const FuzzSpec &Spec) {
   if (std::string Diff = GraphsMatch(G, *Binary); !Diff.empty())
     return Fail("binary graph roundtrip mismatch", Diff);
 
-  // Text form roundtrip: same guarantees through the human-diffable path.
-  Expected<Graph> Text = graphFromText(graphToText(G));
-  if (!Text.ok())
-    return Fail("text graph roundtrip rejected", Text.status().toString());
-  if (std::string Diff = GraphsMatch(G, *Text); !Diff.empty())
-    return Fail("text graph roundtrip mismatch", Diff);
-
   // Compiled artifact roundtrip: the loaded model must execute
   // bit-identically to the in-memory one (same plan, same arena layout,
   // same codegen).
@@ -1446,21 +1438,6 @@ std::string fuzzSerializeRoundtrip(const FuzzSpec &Spec) {
       return Fail("bit-flipped graph artifact accepted",
                   formatString("flip at byte %zu", Offset));
   }
-  // The text form has no checksum, so a mutation may legitimately still
-  // parse (e.g. a changed weight digit) — the contract under corruption
-  // is weaker but absolute: graphFromText must return an Expected, never
-  // abort or crash, on any mutated or truncated document. Surviving these
-  // calls IS the assertion.
-  std::string TextDoc = graphToText(Loaded->G);
-  for (int I = 0; I < 8; ++I) {
-    std::string Mutated = TextDoc;
-    size_t Offset = static_cast<size_t>(R.nextBelow(Mutated.size()));
-    Mutated[Offset] = static_cast<char>(R.nextBelow(256));
-    (void)graphFromText(Mutated);
-  }
-  for (int I = 0; I < 4; ++I)
-    (void)graphFromText(
-        TextDoc.substr(0, static_cast<size_t>(R.nextBelow(TextDoc.size()))));
   return "";
 }
 

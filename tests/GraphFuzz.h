@@ -185,14 +185,13 @@ std::string fuzzOneSeed(uint64_t Seed, const std::vector<DiffConfig> &Configs,
 std::string fuzzMalformedRequests(const FuzzSpec &Spec);
 
 /// The serialization dimension: builds \p Spec's graph and checks (1) the
-/// binary graph artifact and the text form both round-trip exactly
-/// (structure and weights bit-for-bit), (2) a compiled model survives
-/// serialize -> deserialize with bit-identical execution on the spec's
-/// inputs, and (3) a seed-derived corruption sweep — truncations and bit
-/// flips over the serialized blobs — is rejected with a clean Status on
-/// every sample, and mutated/truncated text documents never abort the
-/// parser (this process is the detector). Returns "" on success, a
-/// diagnostic otherwise.
+/// binary graph artifact round-trips exactly (structure and weights
+/// bit-for-bit), (2) a compiled model survives serialize -> deserialize
+/// with bit-identical execution on the spec's inputs, and (3) a
+/// seed-derived corruption sweep — truncations and bit flips over the
+/// serialized blobs — is rejected with a clean Status on every sample
+/// (this process is the detector). Returns "" on success, a diagnostic
+/// otherwise.
 std::string fuzzSerializeRoundtrip(const FuzzSpec &Spec);
 
 /// The fault-injection dimension: arms every known fault point in turn

@@ -252,34 +252,6 @@ TEST_F(ApiBoundary, SessionServesValidRequestsAfterAStormOfBadOnes) {
       ASSERT_EQ(After[I].at(E), Golden[I].at(E));
 }
 
-TEST_F(ApiBoundary, BatchFailuresAreIndexTaggedAndDoNotPoisonSiblings) {
-  std::vector<Tensor> Golden = cantFail(Session.run({imageTensor()}));
-  std::vector<std::vector<Tensor>> Batch;
-  Batch.push_back({imageTensor()});
-  Batch.push_back({Tensor::zeros(Shape({1, 1}))}); // Malformed.
-  Batch.push_back({imageTensor()});
-  std::vector<Expected<std::vector<Tensor>>> R = Session.runBatch(Batch);
-  ASSERT_EQ(R.size(), Batch.size());
-  // The malformed entry carries its own index-tagged Status...
-  ASSERT_FALSE(R[1].ok());
-  EXPECT_EQ(R[1].status().code(), ErrorCode::InvalidArgument);
-  EXPECT_NE(R[1].status().message().find("batch request 1"),
-            std::string::npos)
-      << R[1].status().toString();
-  // ...while its siblings executed to correct results regardless.
-  for (size_t E : {size_t(0), size_t(2)}) {
-    ASSERT_TRUE(R[E].ok()) << R[E].status().toString();
-    ASSERT_EQ(R[E].value().size(), Golden.size());
-    for (size_t I = 0; I < Golden.size(); ++I)
-      for (int64_t J = 0; J < Golden[I].numElements(); ++J)
-        ASSERT_EQ(R[E].value()[I].at(J), Golden[I].at(J));
-  }
-  // A fully clean batch succeeds entry-wise.
-  Batch[1] = {imageTensor()};
-  for (const Expected<std::vector<Tensor>> &Entry : Session.runBatch(Batch))
-    EXPECT_TRUE(Entry.ok()) << Entry.status().toString();
-}
-
 TEST_F(ApiBoundary, ValidateRequestMirrorsRunAcceptance) {
   EXPECT_TRUE(Session.validateRequest({imageTensor()}).ok());
   EXPECT_FALSE(Session.validateRequest({}).ok());
@@ -303,9 +275,10 @@ TEST_F(ApiBoundary, MetricsCountServedRejectedAndWallTime) {
   cantFail(Session.run({{"image", imageTensor()}}));
   EXPECT_FALSE(Session.run(std::vector<Tensor>{}).ok());
   EXPECT_FALSE(Session.run({{"bogus", imageTensor()}}).ok());
-  for (const Expected<std::vector<Tensor>> &Entry :
-       Session.runBatch({{imageTensor()}, {imageTensor()}}))
-    EXPECT_TRUE(Entry.ok()) << Entry.status().toString();
+  for (int I = 0; I < 2; ++I) {
+    Expected<std::vector<Tensor>> Out = Session.run({imageTensor()});
+    EXPECT_TRUE(Out.ok()) << Out.status().toString();
+  }
 
   SessionMetrics After = Session.metrics();
   EXPECT_EQ(After.RequestsServed, 4u);

@@ -27,8 +27,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <exception>
 #include <thread>
 #include <unistd.h>
 
@@ -45,13 +48,14 @@ Graph mlp(int64_t HiddenDim = 32) {
   return B.take();
 }
 
-/// A deep chain of linear layers: many fusion blocks of comparable cost,
-/// so deadline/cancel checkpoints (which sit between blocks) are hit
-/// mid-model and abort latency is measurable against per-block timing.
-Graph deepChain() {
+/// A deep chain of \p Layers linear layers: many fusion blocks of
+/// comparable cost, so deadline/cancel checkpoints (which sit between
+/// blocks) are hit mid-model and abort latency is measurable against
+/// per-block timing.
+Graph deepChain(int Layers) {
   GraphBuilder B(9);
   NodeId X = B.input(Shape({96, 256}), "x");
-  for (int L = 0; L < 12; ++L)
+  for (int L = 0; L < Layers; ++L)
     X = B.relu(B.linear(X, 256));
   B.markOutput(X);
   return B.take();
@@ -78,6 +82,34 @@ void expectBitIdentical(const std::vector<Tensor> &A,
     for (int64_t I = 0; I < A[O].shape().numElements(); ++I)
       ASSERT_EQ(Pa[I], Pb[I]) << What << " output " << O << " element " << I;
   }
+}
+
+/// Runs \p In through \p Session once from each of \p Clients threads at
+/// once, so several context leases are live together. Returns each
+/// client's result in client order; an exception a client's run() throws
+/// is rethrown here once every client has joined.
+std::vector<Expected<std::vector<Tensor>>>
+runFromClients(InferenceSession &Session, const std::vector<Tensor> &In,
+               int Clients) {
+  std::vector<Expected<std::vector<Tensor>>> Results(
+      static_cast<size_t>(Clients),
+      Status::error(ErrorCode::Internal, "client never ran"));
+  std::vector<std::exception_ptr> Thrown(static_cast<size_t>(Clients));
+  std::vector<std::thread> Threads;
+  for (int C = 0; C < Clients; ++C)
+    Threads.emplace_back([&, C] {
+      try {
+        Results[static_cast<size_t>(C)] = Session.run(In);
+      } catch (...) {
+        Thrown[static_cast<size_t>(C)] = std::current_exception();
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  for (const std::exception_ptr &E : Thrown)
+    if (E)
+      std::rethrow_exception(E);
+  return Results;
 }
 
 /// RAII guard: every test leaves the process un-faulted and un-latched no
@@ -395,7 +427,7 @@ TEST(ChaosKernel, DispatchFaultLatchesScalarWithIdenticalResults) {
 }
 
 //===----------------------------------------------------------------------===//
-// Thread-pool spawn fault: kernels and runBatch degrade to inline execution
+// Thread-pool spawn fault: kernels degrade to inline execution
 //===----------------------------------------------------------------------===//
 
 TEST(ChaosThreadPool, SpawnFaultDegradesInlineWithIdenticalResults) {
@@ -408,17 +440,19 @@ TEST(ChaosThreadPool, SpawnFaultDegradesInlineWithIdenticalResults) {
   ASSERT_TRUE(Baseline.ok());
 
   FaultInjection::instance().arm(faultpoints::ThreadPoolSpawn);
-  // Solo runs and a fan-out batch: both paths fall back to the calling
-  // thread with no error and no divergence.
+  // A solo run and concurrent clients: every kernel falls back to its
+  // calling thread with no error and no divergence.
   Expected<std::vector<Tensor>> Inline = Session.run(In);
   ASSERT_TRUE(Inline.ok());
   expectBitIdentical(Baseline.value(), Inline.value(), "inline fallback");
-  std::vector<Expected<std::vector<Tensor>>> Batch =
-      Session.runBatch({In, In, In});
-  for (size_t R = 0; R < Batch.size(); ++R) {
-    ASSERT_TRUE(Batch[R].ok()) << Batch[R].status().toString();
-    expectBitIdentical(Baseline.value(), Batch[R].value(), "batch inline");
+  std::vector<Expected<std::vector<Tensor>>> Clients =
+      runFromClients(Session, In, 3);
+  for (size_t R = 0; R < Clients.size(); ++R) {
+    ASSERT_TRUE(Clients[R].ok()) << Clients[R].status().toString();
+    expectBitIdentical(Baseline.value(), Clients[R].value(),
+                       "concurrent inline");
   }
+  EXPECT_EQ(Session.idleContexts(), Session.contextsCreated());
   FaultInjection::instance().reset();
 }
 
@@ -526,11 +560,46 @@ TEST(ChaosDeadline, CancelFlagAbortsAtNextCheckpoint) {
 TEST(ChaosDeadline, MidRunExpiryAbortsWithinOneBlockOfTheDeadline) {
   FaultScope Guard;
   CompileOptions Options;
-  Options.EnableFusion = false; // Keep the 12 layers as separate blocks.
-  Expected<CompiledModel> M = compileModel(deepChain(), Options);
+  Options.EnableFusion = false; // Keep every layer a separate block.
+  auto CompileChain = [&](int Layers) {
+    return compileModel(deepChain(Layers), Options);
+  };
+  // Calibrate on the fastest of three runs: a deadline set from one
+  // preempted run can fall after the next run has already finished.
+  auto FastestRun = [](ExecutionContext &Ctx, const std::vector<Tensor> &In,
+                       ExecutionStats &Fastest) {
+    for (int Warm = 0; Warm < 3; ++Warm) {
+      ExecutionStats S;
+      ASSERT_TRUE(Ctx.tryRun(In, &S, /*PerBlockTiming=*/true).ok());
+      if (Warm == 0 || S.WallMs < Fastest.WallMs)
+        Fastest = S;
+    }
+  };
+
+  // A run under MinTimedMs is too short to time an abort against, so the
+  // chain grows (boundedly) until its fastest run takes about TargetMs.
+  // Without this a fast host would skip every attempt and check nothing.
+  constexpr double MinTimedMs = 2.0, TargetMs = 8.0;
+  constexpr int MaxLayers = 96;
+  int Layers = 12;
+  Expected<CompiledModel> M = CompileChain(Layers);
   ASSERT_TRUE(M.ok());
-  ASSERT_GE(M->Blocks.size(), 8u); // Plenty of checkpoints.
   std::vector<Tensor> In = inputsFor(M->Signature, 8);
+  while (Layers < MaxLayers) {
+    ExecutionStats Calibration;
+    {
+      ExecutionContext Probe(M.value()); // Gone before M is replaced.
+      ASSERT_NO_FATAL_FAILURE(FastestRun(Probe, In, Calibration));
+    }
+    if (Calibration.WallMs >= TargetMs)
+      break;
+    double Scale = TargetMs / std::max(Calibration.WallMs, 0.1);
+    Layers = std::min(MaxLayers,
+                      static_cast<int>(std::ceil(Layers * Scale)));
+    M = CompileChain(Layers);
+    ASSERT_TRUE(M.ok());
+  }
+  ASSERT_GE(M->Blocks.size(), 8u); // Plenty of checkpoints.
   ExecutionContext Ctx(M.value());
 
   using ClockT = std::chrono::steady_clock;
@@ -551,21 +620,14 @@ TEST(ChaosDeadline, MidRunExpiryAbortsWithinOneBlockOfTheDeadline) {
   int Inconclusive = 0, Aborted = 0;
   double LastTotal = 0, LastBlockMax = 0, LastAbortLatency = 0;
   for (int Attempt = 0; Attempt < Attempts && !LatencyBounded; ++Attempt) {
-    // Calibrate on the fastest of three runs: a deadline set from one
-    // preempted run can fall after the next run has already finished.
     ExecutionStats Baseline;
-    for (int Warm = 0; Warm < 3; ++Warm) {
-      ExecutionStats S;
-      ASSERT_TRUE(Ctx.tryRun(In, &S, /*PerBlockTiming=*/true).ok());
-      if (Warm == 0 || S.WallMs < Baseline.WallMs)
-        Baseline = S;
-    }
+    ASSERT_NO_FATAL_FAILURE(FastestRun(Ctx, In, Baseline));
     double TotalMs = Baseline.WallMs;
     double BlockMaxMs = 0;
     for (double B : Baseline.PerBlockMs)
       BlockMaxMs = std::max(BlockMaxMs, B);
-    if (TotalMs < 2.0)
-      continue; // Too fast to time the abort meaningfully on this machine.
+    if (TotalMs < MinTimedMs)
+      continue; // This attempt's calibration was too fast to time.
     // How far past the deadline a run may end: one block's latency plus
     // margin for scheduler noise.
     double SlackMs = std::max(2.0 * BlockMaxMs + 2.0, TotalMs / 4);
@@ -599,16 +661,17 @@ TEST(ChaosDeadline, MidRunExpiryAbortsWithinOneBlockOfTheDeadline) {
     LastAbortLatency = MsBetween(Start, End) - TotalMs / 2;
     LatencyBounded = LastAbortLatency <= SlackMs;
   }
-  // A timed run that never aborted means the abort was never observed.
-  if (Aborted == 0) {
-    EXPECT_EQ(Inconclusive, 0) << "no run aborted: every timed run finished "
-                                  "before or just after its deadline";
-  } else {
-    EXPECT_TRUE(LatencyBounded)
-        << "abort latency " << LastAbortLatency << " ms not bounded by one "
-        << "block (max block " << LastBlockMax << " ms of " << LastTotal
-        << " ms total)";
-  }
+  // An attempt never timed checked nothing; a timed run that never
+  // aborted means the abort was never observed.
+  ASSERT_GT(Aborted + Inconclusive, 0)
+      << "no attempt was timed: every calibration of " << Layers
+      << " layers ran under " << MinTimedMs << " ms";
+  ASSERT_GT(Aborted, 0) << "no run aborted: every timed run finished "
+                           "before or just after its deadline";
+  EXPECT_TRUE(LatencyBounded)
+      << "abort latency " << LastAbortLatency << " ms not bounded by one "
+      << "block (max block " << LastBlockMax << " ms of " << LastTotal
+      << " ms total)";
   // The aborted context is immediately reusable.
   ASSERT_TRUE(Ctx.tryRun(In).ok());
 }
@@ -703,10 +766,7 @@ std::string sweepOnePoint(const char *Point, uint64_t Seed) {
       InferenceSession Session(M.takeValue());
       for (int R = 0; R < 6; ++R)
         (void)Session.run(In); // Ok or typed; abort kills the detector.
-      std::vector<Expected<std::vector<Tensor>>> Batch =
-          Session.runBatch({In, In, In, In});
-      for (const Expected<std::vector<Tensor>> &Entry : Batch)
-        (void)Entry;
+      (void)runFromClients(Session, In, 4); // Several leases at once.
       if (Session.idleContexts() != Session.contextsCreated())
         Problem = "leaked execution contexts";
     }

@@ -304,7 +304,7 @@ TEST(PackedGemm, BitIdenticalToNaiveAcrossShapesAndBlocking) {
         packBPanels(B.data(), N, 1, K, N, NR, Packed.data());
         Tensor C(Shape({M, N}));
         gemmPackedRows(A.data(), K, 1, Packed.data(), C.data(), N, 0, M, N,
-                       K, MR, NR, nullptr);
+                       K, MR, NR, nullptr, KernelLevel::Scalar);
         for (int64_t I = 0; I < M * N; ++I)
           ASSERT_EQ(C.at(I), Ref.at(I))
               << "MR=" << MR << " NR=" << NR << " M=" << M << " N=" << N

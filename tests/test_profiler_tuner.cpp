@@ -1,7 +1,9 @@
 //===- tests/test_profiler_tuner.cpp - profile DB, oracle, GA tuner -----------------===//
 
 #include "graph/GraphBuilder.h"
+#include "ops/KernelRegistry.h"
 #include "profiler/ProfilingOracle.h"
+#include "support/FaultInjection.h"
 #include "tuning/AutoTuner.h"
 
 #include <gtest/gtest.h>
@@ -79,6 +81,25 @@ TEST(AutoTuner, FindsConfigNoWorseThanBaseline) {
   // never be slower (modulo timing noise, hence the 25% slack).
   EXPECT_LE(R.BestMs, R.BaselineMs * 1.25);
   EXPECT_GT(R.WallMs, 0.0);
+}
+
+TEST(AutoTuner, TimesTheTierProductionDispatchesAt) {
+  if (effectiveKernelLevel(KernelConfig()) != KernelLevel::Avx2)
+    GTEST_SKIP() << "default dispatch does not resolve to AVX2 here";
+  // Armed at probability 0 the kernel.dispatch point never fires, but it
+  // counts every SIMD dispatch check; a scalar-timed search makes none.
+  FaultInjection &FI = FaultInjection::instance();
+  FI.reset();
+  FaultSpec Never;
+  Never.Probability = 0.0;
+  FI.arm(faultpoints::KernelDispatch, Never);
+  TuneOptions Opt;
+  Opt.Population = 2;
+  Opt.Generations = 1;
+  tuneMatmul(16, 16, 16, Opt);
+  int64_t Checks = FI.pointStats(faultpoints::KernelDispatch).Checks;
+  FI.reset();
+  EXPECT_GT(Checks, 0);
 }
 
 TEST(AutoTuner, DeterministicSearchTrajectory) {

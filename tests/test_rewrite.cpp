@@ -401,18 +401,6 @@ TEST(RewriteDriver, TerminatesOnAdversarialChains) {
   G.verify();
 }
 
-TEST(RewriteDriver, CategoriesCanBeDisabled) {
-  GraphBuilder B(19);
-  NodeId A = B.input(Shape({4}));
-  B.markOutput(B.unary(OpKind::Log, B.unary(OpKind::Exp, A)));
-  Graph G = B.take();
-  RewriteOptions Opt;
-  Opt.EnableCommutative = false;
-  RewriteStats S = rewriteGraph(G, Opt);
-  EXPECT_EQ(S.PerCategory[static_cast<int>(RuleCategory::Commutative)], 0);
-  EXPECT_EQ(G.countLayers(), 2); // Log(Exp) survives.
-}
-
 TEST(RewriteDriver, CountsRegions) {
   GraphBuilder B(20);
   NodeId X = B.input(Shape({1, 2, 6, 6}));

@@ -1,11 +1,10 @@
 //===- tests/test_serialize.cpp - Persistence subsystem tests --------------------===//
 //
-// Coverage for the serialization layer (src/serialize/): graph artifacts
-// (binary + text form), compiled-model artifacts, the on-disk compilation
-// cache, and the untrusted-input discipline — zoo-wide save -> load -> run
-// bit-identity against the in-memory compile, plus truncation/bit-flip
-// corruption sweeps where every sample must reject with a Status, never
-// abort.
+// Coverage for the serialization layer (src/serialize/): graph artifacts,
+// compiled-model artifacts, the on-disk compilation cache, and the
+// untrusted-input discipline — zoo-wide save -> load -> run bit-identity
+// against the in-memory compile, plus truncation/bit-flip corruption
+// sweeps where every sample must reject with a Status, never abort.
 //
 //===----------------------------------------------------------------------===//
 
@@ -144,7 +143,7 @@ TEST(ByteStream, HostileCountRejectsBeforeAllocating) {
 }
 
 //===----------------------------------------------------------------------===//
-// Graph artifacts: binary and text forms
+// Graph artifacts
 //===----------------------------------------------------------------------===//
 
 /// A small graph exercising every serializer feature: attrs of all four
@@ -177,75 +176,6 @@ TEST(GraphArtifact, BinaryRoundtripPreservesEverything) {
       deserializeGraphArtifact(serializeGraphArtifact(G));
   ASSERT_TRUE(Restored.ok()) << Restored.status().toString();
   expectGraphsIdentical(G, *Restored);
-}
-
-TEST(GraphArtifact, TextFormRoundtripPreservesEverything) {
-  Graph G = buildTrickyGraph();
-  std::string Text = graphToText(G);
-  // Human-diffable: one line per node, ids and op names in the clear.
-  EXPECT_NE(Text.find("dnnfusion-graph-text 1"), std::string::npos);
-  EXPECT_NE(Text.find("MatMul"), std::string::npos);
-  EXPECT_NE(Text.find("= dead"), std::string::npos);
-  Expected<Graph> Restored = graphFromText(Text);
-  ASSERT_TRUE(Restored.ok()) << Restored.status().toString();
-  expectGraphsIdentical(G, *Restored);
-}
-
-TEST(GraphArtifact, TextFormPreservesWeightsBitExactly) {
-  GraphBuilder B(/*Seed=*/5);
-  // Values chosen to break any decimal-printing shortcut: denormal,
-  // negative zero, an irrational-ish fraction, infinity.
-  Tensor W(Shape({4}));
-  W.at(0) = 1e-42f;
-  W.at(1) = -0.0f;
-  W.at(2) = 0.1f;
-  W.at(3) = std::numeric_limits<float>::infinity();
-  NodeId X = B.input(Shape({4}), "x");
-  B.markOutput(B.add(X, B.graph().addConstant(std::move(W), "w")));
-  Graph G = B.take();
-  Expected<Graph> Restored = graphFromText(graphToText(G));
-  ASSERT_TRUE(Restored.ok()) << Restored.status().toString();
-  expectGraphsIdentical(G, *Restored);
-}
-
-TEST(GraphArtifact, TextFormRejectsMalformedDocuments) {
-  Graph G = buildTrickyGraph();
-  std::string Text = graphToText(G);
-  const char *Bad[] = {
-      "",
-      "not a graph\n",
-      "dnnfusion-graph-text 2\nnodes 0\noutputs %0\n",  // Unknown version.
-      "dnnfusion-graph-text 1\nnodes 1\noutputs %0\n",  // Missing node.
-      "dnnfusion-graph-text 1\nnodes 1\n%0 = Frobnicate() \"x\" : 1\noutputs %0\n",
-      "dnnfusion-graph-text 1\nnodes 1\n%0 = Input \"x\" : 2x2\n", // No outputs.
-      "dnnfusion-graph-text 1\nnodes 1\n%1 = Input \"x\" : 2x2\noutputs %1\n",
-      // A 2^32+0 reference must not truncate into an alias of node %0.
-      "dnnfusion-graph-text 1\nnodes 1\n%0 = Input \"x\" : 2x2\noutputs %4294967296\n",
-      // An element product overflowing int64 must fail the shape cap, not
-      // wrap negative and abort inside the constant's Tensor allocation.
-      "dnnfusion-graph-text 1\nnodes 1\n"
-      "%0 = Constant \"c\" : 2147483648x4294967296 f32 : 0x0p+0\noutputs %0\n",
-  };
-  for (const char *Doc : Bad) {
-    Expected<Graph> R = graphFromText(Doc);
-    EXPECT_FALSE(R.ok()) << "accepted: " << Doc;
-  }
-  // Semantically invalid but syntactically fine: caught by validate().
-  Expected<Graph> NoOut = graphFromText(
-      "dnnfusion-graph-text 1\nnodes 1\n%0 = Input \"x\" : 2x2\noutputs\n");
-  EXPECT_FALSE(NoOut.ok());
-}
-
-TEST(GraphArtifact, TextFormAcceptsCommentsAndBlankLines) {
-  std::string Text = "# a hand-written model\n\ndnnfusion-graph-text 1\n"
-                     "nodes 2\n"
-                     "%0 = Input \"x\" : 2x2\n"
-                     "# the identity\n"
-                     "%1 = Relu(%0) \"r\" : 2x2\n"
-                     "outputs %1\n";
-  Expected<Graph> G = graphFromText(Text);
-  ASSERT_TRUE(G.ok()) << G.status().toString();
-  EXPECT_EQ(G->countLayers(), 1);
 }
 
 TEST(GraphArtifact, FromPartsRejectsInconsistentConstants) {

@@ -646,8 +646,8 @@ TEST(DynamicBatcher, BreakerTripsDecomposesAndRecovers) {
   EXPECT_GE(Tripped.DegradedRequests, 1u); // Decomposition was forced...
   EXPECT_EQ(Tripped.QueueDepth, 0u);       // ...and nothing was stranded.
 
-  // After the cooldown, one dispatch hands the open bucket out as a
-  // half-open probe; the healthy execution restores it to service.
+  // After the cooldown, dispatch hands the open bucket out as a re-probe;
+  // the healthy execution restores it to service.
   std::this_thread::sleep_for(
       std::chrono::microseconds(2 * O.BreakerCooldownMicros));
   for (int Wave = 0; Wave < 10 && B.value()->stats().BreakerRestores == 0;
@@ -657,6 +657,80 @@ TEST(DynamicBatcher, BreakerTripsDecomposesAndRecovers) {
   EXPECT_GE(Restored.BreakerReprobes, 1u);
   EXPECT_GE(Restored.BreakerRestores, 1u);
   FaultInjection::instance().reset();
+}
+
+TEST(DynamicBatcher, OneFailedBatchOpensItsBucketUntilAReprobeSucceeds) {
+  FaultInjection::instance().reset();
+  BatcherOptions O;
+  O.MaxBatchSize = 2;
+  O.BatchSizes = {1, 2};
+  // The window outlasts any wave, so each wave of two requests dispatches
+  // as one batch of 2 unless bucket 2 is open.
+  O.MaxQueueDelayMicros = 10000000;
+  O.BreakerCooldownMicros = 500000;
+  Expected<std::unique_ptr<DynamicBatcher>> B =
+      DynamicBatcher::create(mlp, CompileOptions(), O);
+  ASSERT_TRUE(B.ok()) << B.status().toString();
+  DynamicBatcher &Batcher = *B.value();
+  std::vector<Tensor> In = requestInputs(Batcher.signature(), 31);
+  // Two concurrent requests; with Fault, the wave's first block execution
+  // fails. Every request is served: a failed batch decomposes to solo.
+  auto Wave = [&](bool Fault) {
+    if (Fault) {
+      FaultSpec Once;
+      Once.MaxTriggers = 1;
+      FaultInjection::instance().arm(faultpoints::ExecBlock, Once);
+    }
+    std::vector<std::thread> Threads;
+    for (int R = 0; R < 2; ++R)
+      Threads.emplace_back([&] {
+        Expected<std::vector<Tensor>> Out = Batcher.submit(In);
+        EXPECT_TRUE(Out.ok()) << Out.status().toString();
+      });
+    for (std::thread &T : Threads)
+      T.join();
+    FaultInjection::instance().reset();
+    return Batcher.stats();
+  };
+  auto Cooldown = std::chrono::microseconds(O.BreakerCooldownMicros);
+
+  ServingStats S = Wave(false); // Compiles bucket 2 and serves through it.
+  ASSERT_EQ(S.BatchSizeCounts[2], 1u);
+
+  // One failed batched execution opens the bucket. Its pair re-runs solo;
+  // the first counts as degraded (the last would run alone anyway).
+  S = Wave(true);
+  EXPECT_EQ(S.BatchSizeCounts[2], 2u);
+  EXPECT_EQ(S.BreakerTrips, 1u);
+  EXPECT_EQ(S.DegradedRequests, 1u);
+
+  // After the cooldown a failed re-probe re-opens it...
+  std::this_thread::sleep_for(Cooldown + std::chrono::milliseconds(100));
+  auto ProbeStart = std::chrono::steady_clock::now();
+  S = Wave(true);
+  EXPECT_EQ(S.BatchSizeCounts[2], 3u);
+  EXPECT_EQ(S.BreakerReprobes, 1u);
+  EXPECT_EQ(S.BreakerTrips, 2u);
+  EXPECT_EQ(S.BreakerRestores, 0u);
+  // ...for another cooldown: a wave inside it decomposes without a probe.
+  S = Wave(false);
+  if (std::chrono::steady_clock::now() < ProbeStart + Cooldown) {
+    EXPECT_EQ(S.BatchSizeCounts[2], 3u);
+    EXPECT_EQ(S.BreakerReprobes, 1u);
+    EXPECT_EQ(S.DegradedRequests, 3u);
+  }
+
+  // A successful re-probe restores it: later waves batch without probing.
+  // The restore is recorded after the probe's requests complete, so it is
+  // read after the next wave, which the one dispatcher runs after it.
+  std::this_thread::sleep_for(Cooldown + std::chrono::milliseconds(100));
+  S = Wave(false);
+  EXPECT_EQ(S.BreakerReprobes, 2u);
+  S = Wave(false);
+  EXPECT_EQ(S.BreakerRestores, 1u);
+  EXPECT_EQ(S.BreakerReprobes, 2u);
+  EXPECT_EQ(S.BreakerTrips, 2u);
+  EXPECT_EQ(S.Served, 12u);
 }
 
 TEST(DynamicBatcher, QueueFullAndDeadlineStormResolvesEverySubmitOnce) {

@@ -2,7 +2,7 @@
 //
 // BlockSchedule invariants, ExecutionContext reuse, per-block stats and
 // bit-identity of pool-split kernels, and InferenceSession multi-client
-// serving (concurrent clients, runBatch, the context cap).
+// serving (concurrent clients, the context cap).
 //
 //===----------------------------------------------------------------------===//
 
@@ -264,23 +264,6 @@ TEST(InferenceSession, ServesConcurrentClientsCorrectly) {
   EXPECT_EQ(Mismatches.load(), 0);
   EXPECT_GE(Session.contextsCreated(), 1u);
   EXPECT_LE(Session.contextsCreated(), static_cast<unsigned>(Clients));
-}
-
-TEST(InferenceSession, RunBatchMatchesIndividualRuns) {
-  InferenceSession Session(cantFail(compileModel(diamondGraph(6), CompileOptions())));
-  std::vector<std::vector<Tensor>> Batch;
-  for (uint64_t Seed = 0; Seed < 6; ++Seed)
-    Batch.push_back(randomInputs(Session.model().G, 41 + Seed));
-  std::vector<Expected<std::vector<Tensor>>> Results = Session.runBatch(Batch);
-  ASSERT_EQ(Results.size(), Batch.size());
-  for (size_t R = 0; R < Batch.size(); ++R) {
-    ASSERT_TRUE(Results[R].ok()) << Results[R].status().toString();
-    std::vector<Tensor> Solo = cantFail(Session.run(Batch[R]));
-    ASSERT_EQ(Results[R].value().size(), Solo.size());
-    for (size_t I = 0; I < Solo.size(); ++I)
-      EXPECT_EQ(maxAbsDiff(Results[R].value()[I], Solo[I]), 0.0f)
-          << "request " << R << " output " << I;
-  }
 }
 
 TEST(InferenceSession, MaxContextsCapsPoolGrowth) {

@@ -435,22 +435,11 @@ TEST(ThreadPool, GlobalPoolIsASingleton) {
   EXPECT_LE(ThreadPool::global().numThreads(), 8u);
 }
 
-TEST(ThreadPool, ForEachVisitsEveryIndexOnce) {
-  ThreadPool Pool(4);
-  const int64_t Count = 64;
-  std::vector<std::atomic<int>> Visits(Count);
-  for (auto &V : Visits)
-    V = 0;
-  Pool.forEach(Count, [&](int64_t I) { ++Visits[static_cast<size_t>(I)]; });
-  for (int64_t I = 0; I < Count; ++I)
-    EXPECT_EQ(Visits[static_cast<size_t>(I)].load(), 1) << "index " << I;
-}
-
-/// Blocks each caller until \p Expected callers have arrived. Used with
-/// forEach(Expected, ...) it keeps every task in flight at once, so at
-/// least one runs on a worker thread (the participating master can hold
-/// only one) and the worker-only inline path is deterministically
-/// exercised.
+/// Blocks each caller until \p Expected callers have arrived. Used inside
+/// a grain-1 parallelFor of Expected iterations, one slice each, it keeps
+/// every slice in flight at once, so at least one runs on a worker thread
+/// (the participating master can hold only one) and the worker-only inline
+/// path is deterministically exercised.
 class Rendezvous {
 public:
   explicit Rendezvous(int Expected) : Expected(Expected) {}
@@ -469,11 +458,10 @@ private:
 };
 
 TEST(ThreadPool, ParallelForInsideWorkerRunsInlineWithoutDeadlock) {
-  // InferenceSession::runBatch runs requests as forEach tasks; the fused
-  // kernels inside then call parallelFor on the same pool. That nested
-  // call must execute inline on the worker — enqueueing and blocking would
-  // deadlock a fully busy pool. Regression gate for the reentrancy
-  // guarantee.
+  // A kernel's parallelFor can run inside another pool task on the same
+  // pool. That nested call must execute inline on the worker — enqueueing
+  // and blocking would deadlock a fully busy pool. Regression gate for the
+  // reentrancy guarantee.
   ThreadPool Pool(2);
   const int64_t Outer = 2, Inner = 1 << 15; // Inner > 2 * DefaultGrain.
   std::vector<std::atomic<int64_t>> Sums(Outer);
@@ -481,59 +469,35 @@ TEST(ThreadPool, ParallelForInsideWorkerRunsInlineWithoutDeadlock) {
     S = 0;
   Rendezvous AllInFlight(Outer);
   std::atomic<int> WorkerDispatches{0};
-  Pool.forEach(Outer, [&](int64_t I) {
-    AllInFlight.arriveAndWait();
-    bool OnWorker = Pool.onWorkerThread();
-    std::thread::id Caller = std::this_thread::get_id();
-    Pool.parallelFor(Inner, [&](int64_t Begin, int64_t End) {
-      if (OnWorker) {
-        // Inline on the worker: same thread, one slice covering the whole
-        // range. (On the master a nested parallelFor may dispatch
-        // normally, which is deadlock-free.)
-        EXPECT_EQ(std::this_thread::get_id(), Caller);
-        EXPECT_EQ(Begin, 0);
-        EXPECT_EQ(End, Inner);
-      }
-      int64_t Local = 0;
-      for (int64_t J = Begin; J < End; ++J)
-        Local += J;
-      Sums[static_cast<size_t>(I)] += Local;
-    });
-    if (OnWorker)
-      ++WorkerDispatches;
-  });
+  Pool.parallelFor(
+      Outer,
+      [&](int64_t OuterBegin, int64_t OuterEnd) {
+        EXPECT_EQ(OuterEnd - OuterBegin, 1);
+        const int64_t I = OuterBegin;
+        AllInFlight.arriveAndWait();
+        bool OnWorker = Pool.onWorkerThread();
+        std::thread::id Caller = std::this_thread::get_id();
+        Pool.parallelFor(Inner, [&](int64_t Begin, int64_t End) {
+          if (OnWorker) {
+            // Inline on the worker: same thread, one slice covering the
+            // whole range. (On the master a nested parallelFor may
+            // dispatch normally, which is deadlock-free.)
+            EXPECT_EQ(std::this_thread::get_id(), Caller);
+            EXPECT_EQ(Begin, 0);
+            EXPECT_EQ(End, Inner);
+          }
+          int64_t Local = 0;
+          for (int64_t J = Begin; J < End; ++J)
+            Local += J;
+          Sums[static_cast<size_t>(I)] += Local;
+        });
+        if (OnWorker)
+          ++WorkerDispatches;
+      },
+      /*Grain=*/1);
   EXPECT_GE(WorkerDispatches.load(), 1);
   for (int64_t I = 0; I < Outer; ++I)
     EXPECT_EQ(Sums[static_cast<size_t>(I)].load(), Inner * (Inner - 1) / 2);
-}
-
-TEST(ThreadPool, ForEachInsideWorkerRunsInline) {
-  // Only pool workers promise an inline nested forEach; an outer task the
-  // participating master runs may dispatch its nested call normally.
-  ThreadPool Pool(2);
-  const int64_t Outer = 2, Inner = 4;
-  std::vector<std::atomic<int>> Visits(Outer * Inner);
-  for (auto &V : Visits)
-    V = 0;
-  Rendezvous AllInFlight(Outer);
-  std::atomic<int> WorkerDispatches{0};
-  Pool.forEach(Outer, [&](int64_t I) {
-    AllInFlight.arriveAndWait();
-    bool OnWorker = Pool.onWorkerThread();
-    std::thread::id Caller = std::this_thread::get_id();
-    Pool.forEach(Inner, [&](int64_t J) {
-      if (OnWorker) {
-        // Nested dispatch degrades to an inline loop on the same thread.
-        EXPECT_EQ(std::this_thread::get_id(), Caller);
-      }
-      ++Visits[static_cast<size_t>(I * Inner + J)];
-    });
-    if (OnWorker)
-      ++WorkerDispatches;
-  });
-  EXPECT_GE(WorkerDispatches.load(), 1);
-  for (size_t K = 0; K < Visits.size(); ++K)
-    EXPECT_EQ(Visits[K].load(), 1) << "index " << K;
 }
 
 TEST(ThreadPool, WorkerIdentification) {
@@ -541,16 +505,19 @@ TEST(ThreadPool, WorkerIdentification) {
   EXPECT_FALSE(Pool.onWorkerThread());
   // A worker of one pool is not a worker of another.
   ThreadPool Other(2);
-  Pool.forEach(16, [&](int64_t) {
-    if (Pool.onWorkerThread()) {
-      EXPECT_FALSE(Other.onWorkerThread());
-    }
-  });
+  Pool.parallelFor(
+      16,
+      [&](int64_t, int64_t) {
+        if (Pool.onWorkerThread()) {
+          EXPECT_FALSE(Other.onWorkerThread());
+        }
+      },
+      /*Grain=*/1);
 }
 
 TEST(ThreadPool, ConcurrentMastersEachCompleteTheirOwnGroup) {
   // Several independent threads sharing one pool (the InferenceSession
-  // pattern): every parallelFor/forEach call must wait on exactly its own
+  // pattern): every parallelFor call must wait on exactly its own
   // task group and observe its own full iteration space.
   ThreadPool Pool(4);
   const int Masters = 4;
