@@ -4,7 +4,8 @@
 // end-to-end results: fused vs unfused elementwise chains, data-movement
 // folding vs materialization, DFT chunk-size sensitivity, compiled-program
 // evaluation, the GEMM kernels (naive, packed) the auto-tuner
-// searches, and the narrow-N routes against the naive row walk.
+// searches, the narrow-N routes against the naive row walk, and the
+// direct conv and pooling window loops.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,6 +14,7 @@
 #include "ops/KernelRegistry.h"
 #include "ops/KernelsAttention.h"
 #include "ops/KernelsGemmPacked.h"
+#include "ops/OpSchema.h"
 #include "runtime/ExecutionContext.h"
 #include "tensor/TensorUtils.h"
 
@@ -205,6 +207,79 @@ void BM_GemmNarrow(benchmark::State &State) {
 }
 BENCHMARK(BM_GemmNarrow)
     ->ArgsProduct({{0, 1, 2}, {1, 2, 3, 4, 5, 6, 7, 8}, {0, 1, 2}});
+
+// The direct conv loop (UsePackedGemm off, so every case runs it, with a
+// bias) over the shape classes the zoo's direct calls take: depthwise
+// 3x3 over 32x112^2 and, at stride 2, over 96x112^2; depthwise 5x5 over
+// 240x28^2; a 3-filter 3x3 conv over 16x56^2; a 3-D depthwise 3x3x3 over
+// 32x8x28^2; and a 1-D 3-tap conv, 64 to 64 channels over 1024. Pads keep
+// the spatial size.
+void BM_ConvDirect(benchmark::State &State) {
+  struct Case {
+    const char *Name;
+    std::vector<int64_t> X;
+    int64_t F, Group, Kernel, Stride;
+  };
+  static const Case Cases[] = {
+      {"dw3x3 32x112^2", {1, 32, 112, 112}, 32, 32, 3, 1},
+      {"dw3x3/2 96x112^2", {1, 96, 112, 112}, 96, 96, 3, 2},
+      {"dw5x5 240x28^2", {1, 240, 28, 28}, 240, 240, 5, 1},
+      {"3x3 F3 C16 56^2", {1, 16, 56, 56}, 3, 1, 3, 1},
+      {"dw3x3x3 32x8x28^2", {1, 32, 8, 28, 28}, 32, 32, 3, 1},
+      {"1-D k3 64x1024", {1, 64, 1024}, 64, 1, 3, 1},
+  };
+  const Case &C = Cases[State.range(0)];
+  size_t Sp = C.X.size() - 2;
+  std::vector<int64_t> WDims = {C.F, C.X[1] / C.Group};
+  WDims.insert(WDims.end(), Sp, C.Kernel);
+  Rng R(13);
+  Tensor X{Shape(C.X)}, W{Shape(WDims)}, Bias(Shape({C.F}));
+  fillRandom(X, R);
+  fillRandom(W, R);
+  fillRandom(Bias, R);
+  AttrMap A;
+  A.set("group", C.Group)
+      .set("strides", std::vector<int64_t>(Sp, C.Stride))
+      .set("pads", std::vector<int64_t>(Sp, C.Kernel / 2));
+  Tensor Out(inferShape(OpKind::Conv, A, {X.shape(), W.shape()}));
+  KernelConfig Config;
+  Config.UsePackedGemm = false;
+  State.SetLabel(C.Name);
+  for (auto _ : State) {
+    runRefKernel(OpKind::Conv, A, {&X, &W, &Bias}, Out, Config);
+    benchmark::DoNotOptimize(Out.data());
+    benchmark::ClobberMemory();
+  }
+  State.SetItemsProcessed(State.iterations() * 2 * Out.numElements() *
+                          (W.numElements() / C.F));
+}
+BENCHMARK(BM_ConvDirect)->DenseRange(0, 5);
+
+// MaxPool (mode 0) and AveragePool (mode 1), 3-wide windows at stride 2
+// with pad 1, over 64x112^2 (2-D) and 64x16x56^2 (3-D).
+void BM_Pool(benchmark::State &State) {
+  bool ThreeD = State.range(1) != 0;
+  std::vector<int64_t> Dims = ThreeD ? std::vector<int64_t>{1, 64, 16, 56, 56}
+                                     : std::vector<int64_t>{1, 64, 112, 112};
+  size_t Sp = Dims.size() - 2;
+  Rng R(17);
+  Tensor X{Shape(Dims)};
+  fillRandom(X, R);
+  AttrMap A;
+  A.set("kernel", std::vector<int64_t>(Sp, 3))
+      .set("strides", std::vector<int64_t>(Sp, 2))
+      .set("pads", std::vector<int64_t>(Sp, 1));
+  OpKind Kind = State.range(0) == 0 ? OpKind::MaxPool : OpKind::AveragePool;
+  Tensor Out(inferShape(Kind, A, {X.shape()}));
+  State.SetLabel(std::string(opKindName(Kind)) + (ThreeD ? " 3-D" : " 2-D"));
+  for (auto _ : State) {
+    runRefKernel(Kind, A, {&X}, Out);
+    benchmark::DoNotOptimize(Out.data());
+    benchmark::ClobberMemory();
+  }
+  State.SetItemsProcessed(State.iterations() * Out.numElements());
+}
+BENCHMARK(BM_Pool)->ArgsProduct({{0, 1}, {0, 1}});
 
 // Fused-attention inner loop per kernel tier. Both tiers are
 // bit-identical here (the AVX2 rows vectorize the score/accumulate loops

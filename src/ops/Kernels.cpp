@@ -2,6 +2,7 @@
 
 #include "ops/Kernels.h"
 
+#include "ops/KernelsGemmPacked.h"
 #include "ops/OpSchema.h"
 #include "support/Error.h"
 
@@ -64,12 +65,17 @@ int64_t dnnfusion::detail::packScratchElemsForStep(
     return 0;
   switch (Kind) {
   case OpKind::MatMul:
-  case OpKind::Gemm:
+  case OpKind::Gemm: {
     // A constant B operand is served by the model's prepack store.
     if (WeightIsConstant)
       return 0;
-    return matmulPackScratchElems(Kind, Attrs, InputShapes[0],
-                                  InputShapes[1], OutShape, Config);
+    GemmDims D = gemmDims(Kind, Attrs, InputShapes[0], InputShapes[1],
+                          OutShape);
+    GemmRoute R = D.route(Config, /*Prepacked=*/false);
+    return R.Path == GemmRoute::Panel
+               ? D.BSlices * packedPanelElems(D.K, D.N, R.NR)
+               : 0;
+  }
   case OpKind::Conv:
     // im2col columns are activation-derived: always packed at run time.
     return convPackScratchElems(Attrs, InputShapes[0], InputShapes[1],

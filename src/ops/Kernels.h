@@ -11,11 +11,13 @@
 /// oracle the fused evaluator is tested against.
 ///
 /// The compute-intensive Many-to-Many kernels (MatMul/Gemm/Conv) carry two
-/// implementations: the legacy naive loops and the packed register-blocked
-/// engine (KernelsGemmPacked.h), selected by KernelConfig::UsePackedGemm
-/// plus a per-shape gate (gemmRoute for MatMul/Gemm). Both
-/// produce bit-identical results (same per-element k-order accumulation),
-/// so the toggle is purely a performance/debugging knob.
+/// implementations: the naive loops and the packed register-blocked engine
+/// (KernelsGemmPacked.h), selected by KernelConfig::UsePackedGemm plus a
+/// per-shape gate (gemmRoute for MatMul/Gemm). Both produce bit-identical
+/// results (same per-element k-order accumulation), so the toggle is
+/// purely a performance/debugging knob. Each Many-to-Many problem's
+/// geometry is derived once: a Window for Conv and pooling (below), a
+/// GemmDims for MatMul and Gemm (KernelsGemmPacked.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +28,7 @@
 #include "ops/OpKind.h"
 #include "tensor/Tensor.h"
 
+#include <type_traits>
 #include <vector>
 
 namespace dnnfusion {
@@ -150,14 +153,97 @@ void runPoolReduceKernel(OpKind Kind, const AttrMap &Attrs,
                          const std::vector<const Tensor *> &Inputs,
                          Tensor &Out);
 
-/// Per-family packing-scratch sizing (elements; 0 = naive path / direct).
-int64_t matmulPackScratchElems(OpKind Kind, const AttrMap &Attrs,
-                               const Shape &AShape, const Shape &BShape,
-                               const Shape &OutShape,
-                               const KernelConfig &Config);
+/// Conv's packing-scratch elements (0 = the direct path).
 int64_t convPackScratchElems(const AttrMap &Attrs, const Shape &XShape,
                              const Shape &WShape, const Shape &OutShape,
                              const KernelConfig &Config);
+
+/// The sliding window of a Conv, MaxPool or AveragePool: the one geometry
+/// the direct conv loop, the pooling loop and the im2col packer read. 1 to
+/// 3 spatial dims are right-aligned into 3-entry arrays, so a 1-D or 2-D
+/// window is a 3-D one whose leading dims have extent 1, stride 1, pad 0
+/// and dilation 1.
+struct Window {
+  int Sp = 0;           ///< Spatial dims in use (1..3), the last Sp entries.
+  int64_t N = 0, C = 0; ///< Images and input channels.
+  int64_t In[3] = {1, 1, 1}, Out[3] = {1, 1, 1}, Kernel[3] = {1, 1, 1};
+  int64_t Stride[3] = {1, 1, 1}, Pad[3] = {0, 0, 0}, Dil[3] = {1, 1, 1};
+  int64_t InSpatial = 1, OutSpatial = 1, KernelN = 1; ///< Extent products.
+};
+
+/// The window of input \p X producing \p Out under \p Kernel extents
+/// (a Conv's weight dims 2.., a pool's "kernel" attribute) and the
+/// strides/pads/dilations attributes.
+Window window(const AttrMap &Attrs, const Shape &X, const Shape &Out,
+              const std::vector<int64_t> &Kernel);
+
+/// The taps of window dim D at one output index that land inside the
+/// input: kernel indices [Begin, End), tap k reading input index
+/// First + k * Dil[D].
+struct TapSpan {
+  int64_t First = 0, Begin = 0, End = 1;
+};
+
+inline TapSpan tapSpan(const Window &W, int D, int64_t O) {
+  TapSpan S{O * W.Stride[D] - W.Pad[D], 0, W.Kernel[D]};
+  while (S.Begin < S.End && S.First + S.Begin * W.Dil[D] < 0)
+    ++S.Begin;
+  while (S.End > S.Begin && S.First + (S.End - 1) * W.Dil[D] >= W.In[D])
+    --S.End;
+  return S;
+}
+
+/// Outputs the direct window loop computes together along the last dim:
+/// one accumulator each, so their add chains overlap.
+inline constexpr int WindowLanes = 8;
+
+/// The direct window loop over one output plane, stored row-major from
+/// \p Y. Consecutive outputs of a row whose taps are all in bounds come
+/// WindowLanes at a time, the rest one at a time:
+/// Run(std::integral_constant<int, Lanes>, Out, SD, SH, SW) computes
+/// Out[0..Lanes), where SD/SH/SW are the first output's TapSpans and
+/// output j reads the last dim j * Stride[2] further along. Depth = false
+/// compiles the depth dim out (1-D and 2-D windows).
+template <bool Depth, typename RunFn>
+void forEachWindowRun(const Window &W, float *Y, RunFn &&Run) {
+  for (int64_t Od = 0; Od < (Depth ? W.Out[0] : 1); ++Od) {
+    TapSpan SD = Depth ? tapSpan(W, 0, Od) : TapSpan();
+    for (int64_t Oh = 0; Oh < W.Out[1]; ++Oh) {
+      TapSpan SH = tapSpan(W, 1, Oh);
+      for (int64_t Ow = 0; Ow < W.Out[2];) {
+        TapSpan SW = tapSpan(W, 2, Ow);
+        if (Ow + WindowLanes <= W.Out[2] && SW.Begin == 0 &&
+            tapSpan(W, 2, Ow + WindowLanes - 1).End == W.Kernel[2]) {
+          Run(std::integral_constant<int, WindowLanes>(), Y, SD, SH, SW);
+          Y += WindowLanes;
+          Ow += WindowLanes;
+        } else {
+          Run(std::integral_constant<int, 1>(), Y, SD, SH, SW);
+          ++Y;
+          ++Ow;
+        }
+      }
+    }
+  }
+}
+
+/// Calls Tap(input offset, kernel offset) for each in-bounds tap of the
+/// output whose spans are SD, SH, SW, kernel coordinates ascending: taps
+/// in the padding are skipped.
+template <bool Depth, typename TapFn>
+void forEachWindowTap(const Window &W, const TapSpan &SD, const TapSpan &SH,
+                      const TapSpan &SW, TapFn &&Tap) {
+  for (int64_t Kd = SD.Begin; Kd < SD.End; ++Kd) {
+    int64_t Id = Depth ? SD.First + Kd * W.Dil[0] : 0;
+    for (int64_t Kh = SH.Begin; Kh < SH.End; ++Kh) {
+      int64_t XRow = (Id * W.In[1] + SH.First + Kh * W.Dil[1]) * W.In[2] +
+                     SW.First;
+      int64_t KRow = (Kd * W.Kernel[1] + Kh) * W.Kernel[2];
+      for (int64_t Kw = SW.Begin; Kw < SW.End; ++Kw)
+        Tap(XRow + Kw * W.Dil[2], KRow + Kw);
+    }
+  }
+}
 
 /// Multiply-adds one slice of a MatMul/Gemm row loop must hold before the
 /// loop is worth splitting across the thread pool. Chosen by a sweep on a

@@ -48,7 +48,10 @@
 #ifndef DNNFUSION_OPS_KERNELSGEMMPACKED_H
 #define DNNFUSION_OPS_KERNELSGEMMPACKED_H
 
+#include "ops/Attributes.h"
 #include "ops/KernelRegistry.h"
+#include "ops/OpKind.h"
+#include "tensor/Shape.h"
 
 #include <algorithm>
 #include <cstddef>
@@ -214,15 +217,13 @@ struct GemmRoute {
   int NR = 0;
 };
 
-/// The route of one [M, K] x [K, N] MatMul/Gemm problem. runMatMul/runGemm
-/// execute this decision, matmulPackScratchElems sizes the context's pack
-/// scratch from it and buildPrepack prepacks constant B operands by it, so
-/// the four cannot disagree. \p M counts the rows that reuse one B (for a
-/// batched MatMul, every batch's rows over one B slice); \p TransA says A
-/// is stored transposed (Gemm transA = 1), so its rows are not contiguous;
-/// \p Prepacked says B comes from the prepack store, so no run-time
-/// packing pass needs amortizing. Only the Panel route packs: NarrowRows
-/// and Naive reserve no pack scratch and prepack nothing.
+/// The route of one [M, K] x [K, N] MatMul/Gemm problem. \p M counts the
+/// rows that reuse one B (for a batched MatMul, every batch's rows over
+/// one B slice); \p TransA says A is stored transposed (Gemm transA = 1),
+/// so its rows are not contiguous; \p Prepacked says B comes from the
+/// prepack store, so no run-time packing pass needs amortizing. Only the
+/// Panel route packs: NarrowRows and Naive reserve no pack scratch and
+/// prepack nothing. A node's route comes from GemmDims::route (below).
 ///
 ///  - Naive when Config.UsePackedGemm is off, K < 2 or N < 1 (an empty
 ///    output has nothing to tile).
@@ -238,6 +239,39 @@ struct GemmRoute {
 ///    to repay the K * N packing pass.
 GemmRoute gemmRoute(const KernelConfig &Config, int64_t M, int64_t N,
                     int64_t K, bool TransA, bool Prepacked);
+
+/// The GEMM view of one MatMul or Gemm node: Batches output [M, N]
+/// matrices, each the product of an [M, K] A matrix and one of BSlices
+/// [K, N] B slices. MatMul batches over, and broadcasts, its leading dims;
+/// Gemm is one problem whose A and B may be stored transposed. The kernel
+/// runner, the pack-scratch sizer and buildPrepack all read a node through
+/// this one description and route it through route(), so what is packed,
+/// sized and run cannot disagree.
+struct GemmDims {
+  int64_t M = 0, N = 0, K = 0;
+  int64_t Batches = 1; ///< Product of the output's leading dims.
+  int64_t BSlices = 1; ///< Product of B's leading dims.
+  /// Output rows that multiply one B slice: M times every output batch dim
+  /// that B broadcasts over.
+  int64_t RowsPerSlice = 0;
+  bool TransA = false, TransB = false;
+
+  /// A element (i, k) of a batch sits at i * aRowStride() + k * aColStride().
+  int64_t aRowStride() const { return TransA ? 1 : K; }
+  int64_t aColStride() const { return TransA ? M : 1; }
+  /// B element (k, n) of a slice sits at k * bKStride() + n * bNStride().
+  int64_t bKStride() const { return TransB ? 1 : N; }
+  int64_t bNStride() const { return TransB ? K : 1; }
+
+  GemmRoute route(const KernelConfig &Config, bool Prepacked) const {
+    return gemmRoute(Config, RowsPerSlice, N, K, TransA, Prepacked);
+  }
+};
+
+/// The GemmDims of a MatMul or Gemm with inputs \p A, \p B and output
+/// \p Out (shapes as inferred).
+GemmDims gemmDims(OpKind Kind, const AttrMap &Attrs, const Shape &A,
+                  const Shape &B, const Shape &Out);
 
 } // namespace dnnfusion
 

@@ -5,6 +5,7 @@
 #include "support/Error.h"
 #include "support/ThreadPool.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -12,76 +13,48 @@ using namespace dnnfusion;
 
 namespace {
 
-std::vector<int64_t> spatialAttr(const AttrMap &Attrs, const char *Name,
-                                 size_t Count, int64_t Default) {
-  std::vector<int64_t> V = Attrs.getInts(Name);
-  if (V.empty())
-    V.assign(Count, Default);
-  return V;
-}
-
-void runPool(OpKind Kind, const AttrMap &Attrs, const Tensor &X, Tensor &Out) {
-  bool IsMax = Kind == OpKind::MaxPool;
-  int Sp = X.shape().rank() - 2;
-  int64_t N = X.shape().dim(0), C = X.shape().dim(1);
-  std::vector<int64_t> K = Attrs.requireInts("kernel");
-  std::vector<int64_t> ISp(X.shape().dims().begin() + 2,
-                           X.shape().dims().end());
-  std::vector<int64_t> OSp(Out.shape().dims().begin() + 2,
-                           Out.shape().dims().end());
-  std::vector<int64_t> S = spatialAttr(Attrs, "strides", K.size(), 1);
-  std::vector<int64_t> P = spatialAttr(Attrs, "pads", K.size(), 0);
-
-  int64_t OutSpatialN = 1, KernelN = 1, InSpatialN = 1;
-  for (int I = 0; I < Sp; ++I) {
-    OutSpatialN *= OSp[static_cast<size_t>(I)];
-    KernelN *= K[static_cast<size_t>(I)];
-    InSpatialN *= ISp[static_cast<size_t>(I)];
-  }
-
-  parallelFor(N * C, [&](int64_t Begin, int64_t End) {
-    std::vector<int64_t> OCoord(static_cast<size_t>(Sp));
-    std::vector<int64_t> KCoord(static_cast<size_t>(Sp));
+/// MaxPool/AveragePool on the direct window loop: one (image, channel)
+/// plane per task. AveragePool divides by the in-bounds taps only.
+template <bool Depth>
+void runPool(bool IsMax, const detail::Window &W, const Tensor &X,
+             Tensor &Out) {
+  parallelFor(W.N * W.C, [&](int64_t Begin, int64_t End) {
     for (int64_t Img = Begin; Img < End; ++Img) {
-      const float *Xc = X.data() + Img * InSpatialN;
-      float *Y = Out.data() + Img * OutSpatialN;
-      for (int64_t O = 0; O < OutSpatialN; ++O) {
-        int64_t Rem = O;
-        for (int Dd = Sp - 1; Dd >= 0; --Dd) {
-          OCoord[static_cast<size_t>(Dd)] = Rem % OSp[static_cast<size_t>(Dd)];
-          Rem /= OSp[static_cast<size_t>(Dd)];
-        }
-        float Acc = IsMax ? -std::numeric_limits<float>::infinity() : 0.0f;
-        int64_t Valid = 0;
-        for (int64_t Kk = 0; Kk < KernelN; ++Kk) {
-          int64_t KRem = Kk;
-          for (int Dd = Sp - 1; Dd >= 0; --Dd) {
-            KCoord[static_cast<size_t>(Dd)] = KRem % K[static_cast<size_t>(Dd)];
-            KRem /= K[static_cast<size_t>(Dd)];
-          }
-          bool InBounds = true;
-          int64_t InFlat = 0, Stride = 1;
-          for (int Dd = Sp - 1; Dd >= 0; --Dd) {
-            size_t Ds = static_cast<size_t>(Dd);
-            int64_t In = OCoord[Ds] * S[Ds] - P[Ds] + KCoord[Ds];
-            if (In < 0 || In >= ISp[Ds]) {
-              InBounds = false;
-              break;
-            }
-            InFlat += In * Stride;
-            Stride *= ISp[Ds];
-          }
-          if (!InBounds)
-            continue;
-          ++Valid;
-          float V = Xc[InFlat];
-          Acc = IsMax ? (V > Acc ? V : Acc) : Acc + V;
-        }
-        Y[O] = IsMax ? Acc : (Valid > 0 ? Acc / static_cast<float>(Valid)
+      const float *Xc = X.data() + Img * W.InSpatial;
+      detail::forEachWindowRun<Depth>(
+          W, Out.data() + Img * W.OutSpatial,
+          [&](auto Lanes, float *Y, const detail::TapSpan &SD,
+              const detail::TapSpan &SH, const detail::TapSpan &SW) {
+            float Acc[Lanes];
+            std::fill_n(Acc, Lanes,
+                        IsMax ? -std::numeric_limits<float>::infinity()
+                              : 0.0f);
+            detail::forEachWindowTap<Depth>(
+                W, SD, SH, SW, [&](int64_t I, int64_t) {
+                  for (int J = 0; J < Lanes; ++J) {
+                    float V = Xc[I + J * W.Stride[2]];
+                    Acc[J] = IsMax ? (V > Acc[J] ? V : Acc[J]) : Acc[J] + V;
+                  }
+                });
+            int64_t Valid = (SD.End - SD.Begin) * (SH.End - SH.Begin) *
+                            (SW.End - SW.Begin);
+            for (int J = 0; J < Lanes; ++J)
+              Y[J] = IsMax ? Acc[J]
+                           : (Valid > 0 ? Acc[J] / static_cast<float>(Valid)
                                         : 0.0f);
-      }
+          });
     }
   });
+}
+
+void runPool(OpKind Kind, const AttrMap &Attrs, const Tensor &X,
+             Tensor &Out) {
+  detail::Window W = detail::window(Attrs, X.shape(), Out.shape(),
+                                    Attrs.requireInts("kernel"));
+  bool IsMax = Kind == OpKind::MaxPool;
+  if (W.Sp == 3)
+    return runPool<true>(IsMax, W, X, Out);
+  runPool<false>(IsMax, W, X, Out);
 }
 
 void runGlobalAveragePool(const Tensor &X, Tensor &Out) {

@@ -264,6 +264,17 @@ MappingType dnnfusion::mappingType(OpKind Kind, const AttrMap &Attrs,
 // Shape inference
 //===----------------------------------------------------------------------===//
 
+std::vector<int64_t> dnnfusion::spatialAttr(const AttrMap &Attrs,
+                                            const std::string &Name,
+                                            size_t Count, int64_t Default) {
+  std::vector<int64_t> V = Attrs.getInts(Name);
+  if (V.empty())
+    V.assign(Count, Default);
+  DNNF_CHECK(V.size() == Count, "attribute '%s' must have %zu entries",
+             Name.c_str(), Count);
+  return V;
+}
+
 namespace {
 
 /// Resolves a possibly-negative axis against \p Rank.
@@ -273,18 +284,6 @@ int64_t normalizeAxis(int64_t Axis, int Rank) {
   DNNF_CHECK(Axis >= 0 && Axis < Rank, "axis %lld out of range for rank %d",
              static_cast<long long>(Axis), Rank);
   return Axis;
-}
-
-/// Returns attribute \p Name as an int list of length \p Count, defaulting
-/// every entry to \p Default when absent.
-std::vector<int64_t> spatialAttr(const AttrMap &Attrs, const std::string &Name,
-                                 size_t Count, int64_t Default) {
-  std::vector<int64_t> V = Attrs.getInts(Name);
-  if (V.empty())
-    V.assign(Count, Default);
-  DNNF_CHECK(V.size() == Count, "attribute '%s' must have %zu entries",
-             Name.c_str(), Count);
-  return V;
 }
 
 Shape inferConvLike(const AttrMap &Attrs, const Shape &X,

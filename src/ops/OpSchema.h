@@ -46,6 +46,13 @@ MappingType staticMappingType(OpKind Kind);
 int64_t flopCount(OpKind Kind, const AttrMap &Attrs,
                   const std::vector<Shape> &InputShapes, const Shape &Out);
 
+/// Attribute \p Name of a sliding-window operator ("strides", "pads",
+/// "dilations") as one entry per spatial dim, every entry \p Default when
+/// the attribute is absent. Aborts when it has another length. Shape
+/// inference and the window kernels read window attributes only here.
+std::vector<int64_t> spatialAttr(const AttrMap &Attrs, const std::string &Name,
+                                 size_t Count, int64_t Default);
+
 /// Expected input arity; -1 means variadic (Concat), and a second value
 /// covers optional trailing inputs (Conv bias).
 struct Arity {

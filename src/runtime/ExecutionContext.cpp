@@ -157,7 +157,8 @@ ExecutionContext::tryRun(const std::vector<Tensor> &Inputs,
   try {
     for (NodeId Out : M.G.outputs()) {
       Tensor T(M.G.node(Out).OutShape);
-      std::memcpy(T.data(), valuePtr(Out, Inputs), T.byteSize());
+      if (T.byteSize() > 0) // An empty output may have no storage at all.
+        std::memcpy(T.data(), valuePtr(Out, Inputs), T.byteSize());
       Outputs.push_back(std::move(T));
     }
   } catch (const std::bad_alloc &) {

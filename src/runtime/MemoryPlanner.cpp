@@ -9,27 +9,27 @@
 
 using namespace dnnfusion;
 
+NodeId dnnfusion::constantWeightOf(const Graph &G, const CompiledBlock &B,
+                                   const CompiledStep &S) {
+  if (S.K != CompiledStep::Kind::RefKernel || S.InputSlots.size() < 2 ||
+      S.InputSlots[1] >= static_cast<int>(B.ExternalInputs.size()))
+    return InvalidNodeId; // Not a kernel, or a block-internal producer.
+  NodeId Id = B.ExternalInputs[static_cast<size_t>(S.InputSlots[1])];
+  return G.node(Id).Kind == OpKind::Constant ? Id : InvalidNodeId;
+}
+
 int64_t
 dnnfusion::computePackScratchBytes(const Graph &G,
                                    const std::vector<CompiledBlock> &Blocks,
                                    const KernelConfig &Kernels) {
   int64_t MaxElems = 0;
-  for (const CompiledBlock &B : Blocks) {
-    for (const CompiledStep &S : B.Steps) {
-      if (S.K != CompiledStep::Kind::RefKernel)
-        continue;
-      bool WeightIsConstant = false;
-      if (S.InputSlots.size() >= 2 &&
-          S.InputSlots[1] < static_cast<int>(B.ExternalInputs.size()))
-        WeightIsConstant =
-            G.node(B.ExternalInputs[static_cast<size_t>(S.InputSlots[1])])
-                .Kind == OpKind::Constant;
-      MaxElems = std::max(
-          MaxElems, detail::packScratchElemsForStep(
-                        S.Op, S.Attrs, S.InputShapes, S.OutShape, Kernels,
-                        WeightIsConstant));
-    }
-  }
+  for (const CompiledBlock &B : Blocks)
+    for (const CompiledStep &S : B.Steps)
+      if (S.K == CompiledStep::Kind::RefKernel)
+        MaxElems = std::max(
+            MaxElems, detail::packScratchElemsForStep(
+                          S.Op, S.Attrs, S.InputShapes, S.OutShape, Kernels,
+                          constantWeightOf(G, B, S) != InvalidNodeId));
   return MaxElems * static_cast<int64_t>(sizeof(float));
 }
 

@@ -86,6 +86,13 @@ MemoryPlan planMemory(const Graph &G, const FusionPlan &Plan,
                       const BlockSchedule *Schedule,
                       const KernelConfig &Kernels);
 
+/// The node feeding RefKernel step \p S's second operand (MatMul/Gemm's
+/// B, Conv's weight) when it is a Constant entering block \p B from
+/// outside, else InvalidNodeId. The prepack store can serve such an
+/// operand; any other packs at run time into the pack scratch.
+NodeId constantWeightOf(const Graph &G, const CompiledBlock &B,
+                        const CompiledStep &S);
+
 /// Packing-scratch bytes the packed-GEMM engine may need for any single
 /// RefKernel step of \p Blocks under \p Kernels (steps whose packed
 /// operand is a constant weight are excluded — the prepack store serves

@@ -136,58 +136,32 @@ void buildPrepack(CompiledModel &M, const Graph &G) {
   for (CompiledBlock &B : M.Blocks)
     for (CompiledStep &S : B.Steps)
       S.PrepackIndex = -1;
-  const KernelConfig &KC = M.Codegen.Kernels;
-  std::map<std::tuple<NodeId, int64_t, int64_t, int>, int> Dedup;
+  std::map<std::tuple<NodeId, int64_t, int64_t, bool>, int> Dedup;
   for (CompiledBlock &B : M.Blocks) {
     for (CompiledStep &S : B.Steps) {
-      if (S.K != CompiledStep::Kind::RefKernel ||
-          (S.Op != OpKind::MatMul && S.Op != OpKind::Gemm) ||
-          S.InputSlots.size() < 2)
+      if (S.Op != OpKind::MatMul && S.Op != OpKind::Gemm)
         continue;
-      int Slot = S.InputSlots[1];
-      if (Slot >= static_cast<int>(B.ExternalInputs.size()))
-        continue; // Block-internal producer: packed at run time.
-      NodeId WId = B.ExternalInputs[static_cast<size_t>(Slot)];
-      const Node &W = G.node(WId);
-      if (W.Kind != OpKind::Constant)
-        continue;
-      const Shape &BS = S.InputShapes[1];
-      int64_t K, N, KStride, NStride, Slices = 1;
-      int TB = 0;
-      bool TA = false;
-      if (S.Op == OpKind::Gemm) {
-        TA = S.Attrs.getInt("transA", 0) != 0;
-        TB = S.Attrs.getInt("transB", 0) != 0 ? 1 : 0;
-        K = BS.dim(TB ? 1 : 0);
-        N = BS.dim(TB ? 0 : 1);
-        KStride = TB ? 1 : N;
-        NStride = TB ? K : 1;
-      } else {
-        int Rb = BS.rank();
-        K = BS.dim(Rb - 2);
-        N = BS.dim(Rb - 1);
-        KStride = N;
-        NStride = 1;
-        Slices = BS.numElements() / (K * N);
-      }
-      // Output rows that reuse one B slice: the route's M.
-      int64_t Rows = S.OutShape.numElements() / (N * Slices);
-      GemmRoute Route = gemmRoute(KC, Rows, N, K, TA, /*Prepacked=*/true);
+      NodeId WId = constantWeightOf(G, B, S);
+      if (WId == InvalidNodeId)
+        continue; // Packed at run time.
+      GemmDims D = gemmDims(S.Op, S.Attrs, S.InputShapes[0],
+                            S.InputShapes[1], S.OutShape);
+      GemmRoute Route = D.route(M.Codegen.Kernels, /*Prepacked=*/true);
       if (Route.Path != GemmRoute::Panel)
         continue; // This route packs nothing.
-      int NR = Route.NR;
-      auto Key = std::make_tuple(WId, K, N, TB);
+      auto Key = std::make_tuple(WId, D.K, D.N, D.TransB);
       auto It = Dedup.find(Key);
       if (It == Dedup.end()) {
         PackedOperand P;
-        P.K = K;
-        P.N = N;
-        P.NR = NR;
-        P.Slices = Slices;
-        P.Data.resize(static_cast<size_t>(P.sliceElems() * Slices));
-        for (int64_t Sl = 0; Sl < Slices; ++Sl)
-          packBPanels(W.ConstValue.data() + Sl * K * N, KStride, NStride, K,
-                      N, NR, P.Data.data() + Sl * P.sliceElems());
+        P.K = D.K;
+        P.N = D.N;
+        P.NR = Route.NR;
+        P.Slices = D.BSlices;
+        P.Data.resize(static_cast<size_t>(P.sliceElems() * P.Slices));
+        const float *W = G.node(WId).ConstValue.data();
+        for (int64_t Sl = 0; Sl < P.Slices; ++Sl)
+          packBPanels(W + Sl * D.K * D.N, D.bKStride(), D.bNStride(), D.K,
+                      D.N, P.NR, P.Data.data() + Sl * P.sliceElems());
         M.Prepack.push_back(std::move(P));
         It = Dedup
                  .emplace(Key, static_cast<int>(M.Prepack.size()) - 1)
@@ -353,8 +327,8 @@ Expected<CompiledModel> dnnfusion::compileModel(Graph G,
 
   M.Codegen = Options.Codegen;
   if (!Options.EnableOtherOpts) {
-    // Figure 7's "Other" bundle off: data movement stays materialized and
-    // shared subtrees are recomputed rather than cached.
+    // Figure 7's "Other" bundle off: data movement stays materialized, as
+    // movement blocks stayed unmerged above.
     M.Codegen.FoldDataMovement = false;
   }
   finishCompilation(M, G);

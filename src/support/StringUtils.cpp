@@ -2,11 +2,8 @@
 
 #include "support/StringUtils.h"
 
-#include "support/Error.h"
-
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 
 using namespace dnnfusion;
 
@@ -73,24 +70,4 @@ std::string dnnfusion::intsToString(const std::vector<int64_t> &Values) {
   }
   Out += "]";
   return Out;
-}
-
-std::vector<int64_t> dnnfusion::parseIntList(const std::string &S) {
-  std::string Body = trimString(S);
-  if (!Body.empty() && Body.front() == '[')
-    Body = Body.substr(1);
-  if (!Body.empty() && Body.back() == ']')
-    Body.pop_back();
-  std::vector<int64_t> Values;
-  if (trimString(Body).empty())
-    return Values;
-  for (const std::string &Piece : splitString(Body, ',')) {
-    std::string T = trimString(Piece);
-    DNNF_CHECK(!T.empty(), "empty element in int list '%s'", S.c_str());
-    char *End = nullptr;
-    long long V = std::strtoll(T.c_str(), &End, 10);
-    DNNF_CHECK(End && *End == '\0', "malformed integer '%s'", T.c_str());
-    Values.push_back(V);
-  }
-  return Values;
 }

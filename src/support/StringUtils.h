@@ -42,10 +42,6 @@ std::string trimString(const std::string &S);
 /// Renders a list of integers as "[a, b, c]".
 std::string intsToString(const std::vector<int64_t> &Values);
 
-/// Parses a "[a, b, c]" or "a,b,c" list of integers. Aborts on malformed
-/// input (used only for trusted on-disk files written by this library).
-std::vector<int64_t> parseIntList(const std::string &S);
-
 } // namespace dnnfusion
 
 #endif // DNNFUSION_SUPPORT_STRINGUTILS_H

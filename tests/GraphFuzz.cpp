@@ -430,7 +430,7 @@ private:
   int emitConv() {
     int X = pickWhere([](const FuzzNode &N) {
       int Rk = N.OutShape.rank();
-      return (Rk == 3 || Rk == 4) && N.OutShape.dim(1) <= 8;
+      return Rk >= 3 && Rk <= 5 && N.OutShape.dim(1) <= 8;
     });
     if (X < 0)
       return -1;
@@ -450,8 +450,13 @@ private:
     int W = addConst(Shape(WDims), -0.4f, 0.4f);
     AttrMap A;
     A.set("group", Group);
-    if (K == 3 && R.nextBool())
-      A.set("pads", std::vector<int64_t>(static_cast<size_t>(Spatial), 1));
+    int64_t Pad = K == 3 && R.nextBool() ? 1 : 0;
+    if (Pad)
+      A.set("pads", std::vector<int64_t>(static_cast<size_t>(Spatial), Pad));
+    // Dilation 2 spreads a 3-tap window over 5 positions.
+    if (K == 3 && MinSp + 2 * Pad >= 5 && R.nextBool(0.3f))
+      A.set("dilations",
+            std::vector<int64_t>(static_cast<size_t>(Spatial), 2));
     if (R.nextBool(0.3f) && MinSp >= K + 1)
       A.set("strides", std::vector<int64_t>(static_cast<size_t>(Spatial), 2));
     std::vector<int> Ins = {X, W};
@@ -540,6 +545,8 @@ private:
     A.set("kernel", std::vector<int64_t>(Spatial, K));
     if (R.nextBool())
       A.set("strides", std::vector<int64_t>(Spatial, 2));
+    if (MinSp >= 2 * K - 1 && R.nextBool(0.3f))
+      A.set("dilations", std::vector<int64_t>(Spatial, 2));
     return tryOp(R.nextBool() ? OpKind::MaxPool : OpKind::AveragePool, {X},
                  A);
   }

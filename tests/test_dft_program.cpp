@@ -288,7 +288,7 @@ TEST(PackedGemm, BitIdenticalToNaiveAcrossShapesAndBlocking) {
     Tensor A(Shape({M, K})), B(Shape({K, N}));
     fillRandom(A, R, -2.0f, 2.0f);
     fillRandom(B, R, -2.0f, 2.0f);
-    // Naive reference (matmulRows ordering).
+    // Naive reference (the naive row walk's ascending-k order).
     Tensor Ref(Shape({M, N}));
     for (int64_t I = 0; I < M; ++I)
       for (int64_t J = 0; J < N; ++J) {
@@ -396,6 +396,9 @@ TEST(PackedGemm, ConvVariantsAgreeWithDirect) {
       // 3-D conv.
       {Shape({1, 4, 6, 10, 10}), Shape({8, 4, 3, 3, 3}), {1, 1, 1},
        {1, 1, 1}, {1, 1, 1}, 1},
+      // Dilated 3-D conv, strided on one axis.
+      {Shape({1, 4, 7, 10, 9}), Shape({8, 4, 3, 3, 3}), {1, 2, 1},
+       {1, 2, 0}, {2, 2, 2}, 1},
   };
   for (const Case &C : Cases) {
     Tensor X(C.X), W(C.W);
@@ -409,6 +412,11 @@ TEST(PackedGemm, ConvVariantsAgreeWithDirect) {
     Tensor Bias(Shape({C.W.dim(0)}));
     fillRandom(Bias, R, -1.0f, 1.0f);
     Shape Out = inferShape(OpKind::Conv, Attrs, {C.X, C.W});
+    // Every case is one the im2col path takes.
+    EXPECT_GT(detail::packScratchElemsForStep(OpKind::Conv, Attrs,
+                                              {C.X, C.W}, Out, KernelConfig(),
+                                              /*WeightIsConstant=*/true),
+              0);
     for (bool WithBias : {false, true}) {
       std::vector<const Tensor *> Inputs{&X, &W};
       if (WithBias)
@@ -565,6 +573,36 @@ TEST(PrepackStore, WeightStationaryLayersTakeNarrowPackedRoute) {
         ASSERT_EQ(Want[I].at(J), Got[I].at(J)) << "output " << I << " elem "
                                                << J;
   }
+}
+
+TEST(PrepackStore, EmptyGemmProblemsCompileAndRun) {
+  // M = 0 rows or N = 0 columns against constant weights, plain, batched
+  // and transposed: every output is empty, and nothing is prepacked or
+  // sized. Batches and B slices are products of leading dims, so an empty
+  // [K, N] weight no longer divides by zero while prepacking.
+  for (int64_t M : {0, 16})
+    for (int64_t N : {0, 16}) {
+      SCOPED_TRACE(testing::Message() << "M=" << M << " N=" << N);
+      GraphBuilder B(5);
+      NodeId X = B.input(Shape({M, 32}));
+      NodeId X3 = B.input(Shape({2, M, 32}));
+      B.markOutput(B.op(OpKind::MatMul, {X, B.weight(Shape({32, N}))}));
+      B.markOutput(B.op(OpKind::MatMul, {X3, B.weight(Shape({2, 32, N}))}));
+      B.markOutput(B.op(OpKind::Gemm, {X, B.weight(Shape({N, 32}))},
+                        AttrMap().set("transB", 1)));
+      Graph G = B.take();
+      std::vector<Tensor> Inputs = randomInputs(G, 3);
+      CompiledModel Model = cantFail(compileModel(std::move(G)));
+      std::vector<Tensor> Out = ExecutionContext(Model).run(Inputs);
+      ASSERT_EQ(Out.size(), 3u);
+      EXPECT_EQ(Out[0].shape(), Shape({M, N}));
+      EXPECT_EQ(Out[1].shape(), Shape({2, M, N}));
+      EXPECT_EQ(Out[2].shape(), Shape({M, N}));
+      if (M == 0 || N == 0) {
+        EXPECT_TRUE(Model.Prepack.empty());
+        EXPECT_EQ(Model.Memory.PackScratchBytes, 0);
+      }
+    }
 }
 
 //===----------------------------------------------------------------------===//

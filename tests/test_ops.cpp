@@ -1,6 +1,7 @@
 //===- tests/test_ops.cpp - operator schema and kernel tests --------------------===//
 
 #include "ops/Kernels.h"
+#include "ops/KernelsGemmPacked.h"
 #include "ops/OpSchema.h"
 #include "ops/Scalars.h"
 #include "tensor/TensorUtils.h"
@@ -353,22 +354,84 @@ TEST(ConvKernel, MatchesIm2colMatMul) {
       }
 }
 
-TEST(ConvKernel, Conv3dMatchesGenericPath) {
-  // The specialized 3-D kernel must agree with naive accumulation.
+/// Conv by hand-written loops over any 1-3 spatial dims: every output
+/// element is the bias plus every in-bounds dilated tap, summed in double.
+/// Independent of the kernels' window code.
+Tensor referenceConv(const Tensor &X, const Tensor &W, const AttrMap &Attrs,
+                     const Shape &OutShape) {
+  int Sp = X.shape().rank() - 2;
+  std::vector<int64_t> S = Attrs.getInts("strides"), P = Attrs.getInts("pads"),
+                       D = Attrs.getInts("dilations");
+  int64_t Cg = W.shape().dim(1);
+  int64_t Fg = W.shape().dim(0) / Attrs.getInt("group", 1);
+  Tensor Out(OutShape);
+  std::vector<int64_t> O, Kc;
+  Shape KShape(std::vector<int64_t>(W.shape().dims().begin() + 2,
+                                    W.shape().dims().end()));
+  for (int64_t Flat = 0; Flat < Out.numElements(); ++Flat) {
+    OutShape.unflatten(Flat, O);
+    double Acc = 0.0;
+    for (int64_t Ci = 0; Ci < Cg; ++Ci)
+      for (int64_t Kk = 0; Kk < KShape.numElements(); ++Kk) {
+        KShape.unflatten(Kk, Kc);
+        int64_t XFlat = O[0] * X.shape().dim(1) + O[1] / Fg * Cg + Ci;
+        bool In = true;
+        for (int I = 0; I < Sp; ++I) {
+          int64_t Pos = O[2 + I] * S[I] - P[I] + Kc[I] * D[I];
+          In = In && Pos >= 0 && Pos < X.shape().dim(2 + I);
+          XFlat = XFlat * X.shape().dim(2 + I) + Pos;
+        }
+        if (In)
+          Acc += static_cast<double>(X.at(XFlat)) *
+                 W.at((O[1] * Cg + Ci) * KShape.numElements() + Kk);
+      }
+    Out.at(Flat) = static_cast<float>(Acc);
+  }
+  return Out;
+}
+
+TEST(ConvKernel, Conv3dMatchesHandWrittenLoops) {
   Rng R(23);
   Tensor X(Shape({1, 2, 3, 4, 4})), W(Shape({2, 2, 2, 2, 2}));
   fillRandom(X, R);
   fillRandom(W, R);
   Tensor Out = runOp(OpKind::Conv, {}, {&X, &W});
-  // Hand-compute one output element.
-  float Acc = 0;
-  for (int64_t Ci = 0; Ci < 2; ++Ci)
-    for (int64_t D = 0; D < 2; ++D)
-      for (int64_t Hh = 0; Hh < 2; ++Hh)
-        for (int64_t Ww = 0; Ww < 2; ++Ww)
-          Acc += X.at(((Ci * 3 + D) * 4 + Hh) * 4 + Ww) *
-                 W.at((((0 * 2 + Ci) * 2 + D) * 2 + Hh) * 2 + Ww);
-  EXPECT_NEAR(Out.at(0), Acc, 1e-4f);
+  AttrMap Unit;
+  Unit.set("strides", std::vector<int64_t>{1, 1, 1})
+      .set("pads", std::vector<int64_t>{0, 0, 0})
+      .set("dilations", std::vector<int64_t>{1, 1, 1});
+  EXPECT_LT(maxAbsDiff(Out, referenceConv(X, W, Unit, Out.shape())), 1e-4f);
+}
+
+TEST(ConvKernel, Dilated3dConvMatchesHandWrittenLoopsOnBothPaths) {
+  // Dilation 2 on every axis, padded and strided: the direct loop and the
+  // im2col path (taken at group 1, where 8 filters share the columns)
+  // must both honor the dilations that shape inference applied.
+  Rng R(41);
+  for (int64_t Group : {1, 4}) {
+    Tensor X(Shape({2, 4, 7, 8, 9})), W(Shape({8, 4 / Group, 3, 3, 3}));
+    fillRandom(X, R);
+    fillRandom(W, R);
+    AttrMap A;
+    A.set("group", Group)
+        .set("strides", std::vector<int64_t>{1, 2, 1})
+        .set("pads", std::vector<int64_t>{1, 2, 0})
+        .set("dilations", std::vector<int64_t>{2, 2, 2});
+    Shape OutShape = inferShape(OpKind::Conv, A, {X.shape(), W.shape()});
+    Tensor Want = referenceConv(X, W, A, OutShape);
+    for (bool Packed : {false, true}) {
+      KernelConfig Config;
+      Config.UsePackedGemm = Packed;
+      EngineCounters Counters;
+      KernelRuntime Rt;
+      Rt.Counters = &Counters;
+      Tensor Got(OutShape);
+      runRefKernel(OpKind::Conv, A, {&X, &W}, Got, Config, Rt);
+      EXPECT_EQ(Counters.PackedKernelCalls, Packed && Group == 1 ? 1 : 0);
+      EXPECT_LT(maxAbsDiff(Got, Want), 1e-4f)
+          << "group " << Group << (Packed ? " packed" : " direct");
+    }
+  }
 }
 
 TEST(MatMulKernel, MatchesNaive) {
@@ -407,6 +470,38 @@ TEST(MatMulKernel, GemmTransposesAgree) {
   EXPECT_LT(maxAbsDiff(Plain, Trans), 1e-4f);
 }
 
+TEST(MatMulKernel, GemmDimsAreProductsOfLeadingDims) {
+  // MatMul: A [2, 1, M, 8] x B [3, 8, N] -> [2, 3, M, N]. Six batches over
+  // three B slices; the two A batches share each slice, so 2M rows reuse
+  // one. M = 0 and N = 0 leave the batch counts alone.
+  for (int64_t M : {0, 5})
+    for (int64_t N : {0, 7}) {
+      Shape A({2, 1, M, 8}), B({3, 8, N});
+      Shape Out = inferShape(OpKind::MatMul, {}, {A, B});
+      GemmDims D = gemmDims(OpKind::MatMul, {}, A, B, Out);
+      EXPECT_EQ(D.M, M);
+      EXPECT_EQ(D.N, N);
+      EXPECT_EQ(D.K, 8);
+      EXPECT_EQ(D.Batches, 6);
+      EXPECT_EQ(D.BSlices, 3);
+      EXPECT_EQ(D.RowsPerSlice, 2 * M);
+      EXPECT_EQ(D.bKStride(), N);
+      EXPECT_EQ(D.bNStride(), 1);
+    }
+  // Gemm transA/transB: one problem with strided A and B.
+  AttrMap T;
+  T.set("transA", 1).set("transB", 1);
+  GemmDims D = gemmDims(OpKind::Gemm, T, Shape({8, 5}), Shape({7, 8}),
+                        Shape({5, 7}));
+  EXPECT_EQ(D.Batches, 1);
+  EXPECT_EQ(D.BSlices, 1);
+  EXPECT_EQ(D.RowsPerSlice, 5);
+  EXPECT_EQ(D.aRowStride(), 1);
+  EXPECT_EQ(D.aColStride(), 5);
+  EXPECT_EQ(D.bKStride(), 1);
+  EXPECT_EQ(D.bNStride(), 8);
+}
+
 TEST(PoolKernel, MaxAndAverage) {
   Tensor X(Shape({1, 1, 4, 4}));
   fillIota(X); // 0..15
@@ -428,6 +523,60 @@ TEST(PoolKernel, PaddedAverageDividesByValidCount) {
   Tensor Avg = runOp(OpKind::AveragePool, A, {&X});
   // Corner windows see a single valid element: average must stay 4.
   EXPECT_EQ(Avg.at(0), 4.0f);
+}
+
+TEST(PoolKernel, DilatedWindowsMatchHandWrittenLoops) {
+  // Dilation 2 in 1-, 2- and 3-D, padded and strided: every output is the
+  // max or the mean of the in-bounds dilated taps.
+  Rng R(43);
+  for (int Sp = 1; Sp <= 3; ++Sp) {
+    std::vector<int64_t> Dims = {2, 3};
+    int64_t Taps = 1;
+    for (int I = 0; I < Sp; ++I) {
+      Dims.push_back(6 + 2 * I);
+      Taps *= 3;
+    }
+    Tensor X{Shape(Dims)};
+    fillRandom(X, R);
+    AttrMap A;
+    size_t USp = static_cast<size_t>(Sp);
+    A.set("kernel", std::vector<int64_t>(USp, 3))
+        .set("strides", std::vector<int64_t>(USp, 2))
+        .set("pads", std::vector<int64_t>(USp, 1))
+        .set("dilations", std::vector<int64_t>(USp, 2));
+    for (OpKind Kind : {OpKind::MaxPool, OpKind::AveragePool}) {
+      Tensor Got = runOp(Kind, A, {&X});
+      std::vector<int64_t> O;
+      for (int64_t Flat = 0; Flat < Got.numElements(); ++Flat) {
+        Got.shape().unflatten(Flat, O);
+        float Max = -INFINITY;
+        double Sum = 0.0;
+        int Valid = 0;
+        for (int64_t Kk = 0; Kk < Taps; ++Kk) {
+          int64_t Off = 0, Stride = 1, Rem = Kk;
+          bool In = true;
+          for (int I = Sp - 1; I >= 0; --I) {
+            int64_t Pos = O[2 + I] * 2 - 1 + (Rem % 3) * 2;
+            Rem /= 3;
+            In = In && Pos >= 0 && Pos < Dims[2 + I];
+            Off += Pos * Stride;
+            Stride *= Dims[2 + I];
+          }
+          if (!In)
+            continue;
+          float V = X.at((O[0] * 3 + O[1]) * Stride + Off);
+          Max = std::max(Max, V);
+          Sum += V;
+          ++Valid;
+        }
+        float Want = Kind == OpKind::MaxPool
+                         ? Max
+                         : static_cast<float>(Sum / Valid);
+        EXPECT_NEAR(Got.at(Flat), Want, 1e-5f)
+            << opKindName(Kind) << " " << Sp << "-D at " << Flat;
+      }
+    }
+  }
 }
 
 TEST(ReduceKernel, SumMeanMaxProd) {
