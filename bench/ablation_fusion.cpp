@@ -1,6 +1,6 @@
 //===- bench/ablation_fusion.cpp - design-choice ablations ----------------------------===//
 //
-// Ablations for the design decisions DESIGN.md calls out:
+// Ablations for four of the fusion design decisions:
 //  1. Seed selection policy (paper: minimum-IRS One-to-One seeds).
 //  2. Yellow (profile-dependent) fusion on/off.
 //  3. Constraint threshold (max operators per block).

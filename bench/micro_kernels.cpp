@@ -118,43 +118,18 @@ void BM_ChainProgram(benchmark::State &State) {
 }
 BENCHMARK(BM_ChainProgram)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
 
-// The scalar packed micro tile across blocking parameters (weights
-// prepacked outside the loop, the serving hot path).
-void BM_GemmPacked(benchmark::State &State) {
-  int64_t N = 256;
-  Rng R(5);
-  Tensor A(Shape({N, N})), B(Shape({N, N})), C(Shape({N, N}));
-  fillRandom(A, R);
-  fillRandom(B, R);
-  int MR = static_cast<int>(State.range(0));
-  int NR = static_cast<int>(State.range(1));
-  std::vector<float> Packed(
-      static_cast<size_t>(packedPanelElems(N, N, NR)));
-  packBPanels(B.data(), N, 1, N, N, NR, Packed.data());
-  for (auto _ : State) {
-    gemmPackedRows(A.data(), N, 1, Packed.data(), C.data(), N, 0, N, N, N,
-                   MR, NR, nullptr, KernelLevel::Scalar);
-    benchmark::ClobberMemory();
-  }
-  State.SetItemsProcessed(State.iterations() * 2 * N * N * N);
-}
-BENCHMARK(BM_GemmPacked)
-    ->Args({4, 8})
-    ->Args({8, 8})
-    ->Args({4, 32})
-    ->Args({8, 32});
-
-// The same packed micro kernel per kernel tier (0 = scalar, 1 = avx2). A
-// tier the host cannot execute clamps down through resolveKernelLevel —
-// the bench label records the requested tier, SetLabel the one that
-// actually ran.
+// The packed micro kernel per kernel tier (0 = scalar, 1 = avx2) and panel
+// width (GemmNarrowNR, GemmWideNR), weights prepacked outside the loop (the
+// serving hot path). A tier the host cannot execute clamps down through
+// resolveKernelLevel — the bench label records the requested tier,
+// SetLabel the one that actually ran.
 void BM_GemmPackedTier(benchmark::State &State) {
   int64_t N = 256;
   Rng R(5);
   Tensor A(Shape({N, N})), B(Shape({N, N})), C(Shape({N, N}));
   fillRandom(A, R);
   fillRandom(B, R);
-  int MR = 8, NR = 32;
+  int NR = static_cast<int>(State.range(1));
   std::vector<float> Packed(
       static_cast<size_t>(packedPanelElems(N, N, NR)));
   packBPanels(B.data(), N, 1, N, N, NR, Packed.data());
@@ -163,12 +138,13 @@ void BM_GemmPackedTier(benchmark::State &State) {
   State.SetLabel(kernelLevelName(Level));
   for (auto _ : State) {
     gemmPackedRows(A.data(), N, 1, Packed.data(), C.data(), N, 0, N, N, N,
-                   MR, NR, nullptr, Level);
+                   NR, nullptr, Level);
     benchmark::ClobberMemory();
   }
   State.SetItemsProcessed(State.iterations() * 2 * N * N * N);
 }
-BENCHMARK(BM_GemmPackedTier)->Arg(0)->Arg(1);
+BENCHMARK(BM_GemmPackedTier)
+    ->ArgsProduct({{0, 1}, {GemmNarrowNR, GemmWideNR}});
 
 // The narrow-N routes at the serving MLP's three layer shapes: W[M,K] x
 // X[K,N] at the N of a batch-1..8 bucket, through runRefKernel. Arguments:

@@ -3,7 +3,7 @@
 // Inference latency for all 15 models under the four emulated frameworks,
 // OurB (fusion off), OurB+ (fixed-pattern fusion), and DNNFusion.
 // CPU latency is measured on the host; GPU latency comes from the
-// calibrated Adreno-650 roofline device model (DESIGN.md §2).
+// calibrated Adreno-650 roofline device model (runtime/DeviceModel.h).
 //
 //===----------------------------------------------------------------------===//
 
@@ -58,6 +58,6 @@ int main() {
       "\nExpected shape (paper): DNNF fastest everywhere; the GPU-modeled "
       "gap is wider than the CPU gap (launch overhead + intermediate "
       "traffic dominate there). CPU-measured gaps on this desktop-class "
-      "host are muted relative to the paper's phones (see EXPERIMENTS.md).\n");
+      "host are muted relative to the paper's phones.\n");
   return 0;
 }

@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 verify in Debug and Release, plus the smoke-label
-# fast pass. Mirrors what .github/workflows/ci.yml runs; usable locally:
+# fast pass; the Release configuration then runs the 13 paper programs
+# (bench_table*, bench_fig*, bench_ablation_fusion) once each and fails
+# on a non-zero exit, never on timing. Mirrors what
+# .github/workflows/ci.yml runs; usable locally:
 #
 #   ./scripts/ci.sh            # both configurations
 #   ./scripts/ci.sh Debug      # one configuration
@@ -193,6 +196,16 @@ for CONFIG in "${CONFIGS[@]}"; do
   ctest --test-dir "$BUILD_DIR" -L smoke --output-on-failure -j "$JOBS"
   echo "=== [$CONFIG] full test suite ==="
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
+  if [ "$CONFIG" = "Release" ]; then
+    # The paper's tables and figures: each program's exit code carries its
+    # own self-checks (outputs agree, no Expected error). Their timings are
+    # printed, never asserted, and nothing they print is kept.
+    for PROGRAM in "$BUILD_DIR"/bench_table* "$BUILD_DIR"/bench_fig* \
+                   "$BUILD_DIR/bench_ablation_fusion"; do
+      echo "=== [$CONFIG] paper program $(basename "$PROGRAM") ==="
+      "$PROGRAM"
+    done
+  fi
 done
 
 echo "CI passed for: ${CONFIGS[*]}"

@@ -11,8 +11,7 @@
 /// repository's runtime. The point of Table 5/6 is the *coverage* gap
 /// between pattern matching and DNNFusion's mapping-type analysis; using
 /// one shared runtime isolates exactly that variable (kernel-quality
-/// differences between the real frameworks are out of scope, see
-/// EXPERIMENTS.md).
+/// differences between the real frameworks are out of scope).
 ///
 /// Pattern sets:
 ///  - TvmLike: Relay-style groups — a complex-out operator absorbs its

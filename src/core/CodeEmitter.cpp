@@ -166,14 +166,3 @@ std::string dnnfusion::blockSignature(const Graph &G,
   }
   return joinStrings(Parts, "+");
 }
-
-bool FusedOpCache::lookupOrInsert(const std::string &Signature) {
-  auto [It, Inserted] = Known.try_emplace(Signature, 0);
-  ++It->second;
-  if (Inserted) {
-    ++Misses;
-    return false;
-  }
-  ++Hits;
-  return true;
-}

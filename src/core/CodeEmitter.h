@@ -10,8 +10,9 @@
 /// executes blocks through the DFT evaluator directly (no runtime C++
 /// compiler is available), so the emitted source serves auditability: it
 /// shows exactly which loops were fused, which index arithmetic replaced
-/// data movement, and which values stayed materialized. Once emitted, a
-/// kernel is cached by signature and reused across models (paper §4.4.1).
+/// data movement, and which values stayed materialized. Blocks with equal
+/// signatures (blockSignature) share one generated kernel, within a model
+/// and across models (paper §4.4.1).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +21,6 @@
 
 #include "core/BlockCompiler.h"
 
-#include <map>
 #include <string>
 
 namespace dnnfusion {
@@ -34,23 +34,6 @@ std::string emitBlockSource(const Graph &G, const CompiledBlock &Block,
 /// generated kernel (paper: "once a new operator is generated, it can be
 /// used for both the current model and future models").
 std::string blockSignature(const Graph &G, const FusionBlock &Block);
-
-/// A cache of generated kernels keyed by blockSignature.
-class FusedOpCache {
-public:
-  /// Returns true when \p Signature was already generated (cache hit) and
-  /// records the lookup either way.
-  bool lookupOrInsert(const std::string &Signature);
-
-  int hits() const { return Hits; }
-  int misses() const { return Misses; }
-  int size() const { return static_cast<int>(Known.size()); }
-
-private:
-  std::map<std::string, int> Known;
-  int Hits = 0;
-  int Misses = 0;
-};
 
 } // namespace dnnfusion
 

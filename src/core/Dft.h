@@ -13,8 +13,7 @@
 /// optimization); Concat becomes a router node. The tree is the input of
 /// code generation: DftProgram lowers it to the instruction tape that runs
 /// chunk-wise over the root's output index space — the fused kernel in
-/// this reproduction (DESIGN.md §5.2) — and CodeEmitter renders it as
-/// C-like source.
+/// this reproduction — and CodeEmitter renders it as C-like source.
 ///
 //===----------------------------------------------------------------------===//
 

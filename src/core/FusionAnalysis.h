@@ -10,7 +10,7 @@
 /// fused operator's mapping type, and is the fusion profitable (green),
 /// profile-dependent (yellow), or break (red)?
 ///
-/// Reconstruction notes (DESIGN.md §5.1): the paper states 23 code
+/// Reconstruction notes: the paper states 23 code
 /// generation rules exist, "one rule corresponding to a green or yellow
 /// cell", which pins exactly two red cells in the 5x5 matrix:
 /// One-to-Many -> Many-to-Many (Expand feeding Conv destroys contiguity)

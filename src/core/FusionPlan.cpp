@@ -171,6 +171,17 @@ BlockSchedule dnnfusion::computeBlockSchedule(const Graph &G,
 
 LatencyOracle::~LatencyOracle() = default;
 
+namespace {
+
+/// CostModelOracle's fixed machine: per-block launch overhead, compute and
+/// external-traffic rates, and the strided-access penalty.
+constexpr double CostLaunchOverheadMs = 0.005;
+constexpr double CostGFlops = 20.0;
+constexpr double CostGBytesPerSec = 12.0;
+constexpr double CostGatherPenalty = 0.08;
+
+} // namespace
+
 double CostModelOracle::blockLatencyMs(const Graph &G,
                                        const std::vector<NodeId> &Members) {
   std::set<NodeId> InBlock(Members.begin(), Members.end());
@@ -202,9 +213,10 @@ double CostModelOracle::blockLatencyMs(const Graph &G,
       ExternalBytes += N.outBytes();
   }
 
-  double FlopsMs = static_cast<double>(Flops) / (P.GFlops * 1e6);
+  double FlopsMs = static_cast<double>(Flops) / (CostGFlops * 1e6);
   if (HasManyToMany && HasGatherish)
-    FlopsMs *= 1.0 + P.GatherPenalty;
-  double BytesMs = static_cast<double>(ExternalBytes) / (P.GBytesPerSec * 1e6);
-  return P.LaunchOverheadMs + FlopsMs + BytesMs;
+    FlopsMs *= 1.0 + CostGatherPenalty;
+  double BytesMs =
+      static_cast<double>(ExternalBytes) / (CostGBytesPerSec * 1e6);
+  return CostLaunchOverheadMs + FlopsMs + BytesMs;
 }

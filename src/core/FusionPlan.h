@@ -121,16 +121,6 @@ public:
 /// about).
 class CostModelOracle : public LatencyOracle {
 public:
-  struct Params {
-    double LaunchOverheadMs = 0.005;
-    double GFlops = 20.0;
-    double GBytesPerSec = 12.0;
-    double GatherPenalty = 0.08;
-  };
-
-  CostModelOracle() = default;
-  explicit CostModelOracle(const Params &P) : P(P) {}
-
   /// The planner issues thousands of queries per run against the same
   /// (const) graph, so the consumer adjacency is computed once per graph
   /// and memoized. A caller that mutates the graph between queries must
@@ -139,7 +129,6 @@ public:
                         const std::vector<NodeId> &Members) override;
 
 private:
-  Params P;
   /// Memoized consumer adjacency (see blockLatencyMs).
   const Graph *ConsumersFor = nullptr;
   std::vector<std::vector<NodeId>> Consumers;

@@ -11,8 +11,9 @@
 /// emit them — at reduced tensor dimensions (random weights; accuracy is
 /// out of scope exactly as in paper §5.1). Fusion-rate experiments depend
 /// only on the graph structure; latency experiments on the relative
-/// operator mix. Deviations from the paper's layer counts are tabulated in
-/// EXPERIMENTS.md.
+/// operator mix. Layer counts may differ from the paper's, which each
+/// entry keeps in ModelInfo::PaperTotalLayers; a builder keeps more than a
+/// fifth of that count.
 ///
 //===----------------------------------------------------------------------===//
 

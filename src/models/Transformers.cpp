@@ -6,7 +6,7 @@
 // the paper observes in TinyBERT, §6), GELU decomposed via Erf or the tanh
 // approximation, attention with explicit Reshape/Transpose around the
 // matrix multiplies ("MatMul + Reshape + Transpose + Add in GPT-2", §6).
-// Hidden sizes and sequence lengths are scaled down (EXPERIMENTS.md).
+// Hidden sizes and sequence lengths are scaled down.
 //
 //===----------------------------------------------------------------------===//
 

@@ -2,7 +2,7 @@
 //
 // VGG-16, EfficientNet-B0, MobileNetV1-SSD, YOLO-V4, and U-Net at reduced
 // channel/spatial scale, preserving each architecture's operator mix and
-// connectivity (EXPERIMENTS.md tabulates the scaling).
+// connectivity.
 //
 //===----------------------------------------------------------------------===//
 

@@ -178,12 +178,8 @@ bool simdDispatchable(KernelLevel L) {
 
 } // namespace
 
-GemmPackedRowsFn resolveGemmPackedRows(KernelLevel L, int NR) {
-  // The AVX2 tile consumes whole 8-float lanes of a panel row; NR=4
-  // panels (a PackNR of 4) stay on the scalar micro tile.
-  if (!simdDispatchable(L) || NR < 8)
-    return nullptr;
-  return simd::gemmPackedRowsAvx2();
+GemmPackedRowsFn resolveGemmPackedRows(KernelLevel L) {
+  return simdDispatchable(L) ? simd::gemmPackedRowsAvx2() : nullptr;
 }
 
 GemmNarrowRowsFn resolveGemmNarrowRows(KernelLevel L) {

@@ -64,15 +64,15 @@ enum : uint32_t {
 };
 
 /// Signature of a packed-GEMM row kernel — identical to gemmPackedRows
-/// minus the dispatch level. MR/NR are the scalar tile's blocking knobs;
-/// the AVX2 tile re-blocks internally (results are per-element k-order
-/// invariant under output-tile shape).
+/// minus the dispatch level. NR is the panel width, GemmNarrowNR or
+/// GemmWideNR (any other width is a fatal error); each tier picks its own
+/// row blocking (results are per-element k-order invariant under
+/// output-tile shape).
 using GemmPackedRowsFn = void (*)(const float *A, int64_t ARowStride,
                                   int64_t AColStride, const float *Packed,
                                   float *C, int64_t CRowStride,
                                   int64_t RowBegin, int64_t RowEnd, int64_t N,
-                                  int64_t K, int MR, int NR,
-                                  const float *RowBias);
+                                  int64_t K, int NR, const float *RowBias);
 
 /// Signature of the narrow-rows GEMM tile: C rows [RowBegin, RowEnd) of
 /// C[M, N] = A[M, K] x B[K, N] for 1 <= N <= GemmNarrowRowsMaxN output
@@ -164,12 +164,11 @@ void resetKernelDegradeLatchForTests();
 void countKernelDispatch(EngineCounters *Counters, KernelLevel L);
 
 /// Typed resolvers the kernels call: the AVX2 implementation when \p L is
-/// Avx2, the dispatch mask has AVX2 and the degrade latch is open (and,
-/// for the packed GEMM, the panel is at least 8 wide); null otherwise,
-/// meaning "run the scalar path" (for the narrow-rows tile,
+/// Avx2, the dispatch mask has AVX2 and the degrade latch is open; null
+/// otherwise, meaning "run the scalar path" (gemmPackedRowsScalar,
 /// gemmNarrowRowsScalar). Each non-scalar call first evaluates the
 /// kernel.dispatch fault point.
-GemmPackedRowsFn resolveGemmPackedRows(KernelLevel L, int NR);
+GemmPackedRowsFn resolveGemmPackedRows(KernelLevel L);
 GemmNarrowRowsFn resolveGemmNarrowRows(KernelLevel L);
 FusedAttentionRowsFn resolveFusedAttentionRows(KernelLevel L);
 EltwiseChunkFn resolveEltwiseChunk(KernelLevel L);

@@ -35,23 +35,14 @@ namespace dnnfusion {
 
 struct PackedOperand;
 
-/// Tunable parameters of the compute-intensive kernels; the auto-tuner
-/// (Figure 9b) searches PackMR and PackNR.
+/// Execution-engine settings of the compute-intensive kernels: which
+/// engine runs them and at which dispatch tier. The packed engine's tile
+/// geometry is fixed (KernelsGemmPacked.h).
 struct KernelConfig {
   /// Route MatMul/Gemm/Conv through the packed register-blocked engine
   /// where the per-shape gate says it wins; false = the legacy naive
   /// kernels everywhere (bit-identical either way).
   bool UsePackedGemm = true;
-  /// Micro-kernel row-block height (accumulator tile rows, 1..8).
-  int PackMR = 8;
-  /// B-panel width (accumulator tile columns; clamped to 4/8/16/32) of
-  /// Conv and of MatMul/Gemm problems with N > 8 output columns. Wide
-  /// panels give the inner loop a long fixed trip count that vectorizes
-  /// well; the gate (gemmRoute) declines shapes where tail padding would
-  /// waste too much of the panel. MatMul/Gemm problems with N <= 8 (a
-  /// weight-stationary layer at a serving batch of 8 or less) take the
-  /// narrow routes instead: the narrow-rows tile or one 8-wide panel.
-  int PackNR = 32;
 
   /// Forced kernel dispatch tier: -1 (ForceKernelAuto) resolves
   /// automatically (env hook, then avx2 where the host supports it);

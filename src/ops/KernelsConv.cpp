@@ -66,8 +66,7 @@ void runConvPacked(const ConvGeom &G,
   const float *X = Inputs[0]->data();
   const float *W = Inputs[1]->data();
   const float *Bias = Inputs.size() == 3 ? Inputs[2]->data() : nullptr;
-  int NR = clampPackNR(Config.PackNR);
-  int MR = clampPackMR(Config.PackMR);
+  constexpr int NR = GemmWideNR;
   KernelLevel Level = effectiveKernelLevel(Config);
   countKernelDispatch(Rt.Counters, Level);
   const Window &Wn = G.W;
@@ -102,7 +101,7 @@ void runConvPacked(const ConvGeom &G,
         int64_t Panels = (T + NR - 1) / NR;
         // Build the im2col columns directly in packed panel layout.
         parallelFor(Panels, [&](int64_t PB, int64_t PE) {
-          int64_t OBase[GemmMaxNR][3];
+          int64_t OBase[NR][3];
           for (int64_t Pp = PB; Pp < PE; ++Pp) {
             int Cols = static_cast<int>(std::min<int64_t>(NR, T - Pp * NR));
             for (int Jj = 0; Jj < Cols; ++Jj) {
@@ -141,7 +140,7 @@ void runConvPacked(const ConvGeom &G,
         });
         parallelFor(G.Fg, [&](int64_t Begin, int64_t End) {
           gemmPackedRows(Wg, G.K, 1, Packed, Yng + T0, Wn.OutSpatial, Begin,
-                         End, T, G.K, MR, NR, BiasG, Level);
+                         End, T, G.K, NR, BiasG, Level);
         });
       }
     }
@@ -263,8 +262,7 @@ int64_t dnnfusion::detail::convPackScratchElems(const AttrMap &Attrs,
                                                 const Shape &OutShape,
                                                 const KernelConfig &Config) {
   ConvGeom G = convGeom(Attrs, XShape, WShape, OutShape, Config);
-  return G.Tile ? packedPanelElems(G.K, G.Tile, clampPackNR(Config.PackNR))
-                : 0;
+  return G.Tile ? packedPanelElems(G.K, G.Tile, GemmWideNR) : 0;
 }
 
 void dnnfusion::detail::runConvKernel(OpKind Kind, const AttrMap &Attrs,

@@ -10,20 +10,6 @@
 
 using namespace dnnfusion;
 
-int dnnfusion::clampPackNR(int NR) {
-  if (NR >= 32)
-    return 32;
-  if (NR >= 16)
-    return 16;
-  if (NR >= 8)
-    return 8;
-  return 4;
-}
-
-int dnnfusion::clampPackMR(int MR) {
-  return std::clamp(MR, 1, GemmMaxMR);
-}
-
 int64_t dnnfusion::packedPanelElems(int64_t K, int64_t N, int NR) {
   int64_t Panels = (N + NR - 1) / NR;
   return Panels * K * NR;
@@ -57,22 +43,22 @@ void dnnfusion::packBPanels(const float *B, int64_t KStride, int64_t NStride,
 
 namespace {
 
-/// The micro kernel for one compile-time panel width: an MR x NR
+/// The micro kernel for one compile-time panel width: a GemmTileRows x NR
 /// accumulator tile held across the whole K loop, products added in
 /// ascending k order per output element.
 template <int NR>
 void gemmPackedRowsNR(const float *A, int64_t ARowStride, int64_t AColStride,
                       const float *Packed, float *C, int64_t CRowStride,
                       int64_t RowBegin, int64_t RowEnd, int64_t N, int64_t K,
-                      int MR, const float *RowBias) {
+                      const float *RowBias) {
   int64_t Panels = (N + NR - 1) / NR;
-  for (int64_t I = RowBegin; I < RowEnd; I += MR) {
-    int Rows = static_cast<int>(std::min<int64_t>(MR, RowEnd - I));
+  for (int64_t I = RowBegin; I < RowEnd; I += GemmTileRows) {
+    int Rows = static_cast<int>(std::min<int64_t>(GemmTileRows, RowEnd - I));
     for (int64_t P = 0; P < Panels; ++P) {
       int64_t JBase = P * NR;
       int64_t JCount = std::min<int64_t>(NR, N - JBase);
       const float *__restrict Bp = Packed + P * K * NR;
-      float Acc[GemmMaxMR][NR];
+      float Acc[GemmTileRows][NR];
       for (int R = 0; R < Rows; ++R) {
         float Init = RowBias ? RowBias[I + R] : 0.0f;
         for (int J = 0; J < NR; ++J)
@@ -102,26 +88,20 @@ void dnnfusion::gemmPackedRowsScalar(const float *A, int64_t ARowStride,
                                      int64_t AColStride, const float *Packed,
                                      float *C, int64_t CRowStride,
                                      int64_t RowBegin, int64_t RowEnd,
-                                     int64_t N, int64_t K, int MR, int NR,
+                                     int64_t N, int64_t K, int NR,
                                      const float *RowBias) {
-  MR = clampPackMR(MR);
-  switch (clampPackNR(NR)) {
-  case 4:
-    return gemmPackedRowsNR<4>(A, ARowStride, AColStride, Packed, C,
-                               CRowStride, RowBegin, RowEnd, N, K, MR,
-                               RowBias);
-  case 8:
-    return gemmPackedRowsNR<8>(A, ARowStride, AColStride, Packed, C,
-                               CRowStride, RowBegin, RowEnd, N, K, MR,
-                               RowBias);
-  case 16:
-    return gemmPackedRowsNR<16>(A, ARowStride, AColStride, Packed, C,
-                                CRowStride, RowBegin, RowEnd, N, K, MR,
-                                RowBias);
+  switch (NR) {
+  case GemmNarrowNR:
+    return gemmPackedRowsNR<GemmNarrowNR>(A, ARowStride, AColStride, Packed,
+                                          C, CRowStride, RowBegin, RowEnd, N,
+                                          K, RowBias);
+  case GemmWideNR:
+    return gemmPackedRowsNR<GemmWideNR>(A, ARowStride, AColStride, Packed, C,
+                                        CRowStride, RowBegin, RowEnd, N, K,
+                                        RowBias);
   default:
-    return gemmPackedRowsNR<32>(A, ARowStride, AColStride, Packed, C,
-                                CRowStride, RowBegin, RowEnd, N, K, MR,
-                                RowBias);
+    reportFatalErrorf("packed GEMM tile: NR = %d is neither %d nor %d", NR,
+                      GemmNarrowNR, GemmWideNR);
   }
 }
 
@@ -181,15 +161,13 @@ void dnnfusion::gemmNarrowRowsScalar(const float *A, const float *B,
 void dnnfusion::gemmPackedRows(const float *A, int64_t ARowStride,
                                int64_t AColStride, const float *Packed,
                                float *C, int64_t CRowStride, int64_t RowBegin,
-                               int64_t RowEnd, int64_t N, int64_t K, int MR,
-                               int NR, const float *RowBias,
-                               KernelLevel Level) {
-  NR = clampPackNR(NR);
-  if (GemmPackedRowsFn Fn = resolveGemmPackedRows(Level, NR))
+                               int64_t RowEnd, int64_t N, int64_t K, int NR,
+                               const float *RowBias, KernelLevel Level) {
+  if (GemmPackedRowsFn Fn = resolveGemmPackedRows(Level))
     return Fn(A, ARowStride, AColStride, Packed, C, CRowStride, RowBegin,
-              RowEnd, N, K, clampPackMR(MR), NR, RowBias);
+              RowEnd, N, K, NR, RowBias);
   gemmPackedRowsScalar(A, ARowStride, AColStride, Packed, C, CRowStride,
-                       RowBegin, RowEnd, N, K, MR, NR, RowBias);
+                       RowBegin, RowEnd, N, K, NR, RowBias);
 }
 
 GemmRoute dnnfusion::gemmRoute(const KernelConfig &Config, int64_t M,
@@ -204,18 +182,17 @@ GemmRoute dnnfusion::gemmRoute(const KernelConfig &Config, int64_t M,
       return {GemmRoute::NarrowRows, 0};
     return {GemmRoute::Panel, GemmNarrowNR};
   }
-  // Tail padding: the micro kernel computes whole NR-wide panels, so the
-  // last panel's unused columns are paid for. Decline once the padded
-  // columns exceed a third of the useful ones (3*PaddedN > 4*N).
-  int NR = clampPackNR(Config.PackNR);
-  int64_t PaddedN = (N + NR - 1) / NR * NR;
+  // Tail padding: the micro kernel computes whole panels, so the last
+  // panel's unused columns are paid for. Decline once the padded columns
+  // exceed a third of the useful ones (3*PaddedN > 4*N).
+  int64_t PaddedN = (N + GemmWideNR - 1) / GemmWideNR * GemmWideNR;
   if (PaddedN * 3 > N * 4)
     return {};
   if (Prepacked)
-    return {GemmRoute::Panel, NR}; // Packing already paid for; never loses.
+    return {GemmRoute::Panel, GemmWideNR}; // Packing already paid for.
   // Run-time packing costs one K*N pass; it amortizes over the M rows that
   // reuse the panels.
   if (M >= 4 && M * N * K >= 16384)
-    return {GemmRoute::Panel, NR};
+    return {GemmRoute::Panel, GemmWideNR};
   return {};
 }

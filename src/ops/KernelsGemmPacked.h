@@ -7,18 +7,27 @@
 /// \file
 /// The packed GEMM engine behind the Many-to-Many hot path: the B operand
 /// is repacked into NR-wide column panels (contiguous K-major streams) and
-/// consumed by an i-k-j register-blocked micro kernel that keeps an
-/// MR x NR accumulator tile live across the whole K loop. The panel layout
-/// cuts B's main-memory traffic by ~MR x versus the naive row-walk kernels
-/// and lets the inner j loop vectorize over a compile-time panel width.
+/// consumed by an i-k-j register-blocked micro kernel that keeps a
+/// rows x NR accumulator tile live across the whole K loop. The panel
+/// layout cuts B's main-memory traffic by the row block versus the naive
+/// row-walk kernels and lets the inner j loop vectorize over a
+/// compile-time panel width.
+///
+/// The geometry is fixed: panels are GemmNarrowNR (8) or GemmWideNR (32)
+/// wide, and the scalar tile blocks GemmTileRows (8) rows. No other wide
+/// width won across the model zoo: 16- and 8-wide panels let more N > 8
+/// shapes pack, a few percent faster on some transformers and up to 9%
+/// slower on some CNNs (per-model medians on a 4-vCPU AVX2 host), with
+/// bit-identical outputs at every width.
 ///
 /// One route decision (gemmRoute) picks one of three routes for a
 /// MatMul/Gemm call:
 ///
 ///  - Panel: B packs into column panels for the micro kernel. Wide
-///    problems (N > 8) pack at Config.PackNR; narrow ones (N = 5..8, and
-///    N <= 4 with A stored transposed) pack into a single 8-wide panel,
-///    which the AVX2 tier runs on an 8-row x 8-column tile.
+///    problems (N > 8) and Conv's im2col columns pack at GemmWideNR;
+///    narrow ones (N = 5..8, and N <= 4 with A stored transposed) pack
+///    into a single GemmNarrowNR panel, which the AVX2 tier runs on an
+///    8-row x 8-column tile.
 ///  - NarrowRows (N <= 4 with contiguous A rows: a weight-stationary
 ///    W[M,K] x X[K,B] layer at a serving batch B <= 4): nothing packs. The
 ///    AVX2 tile transposes 8 rows x 8 k of A in registers and multiplies
@@ -62,14 +71,15 @@
 
 namespace dnnfusion {
 
-/// Hard micro-kernel bounds (accumulator tile lives in registers / L1).
-inline constexpr int GemmMaxMR = 8;
-inline constexpr int GemmMaxNR = 32;
+/// The two panel widths the packed tiles take: every N <= 8 problem not
+/// on the narrow-rows route packs into one GemmNarrowNR panel; Conv and
+/// MatMul/Gemm problems with N > 8 pack into GemmWideNR panels.
+inline constexpr int GemmNarrowNR = 8;
+inline constexpr int GemmWideNR = 32;
 
-/// Clamps a configured panel width to a supported value (4, 8, 16, 32).
-int clampPackNR(int NR);
-/// Clamps a configured row-block height to [1, GemmMaxMR].
-int clampPackMR(int MR);
+/// Rows the scalar packed tile blocks per accumulator tile (the AVX2 tile
+/// re-blocks per panel width).
+inline constexpr int GemmTileRows = 8;
 
 /// Elements one packed [K, N] operand occupies: ceil(N / NR) panels of
 /// K * NR floats each (the tail panel is zero-padded to full width).
@@ -154,23 +164,23 @@ struct PackedOperand {
 /// when RowBias is non-null (direct-conv bias-first order) and to 0.0f
 /// otherwise, then accumulate in ascending k order.
 ///
-/// \p Level selects the dispatch tier (resolveGemmPackedRows); every
-/// caller names it. The scalar micro tile runs whenever no AVX2 tile
-/// resolves (Level Scalar, unsupported host, NR=4 panels). Scalar and Avx2
-/// results are bit-identical.
+/// \p NR is GemmNarrowNR or GemmWideNR; both tiers report any other
+/// width as a fatal error before a single store. \p Level selects the
+/// dispatch tier (resolveGemmPackedRows); every caller names it. The
+/// scalar micro tile runs whenever no AVX2 tile resolves (Level Scalar or
+/// an unsupported host). Scalar and Avx2 results are bit-identical.
 void gemmPackedRows(const float *A, int64_t ARowStride, int64_t AColStride,
                     const float *Packed, float *C, int64_t CRowStride,
                     int64_t RowBegin, int64_t RowEnd, int64_t N, int64_t K,
-                    int MR, int NR, const float *RowBias, KernelLevel Level);
+                    int NR, const float *RowBias, KernelLevel Level);
 
-/// The scalar micro tile behind gemmPackedRows — the fallback of
-/// resolveGemmPackedRows and the reference the AVX2 tile is differenced
-/// against.
+/// The scalar micro tile behind gemmPackedRows (GemmTileRows x NR
+/// accumulators) — the fallback of resolveGemmPackedRows and the
+/// reference the AVX2 tile is differenced against.
 void gemmPackedRowsScalar(const float *A, int64_t ARowStride,
                           int64_t AColStride, const float *Packed, float *C,
                           int64_t CRowStride, int64_t RowBegin, int64_t RowEnd,
-                          int64_t N, int64_t K, int MR, int NR,
-                          const float *RowBias);
+                          int64_t N, int64_t K, int NR, const float *RowBias);
 
 /// The scalar narrow-rows tile (a GemmNarrowRowsFn, 1 <= N <=
 /// GemmNarrowRowsMaxN): 8 rows x N accumulators with B read in place and
@@ -194,11 +204,6 @@ struct PackBuffer {
     return Heap.data();
   }
 };
-
-/// Panel width of the narrow panel route: every N <= 8 problem not on the
-/// narrow-rows route packs into one panel of this width, whatever PackNR
-/// says.
-inline constexpr int GemmNarrowNR = 8;
 
 /// Widest N the narrow-rows route takes (see the file comment for the
 /// measurement behind it).
@@ -233,8 +238,8 @@ struct GemmRoute {
 ///    dependent add chain per row with independent accumulators over 8
 ///    rows; the panel pays for it in padded SIMD lanes, the narrow-rows
 ///    tile in register transposes.
-///  - N > 8: a Config.PackNR (clamped) panel. Naive when the tail-padded
-///    columns would exceed a third of the useful ones (waste/N > 1/3), and
+///  - N > 8: a GemmWideNR panel. Naive when the tail-padded columns would
+///    exceed a third of the useful ones (waste/N > 1/3), and
 ///    — unless B is prepacked — when M < 4 or M * N * K < 16384, too small
 ///    to repay the K * N packing pass.
 GemmRoute gemmRoute(const KernelConfig &Config, int64_t M, int64_t N,

@@ -18,18 +18,19 @@
 // cannot fuse the pair, so every tile is bit-identical to the scalar
 // micro tile and the naive row walk.
 //
-// The packed tile is re-blocked regardless of the caller's MR — register
-// blocking spans output elements, never the k axis, so results are
-// invariant to the tile shape. Two tiles serve the panel route, one the
-// narrow-rows route:
+// The packed tile blocks rows per panel width, not at the scalar tile's
+// 8 — register blocking spans output elements, never the k axis, so
+// results are invariant to the tile shape. Two tiles serve the panel
+// route, one the narrow-rows route:
 //
-//  - Wide panels (NR = 16 or 32): 4 rows x 16 columns, 8 accumulator ymm +
-//    2 panel loads + 1 broadcast, comfortably inside the 16 ymm registers.
-//  - Narrow panels (NR = 8, the route of N = 5..8 and of transposed-A
-//    N <= 4 problems): 8 rows x 8 columns, 8 accumulator ymm + 1 panel
-//    load + 1 broadcast. A weight-stationary W[M,K] x X[K,B] layer streams
-//    eight weight rows per panel load instead of walking one row per add
-//    chain.
+//  - Wide panels (GemmWideNR = 32, Conv and N > 8): 4 rows x 16 columns,
+//    8 accumulator ymm + 2 panel loads + 1 broadcast, comfortably inside
+//    the 16 ymm registers.
+//  - Narrow panels (GemmNarrowNR = 8, the route of N = 5..8 and of
+//    transposed-A N <= 4 problems): 8 rows x 8 columns, 8 accumulator
+//    ymm + 1 panel load + 1 broadcast. A weight-stationary
+//    W[M,K] x X[K,B] layer streams eight weight rows per panel load
+//    instead of walking one row per add chain.
 //  - Narrow rows (N <= 4 with contiguous A rows): 8 rows x N columns, one
 //    accumulator ymm per column, its lanes the 8 rows. Each step loads
 //    8 rows x 8 k of A (sixteen 16-byte loads, each into one 128-bit
@@ -40,6 +41,7 @@
 //    at 8 columns; from N = 5 it no longer wins reliably (see
 //    KernelsGemmPacked.h), so N = 5..8 keep the panel.
 //
+// Any other panel width is a routing bug, reported before a single store.
 // Packed row tails run as one narrower block of the same width. Panels
 // are zero-padded to NR by packBPanels, which makes every 8-wide load
 // safe; only the stores honor the useful-column count. A narrow-rows tail
@@ -153,15 +155,18 @@ void rowBlocks(const float *A, int64_t ARowStride, int64_t AColStride,
 void gemmPackedRowsAvx2Impl(const float *A, int64_t ARowStride,
                             int64_t AColStride, const float *Packed, float *C,
                             int64_t CRowStride, int64_t RowBegin,
-                            int64_t RowEnd, int64_t N, int64_t K, int MR,
-                            int NR, const float *RowBias) {
-  (void)MR; // Re-blocked per panel width (see file header).
-  if (NR == 8)
-    rowBlocks<8, 1>(A, ARowStride, AColStride, Packed, C, CRowStride,
-                    RowBegin, RowEnd, N, K, NR, RowBias);
-  else
-    rowBlocks<4, 2>(A, ARowStride, AColStride, Packed, C, CRowStride,
-                    RowBegin, RowEnd, N, K, NR, RowBias);
+                            int64_t RowEnd, int64_t N, int64_t K, int NR,
+                            const float *RowBias) {
+  switch (NR) {
+  case 8: // GemmNarrowNR
+    return rowBlocks<8, 1>(A, ARowStride, AColStride, Packed, C, CRowStride,
+                           RowBegin, RowEnd, N, K, NR, RowBias);
+  case 32: // GemmWideNR
+    return rowBlocks<4, 2>(A, ARowStride, AColStride, Packed, C, CRowStride,
+                           RowBegin, RowEnd, N, K, NR, RowBias);
+  default:
+    reportFatalErrorf("packed GEMM tile: NR = %d is neither 8 nor 32", NR);
+  }
 }
 
 /// Loads A(Row[r], Kk + q) for r, q in 0..7 and transposes in registers:

@@ -128,7 +128,6 @@ void runGemmDims(const GemmDims &D, const std::vector<const Tensor *> &Inputs,
     // B repacked (or prepacked) into NR panels shared by every row that
     // reuses its slice.
     int NR = Route.NR;
-    int MR = clampPackMR(Config.PackMR);
     bool Prepacked =
         Rt.Prepacked && Rt.Prepacked->matches(K, N, NR, D.BSlices);
     KernelLevel Level = effectiveKernelLevel(Config);
@@ -156,7 +155,7 @@ void runGemmDims(const GemmDims &D, const std::vector<const Tensor *> &Inputs,
       BatchRows(Begin, End, [&](const float *Ab, int64_t S, float *Cb,
                                 int64_t I0, int64_t I1) {
         gemmPackedRows(Ab, D.aRowStride(), D.aColStride(),
-                       Packed + S * SliceElems, Cb, N, I0, I1, N, K, MR, NR,
+                       Packed + S * SliceElems, Cb, N, I0, I1, N, K, NR,
                        nullptr, Level);
       });
     }, Grain);

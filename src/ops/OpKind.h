@@ -8,7 +8,7 @@
 /// The ONNX-style operator set this reproduction implements. The set covers
 /// every operator named in the paper's Table 2 plus the ones its evaluated
 /// models require. ONNX multi-output Split is modelled as per-output Slice
-/// nodes so the graph IR stays single-output (documented in DESIGN.md).
+/// nodes so the graph IR stays single-output.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -36,6 +36,6 @@ bool ProfileDb::load(const std::string &Path) {
 bool ProfileDb::store(const std::string &Path) const {
   std::map<std::string, std::string> Raw;
   for (const auto &[Key, Value] : Entries)
-    Raw[Key] = formatString("%.6g", Value);
+    Raw[Key] = formatString("%.17g", Value); // Reloads to the same double.
   return storeKeyValueFile(Path, Raw);
 }

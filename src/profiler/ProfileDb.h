@@ -9,7 +9,7 @@
 /// operator combinations, keyed by the block's structural signature
 /// (operator kinds + attributes + shapes). Pre-computing it is what
 /// collapses the Profiling phase of compilation in Figure 9b. Persisted as
-/// a key=value text file.
+/// a key=value text file whose values round-trip to the measured doubles.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,7 +33,6 @@ public:
   int size() const { return static_cast<int>(Entries.size()); }
   int hits() const { return Hits; }
   int misses() const { return Misses; }
-  void resetCounters() { Hits = Misses = 0; }
 
   /// Loads entries from \p Path; returns false when the file is absent.
   bool load(const std::string &Path);

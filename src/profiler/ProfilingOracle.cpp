@@ -13,9 +13,12 @@
 
 using namespace dnnfusion;
 
-double dnnfusion::measureBlockLatencyMs(const Graph &G,
-                                        const std::vector<NodeId> &Members,
-                                        int Repeats) {
+namespace {
+
+/// Measures \p Members of \p G as one fused block: median wall time of
+/// \p Repeats runs after one warm-up.
+double measureBlockLatencyMs(const Graph &G, const std::vector<NodeId> &Members,
+                             int Repeats) {
   // Topological member order within the parent graph.
   std::vector<NodeId> Sorted = Members;
   {
@@ -84,6 +87,8 @@ double dnnfusion::measureBlockLatencyMs(const Graph &G,
   std::sort(Times.begin(), Times.end());
   return Times[Times.size() / 2];
 }
+
+} // namespace
 
 double ProfilingOracle::blockLatencyMs(const Graph &G,
                                        const std::vector<NodeId> &Members) {

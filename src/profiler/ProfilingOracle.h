@@ -41,11 +41,6 @@ private:
   double SpentMs = 0.0;
 };
 
-/// Measures \p Members of \p G as one fused block (used directly by the
-/// compilation-time bench): median wall time of \p Repeats runs.
-double measureBlockLatencyMs(const Graph &G, const std::vector<NodeId> &Members,
-                             int Repeats);
-
 } // namespace dnnfusion
 
 #endif // DNNFUSION_PROFILER_PROFILINGORACLE_H

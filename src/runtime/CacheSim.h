@@ -65,7 +65,7 @@ private:
   std::vector<int64_t> AccessCount;
 };
 
-/// Cache geometry presets for the paper's devices (DESIGN.md §2).
+/// Cache geometry presets for the paper's devices.
 std::vector<CacheLevelConfig> mobileCpuCacheConfig();
 std::vector<CacheLevelConfig> mobileGpuCacheConfig();
 /// TLBs are modelled as caches of page-granular "lines".

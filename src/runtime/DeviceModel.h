@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Calibrated roofline device models substituting for the paper's physical
-/// phones (DESIGN.md §2): per fused kernel,
+/// phones: per fused kernel,
 ///   t = launch_overhead + max(flops / peak_flops, bytes / bandwidth)
 /// with block-local scratch traffic charged at cache bandwidth. The three
 /// terms are exactly the effects the paper attributes GPU-side fusion

@@ -278,14 +278,14 @@ Expected<CompiledModel> dnnfusion::compileModel(Graph G,
       // The execution-engine knobs are not part of the persisted artifact
       // (they change neither plan nor graph, hence neither the cache key):
       // adopt the caller's, and rebuild the derived prepack/scratch state
-      // only when they differ from the knobs the loader already built
-      // under (the defaults — engine knobs are not in the OPTS section).
+      // only when the caller's UsePackedGemm differs from the one the
+      // loader already built under (the default — engine knobs are not in
+      // the OPTS section). The dispatch tier needs no rebuild: it is
+      // re-resolved on every execution.
       const KernelConfig &Want = Options.Codegen.Kernels;
-      const KernelConfig Loaded = Cached->Codegen.Kernels;
+      const bool LoadedPacked = Cached->Codegen.Kernels.UsePackedGemm;
       Cached->Codegen.Kernels = Want;
-      if (Want.UsePackedGemm != Loaded.UsePackedGemm ||
-          clampPackNR(Want.PackNR) != clampPackNR(Loaded.PackNR) ||
-          clampPackMR(Want.PackMR) != clampPackMR(Loaded.PackMR)) {
+      if (Want.UsePackedGemm != LoadedPacked) {
         buildPrepack(*Cached, Cached->G);
         Cached->Memory.PackScratchBytes =
             computePackScratchBytes(Cached->G, Cached->Blocks, Want);

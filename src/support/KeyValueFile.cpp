@@ -25,7 +25,7 @@ bool dnnfusion::loadKeyValueFile(const std::string &Path,
     std::string Line = trimString(RawLine);
     if (Line.empty() || Line[0] == '#')
       continue;
-    size_t Eq = Line.find('=');
+    size_t Eq = Line.rfind('=');
     DNNF_CHECK(Eq != std::string::npos, "malformed line in %s: '%s'",
                Path.c_str(), Line.c_str());
     Out[Line.substr(0, Eq)] = Line.substr(Eq + 1);

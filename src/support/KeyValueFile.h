@@ -6,7 +6,10 @@
 ///
 /// \file
 /// A line-oriented "key=value" text file used to persist the profiling
-/// database (paper §5.3, Figure 9b). Keys may not contain '=' or newlines.
+/// database (paper §5.3, Figure 9b). Each line splits at its last '=', so
+/// keys may contain '=' (block signatures render attributes as
+/// "{alpha=0.1}"); values may not. Neither may contain a newline, and
+/// surrounding whitespace is trimmed.
 ///
 //===----------------------------------------------------------------------===//
 

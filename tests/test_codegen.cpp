@@ -251,16 +251,6 @@ TEST(CodeEmitter, SignatureIdentifiesStructure) {
   EXPECT_NE(SigOf(B1.graph()), SigOf(B3.graph()));
 }
 
-TEST(FusedOpCache, HitsAcrossRepeatedStructures) {
-  FusedOpCache Cache;
-  EXPECT_FALSE(Cache.lookupOrInsert("Conv+Relu"));
-  EXPECT_TRUE(Cache.lookupOrInsert("Conv+Relu"));
-  EXPECT_FALSE(Cache.lookupOrInsert("Conv+Sigmoid"));
-  EXPECT_EQ(Cache.size(), 2);
-  EXPECT_EQ(Cache.hits(), 1);
-  EXPECT_EQ(Cache.misses(), 2);
-}
-
 //===----------------------------------------------------------------------===//
 // Codegen option sweeps preserve semantics
 //===----------------------------------------------------------------------===//

@@ -266,16 +266,18 @@ TEST(DftProgramLowering, EmitterRendersTape) {
 //===----------------------------------------------------------------------===//
 
 TEST(PackedGemm, PanelLayoutAndTailPadding) {
-  // B = [2, 5] with NR = 4: two panels, the second 1 column + 3 zeros.
-  std::vector<float> B(10);
+  // B = [2, 9] with NR = 8: two panels, the second 1 column + 7 zeros.
+  std::vector<float> B(18);
   for (size_t I = 0; I < B.size(); ++I)
     B[I] = static_cast<float>(I + 1);
-  std::vector<float> Packed(static_cast<size_t>(packedPanelElems(2, 5, 4)));
-  ASSERT_EQ(Packed.size(), 16u);
-  packBPanels(B.data(), 5, 1, 2, 5, 4, Packed.data());
-  // Panel 0: rows (1,2,3,4), (6,7,8,9). Panel 1: (5,0,0,0), (10,0,0,0).
-  const float Want[] = {1, 2, 3, 4, 6, 7, 8, 9, 5, 0, 0, 0, 10, 0, 0, 0};
-  for (size_t I = 0; I < 16; ++I)
+  std::vector<float> Packed(static_cast<size_t>(packedPanelElems(2, 9, 8)));
+  ASSERT_EQ(Packed.size(), 32u);
+  packBPanels(B.data(), 9, 1, 2, 9, 8, Packed.data());
+  // Panel 0: rows (1..8), (10..17). Panel 1: (9,0,...), (18,0,...).
+  const float Want[] = {1,  2,  3,  4,  5,  6,  7,  8,  10, 11, 12,
+                        13, 14, 15, 16, 17, 9,  0,  0,  0,  0,  0,
+                        0,  0,  18, 0,  0,  0,  0,  0,  0,  0};
+  for (size_t I = 0; I < 32; ++I)
     EXPECT_EQ(Packed[I], Want[I]) << "at " << I;
 }
 
@@ -297,19 +299,18 @@ TEST(PackedGemm, BitIdenticalToNaiveAcrossShapesAndBlocking) {
           Acc += A.at(I * K + Kk) * B.at(Kk * N + J);
         Ref.at(I * N + J) = Acc;
       }
-    for (int NR : {4, 8, 16, 32})
-      for (int MR : {1, 2, 4, 8}) {
-        std::vector<float> Packed(
-            static_cast<size_t>(packedPanelElems(K, N, NR)));
-        packBPanels(B.data(), N, 1, K, N, NR, Packed.data());
-        Tensor C(Shape({M, N}));
-        gemmPackedRows(A.data(), K, 1, Packed.data(), C.data(), N, 0, M, N,
-                       K, MR, NR, nullptr, KernelLevel::Scalar);
-        for (int64_t I = 0; I < M * N; ++I)
-          ASSERT_EQ(C.at(I), Ref.at(I))
-              << "MR=" << MR << " NR=" << NR << " M=" << M << " N=" << N
-              << " K=" << K << " at " << I;
-      }
+    for (int NR : {GemmNarrowNR, GemmWideNR}) {
+      std::vector<float> Packed(
+          static_cast<size_t>(packedPanelElems(K, N, NR)));
+      packBPanels(B.data(), N, 1, K, N, NR, Packed.data());
+      Tensor C(Shape({M, N}));
+      gemmPackedRows(A.data(), K, 1, Packed.data(), C.data(), N, 0, M, N, K,
+                     NR, nullptr, KernelLevel::Scalar);
+      for (int64_t I = 0; I < M * N; ++I)
+        ASSERT_EQ(C.at(I), Ref.at(I)) << "NR=" << NR << " M=" << M
+                                      << " N=" << N << " K=" << K << " at "
+                                      << I;
+    }
   }
 }
 

@@ -10,7 +10,8 @@
 // kernels at both tiers, the narrow-rows tile's row ranges, and the
 // cache-hit-then-redispatch property (kernel knobs are excluded from the
 // CompilationCache key; a cached artifact re-resolves dispatch on the
-// loading host).
+// loading host and rebuilds its prepacks under the caller's
+// UsePackedGemm).
 //
 //===----------------------------------------------------------------------===//
 
@@ -103,31 +104,27 @@ TEST(KernelLevelResolution, DispatchMaskReflectsBuild) {
 
 TEST(KernelDispatch, ResolversReturnAvx2KernelsOnlyWhenEveryConditionHolds) {
   // Scalar level resolves no SIMD kernel, on any host.
-  EXPECT_EQ(resolveGemmPackedRows(KernelLevel::Scalar, 16), nullptr);
+  EXPECT_EQ(resolveGemmPackedRows(KernelLevel::Scalar), nullptr);
   EXPECT_EQ(resolveGemmNarrowRows(KernelLevel::Scalar), nullptr);
   EXPECT_EQ(resolveFusedAttentionRows(KernelLevel::Scalar), nullptr);
   EXPECT_EQ(resolveEltwiseChunk(KernelLevel::Scalar), nullptr);
   if (!hostRunsAvx2()) {
     // No AVX2 in the dispatch mask: even a requested avx2 resolves null.
-    EXPECT_EQ(resolveGemmPackedRows(KernelLevel::Avx2, 16), nullptr);
+    EXPECT_EQ(resolveGemmPackedRows(KernelLevel::Avx2), nullptr);
     EXPECT_EQ(resolveGemmNarrowRows(KernelLevel::Avx2), nullptr);
     EXPECT_EQ(resolveEltwiseChunk(KernelLevel::Avx2), nullptr);
     GTEST_SKIP() << "host/build has no AVX2 tier";
   }
-  EXPECT_EQ(resolveGemmPackedRows(KernelLevel::Avx2, 16),
+  EXPECT_EQ(resolveGemmPackedRows(KernelLevel::Avx2),
             simd::gemmPackedRowsAvx2());
   EXPECT_EQ(resolveGemmNarrowRows(KernelLevel::Avx2),
             simd::gemmNarrowRowsAvx2());
   EXPECT_EQ(resolveFusedAttentionRows(KernelLevel::Avx2),
             simd::fusedAttentionRowsAvx2());
   EXPECT_EQ(resolveEltwiseChunk(KernelLevel::Avx2), simd::eltwiseChunkAvx2());
-  // Narrow panels stay on the scalar micro tile.
-  EXPECT_EQ(resolveGemmPackedRows(KernelLevel::Avx2, 8),
-            simd::gemmPackedRowsAvx2());
-  EXPECT_EQ(resolveGemmPackedRows(KernelLevel::Avx2, 4), nullptr);
   // A tripped degrade latch closes every resolver.
   latchKernelDegradeToScalar("test");
-  EXPECT_EQ(resolveGemmPackedRows(KernelLevel::Avx2, 16), nullptr);
+  EXPECT_EQ(resolveGemmPackedRows(KernelLevel::Avx2), nullptr);
   EXPECT_EQ(resolveGemmNarrowRows(KernelLevel::Avx2), nullptr);
   EXPECT_EQ(resolveFusedAttentionRows(KernelLevel::Avx2), nullptr);
   EXPECT_EQ(resolveEltwiseChunk(KernelLevel::Avx2), nullptr);
@@ -202,12 +199,12 @@ TEST_F(ForcedLevelEnv, GarbageEnvFallsBackToAuto) {
 /// bit-identical to the scalar reference. \p ATransposed stores A
 /// column-major to exercise the strided A-operand path (the Gemm transA
 /// layout).
-void gemmDifferentialCase(int64_t M, int64_t N, int64_t K, int MR, int NR,
+void gemmDifferentialCase(int64_t M, int64_t N, int64_t K, int NR,
                           bool WithBias, bool ATransposed, uint64_t Seed) {
-  SCOPED_TRACE(formatString("M=%lld N=%lld K=%lld MR=%d NR=%d bias=%d tA=%d",
+  SCOPED_TRACE(formatString("M=%lld N=%lld K=%lld NR=%d bias=%d tA=%d",
                             static_cast<long long>(M),
                             static_cast<long long>(N),
-                            static_cast<long long>(K), MR, NR, WithBias,
+                            static_cast<long long>(K), NR, WithBias,
                             ATransposed));
   Rng R(Seed);
   Tensor A(Shape({ATransposed ? K : M, ATransposed ? M : K}));
@@ -218,7 +215,6 @@ void gemmDifferentialCase(int64_t M, int64_t N, int64_t K, int MR, int NR,
   for (float &V : Bias)
     V = R.nextFloatInRange(-0.5f, 0.5f);
 
-  NR = clampPackNR(NR);
   std::vector<float> Packed(
       static_cast<size_t>(packedPanelElems(K, N, NR)));
   packBPanels(B.data(), N, 1, K, N, NR, Packed.data());
@@ -229,14 +225,14 @@ void gemmDifferentialCase(int64_t M, int64_t N, int64_t K, int MR, int NR,
 
   std::vector<float> Ref(static_cast<size_t>(M * N));
   gemmPackedRowsScalar(A.data(), ARow, ACol, Packed.data(), Ref.data(), N, 0,
-                       M, N, K, MR, NR, RowBias);
+                       M, N, K, NR, RowBias);
 
   // The bit-exact tier through the public dispatcher (falls back to the
-  // scalar micro tile when the host/build lacks AVX2 or NR is narrow —
-  // trivially identical, still a valid run of the dispatch path).
+  // scalar micro tile when the host/build lacks AVX2 — trivially
+  // identical, still a valid run of the dispatch path).
   std::vector<float> Simd(static_cast<size_t>(M * N), -42.0f);
   gemmPackedRows(A.data(), ARow, ACol, Packed.data(), Simd.data(), N, 0, M, N,
-                 K, MR, NR, RowBias, KernelLevel::Avx2);
+                 K, NR, RowBias, KernelLevel::Avx2);
   for (int64_t I = 0; I < M * N; ++I)
     ASSERT_EQ(Ref[static_cast<size_t>(I)], Simd[static_cast<size_t>(I)])
         << "avx2 diverged at element " << I;
@@ -244,20 +240,20 @@ void gemmDifferentialCase(int64_t M, int64_t N, int64_t K, int MR, int NR,
 
 TEST(GemmPackedDifferential, ShapeGridScalarVsSimd) {
   uint64_t Seed = 0xd15ba7c4;
-  // Odd M/N/K so every row-block and panel tail path runs; MR below,
-  // at, and above the SIMD kernel's internal 4-row blocking; every
-  // supported panel width (NR=4 exercises the narrow-panel fallback).
-  for (int MR : {1, 3, 8})
-    for (int NR : {4, 8, 16, 32})
+  // Odd M/N/K so every row-block and panel tail path runs at both panel
+  // widths: M = 1 and 3 fit inside one 4-row block of the AVX2 wide tile,
+  // M = 13 is three full blocks and a tail (one 8-row block and a tail
+  // on the narrow and scalar tiles).
+  for (int64_t M : {1, 3, 13})
+    for (int NR : {GemmNarrowNR, GemmWideNR})
       for (bool WithBias : {false, true})
         for (bool ATransposed : {false, true})
-          gemmDifferentialCase(13, 37, 19, MR, NR, WithBias, ATransposed,
-                               ++Seed);
+          gemmDifferentialCase(M, 37, 19, NR, WithBias, ATransposed, ++Seed);
   // A large square case where all full-tile fast paths dominate.
-  gemmDifferentialCase(64, 64, 64, 8, 16, true, false, ++Seed);
+  gemmDifferentialCase(64, 64, 64, GemmWideNR, true, false, ++Seed);
   // Single-column and single-row degenerate geometries.
-  gemmDifferentialCase(1, 32, 24, 8, 8, false, false, ++Seed);
-  gemmDifferentialCase(16, 8, 1, 4, 8, true, false, ++Seed);
+  gemmDifferentialCase(1, 32, 24, GemmNarrowNR, false, false, ++Seed);
+  gemmDifferentialCase(16, 8, 1, GemmNarrowNR, true, false, ++Seed);
   // The narrow panel route's 8x8 tile: N = 1..8 in one 8-wide panel, and
   // M = 8q + r so every row tail r of the 8-row blocking runs, alone
   // (q = 0) and behind full blocks.
@@ -268,9 +264,33 @@ TEST(GemmPackedDifferential, ShapeGridScalarVsSimd) {
           continue;
         for (bool WithBias : {false, true})
           for (bool ATransposed : {false, true})
-            gemmDifferentialCase(8 * Q + Rem, N, 19, 8, 8, WithBias,
+            gemmDifferentialCase(8 * Q + Rem, N, 19, GemmNarrowNR, WithBias,
                                  ATransposed, ++Seed);
       }
+}
+
+TEST(GemmPackedDifferential, TilesRejectPanelWidthsOtherThanTheTwo) {
+  // Panels pack only at GemmNarrowNR and GemmWideNR; any other width is a
+  // routing bug, reported before a single store.
+  std::vector<std::pair<const char *, GemmPackedRowsFn>> Tiles{
+      {"scalar", &gemmPackedRowsScalar}};
+  if (GemmPackedRowsFn Avx2 = resolveGemmPackedRows(KernelLevel::Avx2))
+    Tiles.push_back({"avx2", Avx2});
+  const int64_t M = 8, N = 16, K = 4;
+  std::vector<float> A(static_cast<size_t>(M * K), 1.0f);
+  std::vector<float> Packed(static_cast<size_t>(packedPanelElems(K, N, 16)),
+                            1.0f);
+  for (auto [TierName, Tile] : Tiles)
+    for (int NR : {4, 16}) {
+      SCOPED_TRACE(formatString("%s NR=%d", TierName, NR));
+      std::vector<float> C(static_cast<size_t>(M * N), -7.0f);
+      ScopedFatalErrorTrap Trap;
+      EXPECT_THROW(Tile(A.data(), K, 1, Packed.data(), C.data(), N, 0, M, N,
+                        K, NR, nullptr),
+                   detail::TrappedFatalError);
+      for (float V : C)
+        ASSERT_EQ(V, -7.0f);
+    }
 }
 
 //===----------------------------------------------------------------------===//
@@ -738,6 +758,54 @@ TEST_F(CacheRedispatch, KernelKnobsExcludedFromKeyAndReResolvedOnLoad) {
   std::optional<std::string> Diff =
       compareOutputs(WantOut, GotOut, 0.0f, 0.0f);
   EXPECT_FALSE(Diff.has_value()) << *Diff;
+}
+
+TEST_F(CacheRedispatch, PackedEngineSwitchOnAHitMatchesAColdCompile) {
+  // The loader builds prepacks and pack scratch under the default
+  // UsePackedGemm; a hit under the other value must rebuild both. Either
+  // way round, the hit must equal a cold compile under the hit's options.
+  std::vector<Tensor> Inputs = randomInputs(buildModel("TinyBERT"), 41);
+  for (bool StorePacked : {true, false}) {
+    SCOPED_TRACE(StorePacked ? "stored packed, hit naive"
+                             : "stored naive, hit packed");
+    Clean();
+    CompileOptions Store, Hit, Cold;
+    Store.CacheDir = Hit.CacheDir = Dir;
+    Store.Codegen.Kernels.UsePackedGemm = StorePacked;
+    Hit.Codegen.Kernels.UsePackedGemm = !StorePacked;
+    Cold.Codegen.Kernels.UsePackedGemm = !StorePacked;
+    ASSERT_FALSE(
+        cantFail(compileModel(buildModel("TinyBERT"), Store)).CacheHit);
+    CompiledModel Warm = cantFail(compileModel(buildModel("TinyBERT"), Hit));
+    ASSERT_TRUE(Warm.CacheHit);
+    CompiledModel Want = cantFail(compileModel(buildModel("TinyBERT"), Cold));
+    EXPECT_EQ(Want.Prepack.empty(), StorePacked);
+
+    ASSERT_EQ(Warm.Prepack.size(), Want.Prepack.size());
+    for (size_t I = 0; I < Want.Prepack.size(); ++I) {
+      const PackedOperand &Got = Warm.Prepack[I], &Exp = Want.Prepack[I];
+      EXPECT_TRUE(Got.matches(Exp.K, Exp.N, Exp.NR, Exp.Slices))
+          << "prepack " << I;
+      ASSERT_EQ(Got.Data.size(), Exp.Data.size()) << "prepack " << I;
+      EXPECT_EQ(std::memcmp(Got.Data.data(), Exp.Data.data(),
+                            Exp.Data.size() * sizeof(float)),
+                0)
+          << "prepack " << I;
+    }
+    EXPECT_EQ(Warm.Memory.PackScratchBytes, Want.Memory.PackScratchBytes);
+
+    ExecutionContext EWarm(Warm), EWant(Want);
+    ExecutionStats WarmStats, WantStats;
+    std::vector<Tensor> GotOut = EWarm.run(Inputs, &WarmStats);
+    std::vector<Tensor> WantOut = EWant.run(Inputs, &WantStats);
+    std::optional<std::string> Diff =
+        compareOutputs(WantOut, GotOut, 0.0f, 0.0f);
+    EXPECT_FALSE(Diff.has_value()) << *Diff;
+    EXPECT_EQ(WarmStats.Engine.PrepackHits, WantStats.Engine.PrepackHits);
+    EXPECT_EQ(WarmStats.Engine.PrepackMisses, WantStats.Engine.PrepackMisses);
+    EXPECT_EQ(WarmStats.Engine.PackedKernelCalls,
+              WantStats.Engine.PackedKernelCalls);
+  }
 }
 
 } // namespace

@@ -1,12 +1,14 @@
-//===- tests/test_profiler_tuner.cpp - profile DB, oracle, GA tuner -----------------===//
+//===- tests/test_profiler_tuner.cpp - profile DB and measuring oracle --------------===//
 
 #include "graph/GraphBuilder.h"
-#include "ops/KernelRegistry.h"
+#include "models/ModelZoo.h"
 #include "profiler/ProfilingOracle.h"
-#include "support/FaultInjection.h"
-#include "tuning/AutoTuner.h"
+#include "runtime/ModelCompiler.h"
+#include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <cstdio>
 
@@ -41,6 +43,32 @@ TEST(ProfileDb, PersistenceRoundTrip) {
   std::remove(Path.c_str());
 }
 
+TEST(ProfileDb, AReloadedDatabaseAnswersEveryLookupOfTheSameCompile) {
+  // Block signatures render attributes as "{alpha=0.1}", so a key holds
+  // '=' and the stored value must come back as the measured double.
+  std::string Path = formatString("/tmp/dnnf_profiledb_reload_%d.txt",
+                                  static_cast<int>(getpid()));
+  ProfileDb First;
+  ProfilingOracle Measuring(First, /*Repeats=*/1);
+  CompiledModel Cold = cantFail(
+      compileModel(buildModel("YOLO-V4"), CompileOptions(), &Measuring));
+  ASSERT_GT(First.size(), 0);
+  ASSERT_TRUE(First.store(Path));
+
+  ProfileDb Reloaded;
+  ASSERT_TRUE(Reloaded.load(Path));
+  std::remove(Path.c_str());
+  EXPECT_EQ(Reloaded.size(), First.size());
+  ProfilingOracle Looking(Reloaded, /*Repeats=*/1);
+  CompiledModel Warm = cantFail(
+      compileModel(buildModel("YOLO-V4"), CompileOptions(), &Looking));
+  EXPECT_EQ(Reloaded.misses(), 0);
+  EXPECT_GT(Reloaded.hits(), 0);
+  EXPECT_EQ(Looking.measurementMs(), 0.0);
+  EXPECT_EQ(Reloaded.size(), First.size());
+  EXPECT_EQ(Warm.Plan.toString(Warm.G), Cold.Plan.toString(Cold.G));
+}
+
 TEST(ProfilingOracle, MeasuresAndThenHitsTheDatabase) {
   GraphBuilder B(1);
   NodeId X = B.input(Shape({32, 32}));
@@ -69,48 +97,6 @@ TEST(ProfilingOracle, MeasuredBlockWithHeavyOpRuns) {
   ProfileDb Db;
   ProfilingOracle Oracle(Db);
   EXPECT_GT(Oracle.blockLatencyMs(B.graph(), {M, R}), 0.0);
-}
-
-TEST(AutoTuner, FindsConfigNoWorseThanBaseline) {
-  TuneOptions Opt;
-  Opt.Population = 6;
-  Opt.Generations = 3;
-  TuneResult R = tuneMatmul(64, 64, 64, Opt);
-  EXPECT_GT(R.Evaluations, Opt.Population);
-  // The default config is in the initial population, so the winner can
-  // never be slower (modulo timing noise, hence the 25% slack).
-  EXPECT_LE(R.BestMs, R.BaselineMs * 1.25);
-  EXPECT_GT(R.WallMs, 0.0);
-}
-
-TEST(AutoTuner, TimesTheTierProductionDispatchesAt) {
-  if (effectiveKernelLevel(KernelConfig()) != KernelLevel::Avx2)
-    GTEST_SKIP() << "default dispatch does not resolve to AVX2 here";
-  // Armed at probability 0 the kernel.dispatch point never fires, but it
-  // counts every SIMD dispatch check; a scalar-timed search makes none.
-  FaultInjection &FI = FaultInjection::instance();
-  FI.reset();
-  FaultSpec Never;
-  Never.Probability = 0.0;
-  FI.arm(faultpoints::KernelDispatch, Never);
-  TuneOptions Opt;
-  Opt.Population = 2;
-  Opt.Generations = 1;
-  tuneMatmul(16, 16, 16, Opt);
-  int64_t Checks = FI.pointStats(faultpoints::KernelDispatch).Checks;
-  FI.reset();
-  EXPECT_GT(Checks, 0);
-}
-
-TEST(AutoTuner, DeterministicSearchTrajectory) {
-  TuneOptions Opt;
-  Opt.Population = 4;
-  Opt.Generations = 2;
-  Opt.Seed = 99;
-  TuneResult A = tuneMatmul(32, 32, 32, Opt);
-  TuneResult B = tuneMatmul(32, 32, 32, Opt);
-  // Timing differs run to run, but the sampled configurations do not.
-  EXPECT_EQ(A.Evaluations, B.Evaluations);
 }
 
 } // namespace
