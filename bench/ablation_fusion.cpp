@@ -2,7 +2,7 @@
 //
 // Ablations for four of the fusion design decisions:
 //  1. Seed selection policy (paper: minimum-IRS One-to-One seeds).
-//  2. Yellow (profile-dependent) fusion on/off.
+//  2. Yellow (fuse-depend, cost-model-decided) fusion on/off.
 //  3. Constraint threshold (max operators per block).
 //  4. Intra-block data-movement folding and CSE materialization.
 //

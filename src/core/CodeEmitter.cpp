@@ -157,7 +157,11 @@ std::string dnnfusion::blockSignature(const Graph &G,
   std::vector<std::string> Parts;
   for (NodeId Id : Block.Members) {
     const Node &N = G.node(Id);
-    std::string Part = formatString("%s[%s]", opKindName(N.Kind),
+    std::vector<std::string> Ins;
+    for (const Shape &In : G.inputShapes(Id))
+      Ins.push_back(In.toString());
+    std::string Part = formatString("%s(%s)[%s]", opKindName(N.Kind),
+                                    joinStrings(Ins, ",").c_str(),
                                     N.OutShape.toString().c_str());
     std::string Attrs = N.Attrs.signature();
     if (!Attrs.empty())

@@ -29,10 +29,12 @@ namespace dnnfusion {
 std::string emitBlockSource(const Graph &G, const CompiledBlock &Block,
                             const std::string &KernelName);
 
-/// Structural signature of a fused kernel: operator kinds, attribute
-/// signatures, and shapes. Two blocks with equal signatures can share one
-/// generated kernel (paper: "once a new operator is generated, it can be
-/// used for both the current model and future models").
+/// Structural signature of a fused kernel: each member's operator kind,
+/// input shapes, output shape and attribute signature, as
+/// "Kind(in,...)[out]{attrs}" joined by '+'. Two blocks with equal
+/// signatures can share one generated kernel (paper: "once a new operator
+/// is generated, it can be used for both the current model and future
+/// models").
 std::string blockSignature(const Graph &G, const FusionBlock &Block);
 
 } // namespace dnnfusion

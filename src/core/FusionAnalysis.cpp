@@ -62,6 +62,6 @@ FusionVerdict dnnfusion::fusionVerdict(MappingType First, MappingType Second) {
 
   // Every remaining mix of {Reorganize, Shuffle} with {One-to-Many,
   // Many-to-Many} (either order), plus Many-to-Many -> One-to-Many, can
-  // damage access patterns or duplicate work: profile to decide (§3.2).
+  // damage access patterns or duplicate work: estimate to decide (§3.2).
   return FusionVerdict::FuseDepend;
 }

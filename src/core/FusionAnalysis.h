@@ -8,7 +8,7 @@
 /// The paper's mapping-type analysis (§3.2, Table 3): for an ordered pair
 /// of mapping types (first operator feeding second operator), what is the
 /// fused operator's mapping type, and is the fusion profitable (green),
-/// profile-dependent (yellow), or break (red)?
+/// dependent on a latency estimate (yellow), or break (red)?
 ///
 /// Reconstruction notes: the paper states 23 code
 /// generation rules exist, "one rule corresponding to a green or yellow
@@ -29,7 +29,7 @@ namespace dnnfusion {
 /// named after Listing 1 in the paper.
 enum class FusionVerdict {
   FuseThrough, ///< Green: legal and profitable, fuse without analysis.
-  FuseDepend,  ///< Yellow: legal; consult the profiling database.
+  FuseDepend,  ///< Yellow: legal; the cost model decides.
   FuseBreak,   ///< Red: illegal or clearly unprofitable.
 };
 

@@ -8,9 +8,8 @@
 /// The output of fusion plan exploration (paper §4.3): a partition of the
 /// graph's operator nodes into fusion blocks, each later compiled into a
 /// single fused kernel. Also declares the LatencyOracle interface through
-/// which the planner resolves yellow (profile-dependent) decisions — the
-/// profiler module provides a measuring implementation backed by the
-/// profiling database, and CostModelOracle provides an analytic fallback.
+/// which the planner resolves yellow (fuse-depend) decisions, and its one
+/// implementation, the analytic CostModelOracle.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -108,14 +107,14 @@ class LatencyOracle {
 public:
   virtual ~LatencyOracle();
 
-  /// Estimated or measured execution time, in milliseconds, of \p Members
-  /// executed as a single fused block.
+  /// Estimated execution time, in milliseconds, of \p Members executed as
+  /// a single fused block.
   virtual double blockLatencyMs(const Graph &G,
                                 const std::vector<NodeId> &Members) = 0;
 };
 
-/// Analytic roofline-style oracle used when no profiling database is
-/// available: launch overhead + flops term + external-traffic term, with a
+/// Analytic roofline-style oracle that decides every yellow fusion:
+/// launch overhead + flops term + external-traffic term, with a
 /// strided-access penalty when Shuffle/One-to-Many members share a block
 /// with a Many-to-Many operator (the access-pattern damage §3.2 warns
 /// about).

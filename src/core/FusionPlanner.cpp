@@ -161,12 +161,11 @@ struct Planner {
 
   /// Yellow decision (Listing 1 step 2.3): fuse only when the fused block
   /// is no slower than executing the candidate separately.
-  bool profileApproves(std::vector<NodeId> &Members, NodeId Candidate) {
+  bool oracleApproves(std::vector<NodeId> &Members, NodeId Candidate) {
     if (!Opt.EnableYellowFusion) {
       ++Stats.YellowRejected;
       return false;
     }
-    Stats.OracleQueries += 3;
     std::vector<NodeId> Fused = Members;
     Fused.push_back(Candidate);
     double FusedMs = Oracle.blockLatencyMs(G, Fused);
@@ -212,7 +211,7 @@ struct Planner {
         }
     }
     if (V == FusionVerdict::FuseDepend) {
-      if (!profileApproves(Members, Candidate))
+      if (!oracleApproves(Members, Candidate))
         return false;
     } else {
       ++Stats.GreenFusions;

@@ -5,12 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Light-weight profile-driven fusion plan exploration (paper §4.3,
-/// Listing 1): select One-to-One seed operators with minimal intermediate
-/// results, grow each block through the seed's successors then
-/// predecessors, deciding every step with the Table 3 mapping-type
-/// analysis, a register-pressure-style constraint check, and — for yellow
-/// combinations — a latency oracle (profiling database or cost model).
+/// Light-weight fusion plan exploration (paper §4.3, Listing 1): select
+/// One-to-One seed operators with minimal intermediate results, grow each
+/// block through the seed's successors then predecessors, deciding every
+/// step with the Table 3 mapping-type analysis, a register-pressure-style
+/// constraint check, and — for yellow combinations — the analytic cost
+/// model (CostModelOracle). A plan is a function of the graph and options
+/// alone; docs/ARCHITECTURE.md ("Yellow decisions") says why the paper's
+/// profiling database is not reproduced.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,16 +55,15 @@ struct PlannerStats {
   int RedRejected = 0;
   int ConstraintRejected = 0;
   int CycleRejected = 0;
-  /// Oracle consultations (profile-database lookups / measurements).
-  int OracleQueries = 0;
 };
 
 /// Explores fusion plans for \p G. \p Oracle resolves yellow decisions;
-/// when null a CostModelOracle is used. Returns a verified plan whose
-/// blocks are in execution order. Seeds come in two rounds (One-to-One
-/// operators, then broadcast elementwise ones); each round sorts its
-/// eligible operators once, by the seed policy's key and then by id, and
-/// every seed is the first of them not yet absorbed into a block.
+/// when null, as compileModel passes it, a CostModelOracle is used.
+/// Returns a verified plan whose blocks are in execution order. Seeds come
+/// in two rounds (One-to-One operators, then broadcast elementwise ones);
+/// each round sorts its eligible operators once, by the seed policy's key
+/// and then by id, and every seed is the first of them not yet absorbed
+/// into a block.
 FusionPlan planFusion(const Graph &G, LatencyOracle *Oracle = nullptr,
                       const PlannerOptions &Options = {},
                       PlannerStats *Stats = nullptr);

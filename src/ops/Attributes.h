@@ -27,8 +27,8 @@ namespace dnnfusion {
 using AttrValue =
     std::variant<int64_t, double, std::vector<int64_t>, std::string>;
 
-/// Ordered attribute dictionary. Ordering (std::map) keeps signatures used
-/// as profile-database keys deterministic.
+/// Ordered attribute dictionary. Ordering (std::map) keeps signatures
+/// deterministic.
 class AttrMap {
 public:
   AttrMap() = default;
@@ -59,8 +59,8 @@ public:
   double requireFloat(const std::string &Name) const;
   const std::vector<int64_t> &requireInts(const std::string &Name) const;
 
-  /// Canonical "k1=v1;k2=v2" rendering used in profile-database keys and
-  /// emitted-kernel names.
+  /// Canonical "k1=v1;k2=v2" rendering used in block signatures
+  /// (blockSignature) and graph dumps.
   std::string signature() const;
 
   /// Read-only view of all attributes, sorted by name (used by tooling that

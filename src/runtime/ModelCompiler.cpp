@@ -250,8 +250,7 @@ dnnfusion::compileModelWithPlan(Graph G, FusionPlan Plan,
 }
 
 Expected<CompiledModel> dnnfusion::compileModel(Graph G,
-                                                const CompileOptions &Options,
-                                                LatencyOracle *Oracle) {
+                                                const CompileOptions &Options) {
   // The trust boundary for user-supplied model structure: everything past
   // this validation may DNNF_CHECK internal invariants freely.
   if (Status S = G.validate(); !S.ok())
@@ -310,7 +309,7 @@ Expected<CompiledModel> dnnfusion::compileModel(Graph G,
 
   Timer.reset();
   if (Options.EnableFusion) {
-    M.Plan = planFusion(G, Oracle, Options.Planner, &M.PlannerInfo);
+    M.Plan = planFusion(G, nullptr, Options.Planner, &M.PlannerInfo);
     if (Options.EnableOtherOpts)
       mergeMovementBlocks(G, M.Plan);
     // Transformer carving: regroup matched attention / layernorm

@@ -111,13 +111,14 @@ struct CompiledModel {
   bool CacheHit = false;
 };
 
-/// Compiles \p G (consumed). \p Oracle resolves yellow fusion decisions
-/// (null = analytic cost model). The graph is validated first; a malformed
-/// graph (no outputs, bad arity, shape disagreement, cycle, duplicate
-/// input names) returns an InvalidGraph Status instead of aborting —
-/// compilation is the trust boundary for user-supplied model structure.
-Expected<CompiledModel> compileModel(Graph G, const CompileOptions &Options = {},
-                                     LatencyOracle *Oracle = nullptr);
+/// Compiles \p G (consumed). The analytic cost model decides every yellow
+/// fusion, so the result depends on \p G and \p Options alone. The graph
+/// is validated first; a malformed graph (no outputs, bad arity, shape
+/// disagreement, cycle, duplicate input names) returns an InvalidGraph
+/// Status instead of aborting — compilation is the trust boundary for
+/// user-supplied model structure.
+Expected<CompiledModel> compileModel(Graph G,
+                                     const CompileOptions &Options = {});
 
 /// Compiles \p G under an externally produced fusion plan (the framework
 /// baselines of Tables 5/6: their pattern fusers decide the plan, this
@@ -132,9 +133,8 @@ Expected<CompiledModel> compileModelWithPlan(Graph G, FusionPlan Plan,
 /// comes back as a DataLoss Status here, not an abort — persisted plans
 /// are untrusted input), then reruns the deterministic compilation tail
 /// (per-block codegen, memory planning, stats, signature).
-/// This is the loadModel path: everything expensive — rewrite search,
-/// fusion exploration, profiling — is skipped because its result IS the
-/// plan.
+/// This is the loadModel path: everything expensive — rewrite search and
+/// fusion exploration — is skipped because its result IS the plan.
 ///
 /// \p G must already have passed Graph::validate(): the artifact
 /// deserializer's Graph::fromParts validates in full, and this function

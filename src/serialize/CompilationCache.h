@@ -7,7 +7,7 @@
 /// \file
 /// The on-disk compilation cache (paper Figure 9b's motivation, taken to
 /// serving: the planning cost — rewrite search, mapping analysis,
-/// profiling-guided plan selection — is paid once per (graph, options)
+/// cost-model-guided plan selection — is paid once per (graph, options)
 /// content, not once per process start). compileModel consults it
 /// transparently when CompileOptions::CacheDir is set:
 ///
@@ -21,10 +21,9 @@
 /// compile slower, never wrong, and never aborted. Writes are atomic
 /// (temp + rename), so concurrent processes may share one directory.
 ///
-/// The key deliberately excludes the LatencyOracle: profiling oracles are
-/// assumed deterministic for a given profile database. Callers mixing
-/// materially different oracles over one cache directory should use one
-/// directory per oracle.
+/// The key stands for the artifact because compilation is deterministic:
+/// the plan, and with it every artifact byte, depends on the graph and the
+/// options alone (ZooInvariants.TwoColdCompilesWriteTheSameArtifact).
 ///
 //===----------------------------------------------------------------------===//
 

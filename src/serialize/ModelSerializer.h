@@ -15,7 +15,7 @@
 /// Two artifact kinds exist: a bare graph (GRPH section — model
 /// distribution before compilation) and a compiled model (GRPH + OPTS +
 /// PLAN + MEMP — the unit the compilation cache stores, loadable without
-/// re-running rewrite search, fusion exploration, or profiling).
+/// re-running rewrite search or fusion exploration).
 /// docs/FORMAT.md specifies the layout byte by byte, including the
 /// compatibility policy: readers reject any version they do not know and
 /// skip unknown sections within a known version.

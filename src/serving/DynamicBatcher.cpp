@@ -253,26 +253,42 @@ void DynamicBatcher::processBatch(std::vector<std::shared_ptr<Pending>> Batch,
   // terminates at solo execution.
   std::deque<std::shared_ptr<Pending>> Work(Live.begin(), Live.end());
   std::vector<int64_t> TrippedThisBatch;
+  // A request counts in DegradedRequests once, when it runs in a smaller
+  // sub-batch than its IdealBucket and this call found that bucket open or
+  // tripped (Blocked). A mid-run deadline retry re-plans the ideal
+  // buckets, so the smaller batch its survivors run in does not count.
+  std::vector<int64_t> Blocked;
+  auto PlanIdealBuckets = [&] {
+    for (size_t I = 0; I < Work.size();) {
+      const size_t Left = Work.size() - I;
+      const int64_t B = *std::find_if(
+          Buckets.begin(), Buckets.end(),
+          [&](int64_t C) { return static_cast<size_t>(C) <= Left; });
+      for (const size_t End = I + static_cast<size_t>(B); I < End; ++I)
+        Work[I]->IdealBucket = B;
+    }
+  };
+  auto IsBlocked = [&](int64_t B) {
+    return std::find(Blocked.begin(), Blocked.end(), B) != Blocked.end();
+  };
+  PlanIdealBuckets();
   while (!Work.empty()) {
     const size_t Remaining = Work.size();
     InferenceSession *Session = nullptr;
     size_t Take = 1;
-    bool Degraded = false;
     for (int64_t B : Buckets) {
       if (static_cast<size_t>(B) > Remaining)
         continue;
-      if (std::find(TrippedThisBatch.begin(), TrippedThisBatch.end(), B) !=
+      if (std::find(TrippedThisBatch.begin(), TrippedThisBatch.end(), B) ==
           TrippedThisBatch.end()) {
-        Degraded = true;
-        continue;
+        if (InferenceSession *S = variantFor(B)) {
+          Session = S;
+          Take = static_cast<size_t>(B);
+          break;
+        }
       }
-      bool Cooling = false;
-      if (InferenceSession *S = variantFor(B, &Cooling)) {
-        Session = S;
-        Take = static_cast<size_t>(B);
-        break;
-      }
-      Degraded = Degraded || Cooling;
+      if (!IsBlocked(B))
+        Blocked.push_back(B);
     }
     if (!Session) {
       Session = variantFor(1);
@@ -283,9 +299,17 @@ void DynamicBatcher::processBatch(std::vector<std::shared_ptr<Pending>> Batch,
     std::vector<std::shared_ptr<Pending>> Sub(
         Work.begin(), Work.begin() + static_cast<ptrdiff_t>(Take));
     Work.erase(Work.begin(), Work.begin() + static_cast<ptrdiff_t>(Take));
-    if (Degraded) {
+    uint64_t Degraded = 0;
+    for (const std::shared_ptr<Pending> &Req : Sub)
+      if (!Req->CountedDegraded &&
+          static_cast<int64_t>(Take) < Req->IdealBucket &&
+          IsBlocked(Req->IdealBucket)) {
+        Req->CountedDegraded = true;
+        ++Degraded;
+      }
+    if (Degraded != 0) {
       std::lock_guard<std::mutex> Lock(StatsMutex);
-      Counters.DegradedRequests += static_cast<uint64_t>(Take);
+      Counters.DegradedRequests += Degraded;
     }
 
     Status S = executeSubBatch(Session, Sub);
@@ -312,6 +336,7 @@ void DynamicBatcher::processBatch(std::vector<std::shared_ptr<Pending>> Batch,
           Retry.push_back(std::move(Req));
       }
       Work.insert(Work.begin(), Retry.begin(), Retry.end());
+      PlanIdealBuckets();
       continue;
     }
     // Execution fault. At solo there is nothing smaller to decompose to —
@@ -435,18 +460,13 @@ Status DynamicBatcher::executeSubBatch(
   return Status();
 }
 
-InferenceSession *DynamicBatcher::variantFor(int64_t B, bool *CoolingDown) {
-  if (CoolingDown)
-    *CoolingDown = false;
+InferenceSession *DynamicBatcher::variantFor(int64_t B) {
   std::lock_guard<std::mutex> Lock(VariantMutex);
   if (B != 1) {
     auto BIt = Breakers.find(B);
     if (BIt != Breakers.end() && BIt->second.Open) {
-      if (Clock::now() < BIt->second.OpenUntil) {
-        if (CoolingDown)
-          *CoolingDown = true;
+      if (Clock::now() < BIt->second.OpenUntil)
         return nullptr;
-      }
       // Cooldown elapsed: hand the bucket out as a re-probe. Success
       // closes the breaker (recordBucketSuccess); failure re-opens it for
       // another cooldown (recordBucketFailure).

@@ -129,8 +129,10 @@ struct ServingStats {
   uint64_t BreakerTrips = 0;
   uint64_t BreakerReprobes = 0;
   uint64_t BreakerRestores = 0;
-  /// Requests that executed in a smaller sub-batch than the ladder could
-  /// have offered because an open breaker forced decomposition.
+  /// Requests that executed in a smaller sub-batch than the greedy ladder
+  /// would have given them with every breaker closed, because that bucket
+  /// was open or tripped within the batch. Each request counts once. A
+  /// retry after a mid-run deadline is not a degradation.
   uint64_t DegradedRequests = 0;
   /// Requests completed with a non-deadline execution failure (typed
   /// Status delivered to the caller after the ladder bottomed out at solo).
@@ -214,6 +216,11 @@ private:
     Clock::time_point Enqueued;
     Clock::time_point Deadline;
     std::promise<Expected<std::vector<Tensor>>> Done;
+    /// processBatch's degradation bookkeeping: the bucket the greedy
+    /// ladder gives this request with every breaker closed, and whether
+    /// the request already counted in DegradedRequests.
+    int64_t IdealBucket = 1;
+    bool CountedDegraded = false;
   };
 
   DynamicBatcher(GraphFactory Factory, const CompileOptions &Compile,
@@ -236,13 +243,12 @@ private:
   Status executeSubBatch(InferenceSession *Session,
                          const std::vector<std::shared_ptr<Pending>> &Requests);
   /// The session for bucket \p B, compiling it on first use. Returns null
-  /// when no factory is available, the compile fails, or the bucket's
-  /// breaker is open and still cooling down (\p CoolingDown set true in
-  /// that last case so the caller can count degraded requests); the caller
-  /// then decomposes into smaller buckets — bucket 1 always exists and
-  /// never breaks. An open bucket whose cooldown has elapsed is handed out
-  /// as a re-probe.
-  InferenceSession *variantFor(int64_t B, bool *CoolingDown = nullptr);
+  /// when no factory is available, the compile fails (which trips the
+  /// bucket's breaker), or the breaker is open and still cooling down;
+  /// the caller then decomposes into smaller buckets — bucket 1 always
+  /// exists and never breaks. An open bucket whose cooldown has elapsed is
+  /// handed out as a re-probe.
+  InferenceSession *variantFor(int64_t B);
   /// Breaker bookkeeping after an execution/compile outcome for bucket
   /// \p B. Failure opens the breaker for a cooldown; success closes it
   /// (counting a restore if it was open, i.e. a re-probe succeeded).

@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A steady-clock stopwatch used by the profiler, the benches, and the
-/// compilation-time experiment (Figure 9b).
+/// A steady-clock stopwatch used by compileModel's phase timers, the
+/// runtime's per-block timing, the benches, and the compilation-time
+/// experiment (Figure 9b).
 ///
 //===----------------------------------------------------------------------===//
 

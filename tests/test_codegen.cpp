@@ -249,6 +249,16 @@ TEST(CodeEmitter, SignatureIdentifiesStructure) {
   };
   EXPECT_EQ(SigOf(B1.graph()), SigOf(B2.graph()));
   EXPECT_NE(SigOf(B1.graph()), SigOf(B3.graph()));
+
+  // Equal output shapes over different input shapes: the second Conv does
+  // 8x the multiply-adds, so the two blocks cannot share a kernel.
+  auto ConvRelu = [](int64_t InChannels) {
+    GraphBuilder B(9);
+    NodeId X = B.input(Shape({1, InChannels, 6, 6}));
+    B.markOutput(B.relu(B.conv(X, 16, {3, 3}, {1, 1}, {1, 1})));
+    return B.take();
+  };
+  EXPECT_NE(SigOf(ConvRelu(4)), SigOf(ConvRelu(32)));
 }
 
 //===----------------------------------------------------------------------===//

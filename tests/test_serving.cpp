@@ -697,12 +697,12 @@ TEST(DynamicBatcher, OneFailedBatchOpensItsBucketUntilAReprobeSucceeds) {
   ServingStats S = Wave(false); // Compiles bucket 2 and serves through it.
   ASSERT_EQ(S.BatchSizeCounts[2], 1u);
 
-  // One failed batched execution opens the bucket. Its pair re-runs solo;
-  // the first counts as degraded (the last would run alone anyway).
+  // One failed batched execution opens the bucket. Its pair re-runs solo,
+  // and both count as degraded: the ladder would have run them together.
   S = Wave(true);
   EXPECT_EQ(S.BatchSizeCounts[2], 2u);
   EXPECT_EQ(S.BreakerTrips, 1u);
-  EXPECT_EQ(S.DegradedRequests, 1u);
+  EXPECT_EQ(S.DegradedRequests, 2u);
 
   // After the cooldown a failed re-probe re-opens it...
   std::this_thread::sleep_for(Cooldown + std::chrono::milliseconds(100));
@@ -713,11 +713,12 @@ TEST(DynamicBatcher, OneFailedBatchOpensItsBucketUntilAReprobeSucceeds) {
   EXPECT_EQ(S.BreakerTrips, 2u);
   EXPECT_EQ(S.BreakerRestores, 0u);
   // ...for another cooldown: a wave inside it decomposes without a probe.
+  // The failed re-probe's pair and this wave's pair each add 2 degraded.
   S = Wave(false);
   if (std::chrono::steady_clock::now() < ProbeStart + Cooldown) {
     EXPECT_EQ(S.BatchSizeCounts[2], 3u);
     EXPECT_EQ(S.BreakerReprobes, 1u);
-    EXPECT_EQ(S.DegradedRequests, 3u);
+    EXPECT_EQ(S.DegradedRequests, 6u);
   }
 
   // A successful re-probe restores it: later waves batch without probing.

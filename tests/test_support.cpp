@@ -4,7 +4,6 @@
 #include "ops/KernelsGemmPacked.h"
 #include "support/Error.h"
 #include "support/Hash.h"
-#include "support/KeyValueFile.h"
 #include "support/Rng.h"
 #include "support/Status.h"
 #include "support/StringUtils.h"
@@ -14,11 +13,8 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -26,12 +22,6 @@
 using namespace dnnfusion;
 
 namespace {
-
-/// Per-process temp path so concurrent runs of this binary (e.g. parallel
-/// CI jobs on one machine) cannot corrupt each other's fixtures.
-std::string tempPath(const char *Name) {
-  return formatString("/tmp/dnnf_%d_%s", static_cast<int>(getpid()), Name);
-}
 
 TEST(StringUtils, FormatString) {
   EXPECT_EQ(formatString("%d-%s", 42, "x"), "42-x");
@@ -186,23 +176,6 @@ TEST(TablePrinter, AlignsColumns) {
   EXPECT_NE(Out.find("long-name"), std::string::npos);
   // Header and separator and two rows.
   EXPECT_EQ(std::count(Out.begin(), Out.end(), '\n'), 4);
-}
-
-TEST(KeyValueFile, RoundTrip) {
-  std::string Path = tempPath("kv_test.txt");
-  std::map<std::string, std::string> In = {{"a", "1"}, {"b", "x+y"},
-                                           {"key with space", "v"}};
-  ASSERT_TRUE(storeKeyValueFile(Path, In));
-  std::map<std::string, std::string> Out;
-  ASSERT_TRUE(loadKeyValueFile(Path, Out));
-  EXPECT_EQ(In, Out);
-  std::remove(Path.c_str());
-}
-
-TEST(KeyValueFile, MissingFileReturnsFalse) {
-  std::map<std::string, std::string> Out;
-  EXPECT_FALSE(loadKeyValueFile("/tmp/does_not_exist_dnnf.txt", Out));
-  EXPECT_TRUE(Out.empty());
 }
 
 TEST(Timer, Monotonic) {
@@ -555,75 +528,6 @@ TEST(TablePrinter, SingleColumnHasNoPadding) {
 TEST(TablePrinterDeath, MismatchedRowArityAborts) {
   TablePrinter T({"a", "b"});
   EXPECT_DEATH(T.addRow({"only-one"}), "row arity");
-}
-
-//===----------------------------------------------------------------------===//
-// KeyValueFile: formats and failure modes
-//===----------------------------------------------------------------------===//
-
-TEST(KeyValueFile, SkipsCommentsAndBlankLines) {
-  std::string Path = tempPath("kv_comments.txt");
-  std::FILE *F = std::fopen(Path.c_str(), "wb");
-  ASSERT_NE(F, nullptr);
-  std::fputs("# a comment\n\nkey=value\n   \n# another\nk2=v2\n", F);
-  std::fclose(F);
-  std::map<std::string, std::string> Out;
-  ASSERT_TRUE(loadKeyValueFile(Path, Out));
-  EXPECT_EQ(Out, (std::map<std::string, std::string>{{"key", "value"},
-                                                     {"k2", "v2"}}));
-  std::remove(Path.c_str());
-}
-
-TEST(KeyValueFile, KeysShapedLikeBlockSignaturesRoundTrip) {
-  // The profiling database keys by block signature, which renders
-  // attributes with '='; lines split at the last '='.
-  std::string Path = tempPath("kv_equals.txt");
-  std::map<std::string, std::string> In = {
-      {"LeakyRelu[1x8]{alpha=0.1}", "0.25"},
-      {"Conv[1x8x4x4]{pads=[0, 0];strides=[1, 1]}+Relu[1x8x4x4]", "1.5"}};
-  ASSERT_TRUE(storeKeyValueFile(Path, In));
-  std::map<std::string, std::string> Out;
-  ASSERT_TRUE(loadKeyValueFile(Path, Out));
-  EXPECT_EQ(In, Out);
-  std::remove(Path.c_str());
-}
-
-TEST(KeyValueFile, StoreWritesSortedKeys) {
-  std::string Path = tempPath("kv_sorted.txt");
-  ASSERT_TRUE(storeKeyValueFile(Path, {{"zeta", "1"}, {"alpha", "2"}}));
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  ASSERT_NE(F, nullptr);
-  char Buffer[256] = {0};
-  size_t Got = std::fread(Buffer, 1, sizeof(Buffer) - 1, F);
-  std::fclose(F);
-  EXPECT_EQ(std::string(Buffer, Got), "alpha=2\nzeta=1\n");
-  std::remove(Path.c_str());
-}
-
-TEST(KeyValueFile, StoreOverwritesExistingFile) {
-  std::string Path = tempPath("kv_overwrite.txt");
-  ASSERT_TRUE(storeKeyValueFile(Path, {{"old", "1"}, {"stale", "2"}}));
-  ASSERT_TRUE(storeKeyValueFile(Path, {{"fresh", "3"}}));
-  std::map<std::string, std::string> Out;
-  ASSERT_TRUE(loadKeyValueFile(Path, Out));
-  EXPECT_EQ(Out, (std::map<std::string, std::string>{{"fresh", "3"}}));
-  std::remove(Path.c_str());
-}
-
-TEST(KeyValueFile, StoreToUnwritablePathReturnsFalse) {
-  EXPECT_FALSE(
-      storeKeyValueFile("/nonexistent-dir/dnnf.txt", {{"a", "1"}}));
-}
-
-TEST(KeyValueFileDeath, MalformedLineAborts) {
-  std::string Path = tempPath("kv_malformed.txt");
-  std::FILE *F = std::fopen(Path.c_str(), "wb");
-  ASSERT_NE(F, nullptr);
-  std::fputs("no-equals-sign-here\n", F);
-  std::fclose(F);
-  std::map<std::string, std::string> Out;
-  EXPECT_DEATH(loadKeyValueFile(Path, Out), "malformed line");
-  std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//

@@ -3,7 +3,8 @@
 // Structural invariants the compiler must uphold on every real model, not
 // just unit-test graphs: verified plans, the one-Many-to-Many-per-block
 // property, Table 3 conformance of every adjacent fused pair, compiled
-// block/slot consistency, and memory-plan sanity.
+// block/slot consistency, memory-plan sanity, and deterministic
+// compilation.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,6 +14,7 @@
 #include "core/TransformerPatterns.h"
 #include "models/ModelZoo.h"
 #include "runtime/ExecutionContext.h"
+#include "serialize/ModelSerializer.h"
 
 #include <gtest/gtest.h>
 
@@ -150,6 +152,16 @@ TEST_P(ZooInvariants, RewritingNeverIncreasesFlops) {
   EXPECT_LE(Stats.FlopsAfter, Stats.FlopsBefore) << entry().Info.Name;
   EXPECT_LE(Stats.LayersAfter, Stats.LayersBefore) << entry().Info.Name;
   G.verify();
+}
+
+// The compilation cache keys an artifact by (graph, options, format
+// version), which stands for the artifact only if compiling is a pure
+// function of those inputs.
+TEST_P(ZooInvariants, TwoColdCompilesWriteTheSameArtifact) {
+  CompiledModel First = cantFail(compileModel(entry().Build()));
+  CompiledModel Second = cantFail(compileModel(entry().Build()));
+  EXPECT_TRUE(serializeCompiledModel(First) == serializeCompiledModel(Second))
+      << entry().Info.Name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
